@@ -22,7 +22,6 @@ import os
 import sys
 
 import numpy as np
-from scipy import integrate
 
 from .diagnostics import coefficients, minor_diagnostics, schur_resolvent_residual, select_indices
 from .distributions import DistributionSpec, gaussian_diag, gaussian_off, regularity_integrals
@@ -52,40 +51,28 @@ _KIND_BY_COMMAND = {
 }
 
 
-def _parse_dist_pair(text: str) -> tuple[DistributionSpec, DistributionSpec]:
-    """Parse ``--dist``: a law name with optional ``:p1,p2,...`` parameters
-    applied to both entry roles, or a JSON object ``{"off":..., "diag":...}``."""
-    text = text.strip()
-    if text.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"bad --dist JSON: {exc}") from None
-        if not isinstance(obj, dict) or set(obj) != {"off", "diag"}:
-            raise ConfigurationError("--dist JSON must have exactly the keys 'off' and 'diag'")
-        return (
-            DistributionSpec.from_json(obj["off"]),
-            DistributionSpec.from_json(obj["diag"]),
-        )
-    name, _, rest = text.partition(":")
-    params = tuple(float(p) for p in rest.split(",") if p.strip()) if rest else ()
-    return (
-        DistributionSpec(name, params, "off_diagonal"),
-        DistributionSpec(name, params, "diagonal"),
-    )
+def _parse_dist(text: str, roles: tuple = ("off_diagonal", "diagonal")) -> tuple:
+    """Parse ``--dist`` into one entry law per role in ``roles``.
 
-
-def _parse_single_dist(text: str, role: str) -> DistributionSpec:
+    The text is a law name with optional ``:p1,p2,...`` parameters, applied
+    to every role, or JSON: ``{"off": law, "diag": law}`` for the two
+    roles, one law object for a single role.  Malformed text raises
+    :class:`ConfigurationError`.
+    """
     text = text.strip()
-    if text.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"bad --dist JSON: {exc}") from None
-        return DistributionSpec.from_json(obj)
-    name, _, rest = text.partition(":")
-    params = tuple(float(p) for p in rest.split(",") if p.strip()) if rest else ()
-    return DistributionSpec(name, params, role)
+    if not text.startswith("{"):
+        name, _, rest = text.partition(":")
+        params = tuple(p for p in rest.split(",") if p.strip())
+        return tuple(DistributionSpec(name, params, role) for role in roles)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"bad --dist JSON: {exc}") from None
+    if len(roles) == 1:
+        return (DistributionSpec.from_json(obj),)
+    if not isinstance(obj, dict) or set(obj) != {"off", "diag"}:
+        raise ConfigurationError("--dist JSON must have exactly the keys 'off' and 'diag'")
+    return DistributionSpec.from_json(obj["off"]), DistributionSpec.from_json(obj["diag"])
 
 
 def _load_spec_json(value: str) -> dict:
@@ -125,7 +112,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dist", help="entry law for both roles, e.g. gaussian or smoothed_uniform:0.4")
     sub.add_argument("--seed", type=int, help="master seed (default 42)")
     sub.add_argument("--kappa", type=float, help="bulk margin: energies stay in (-2+kappa, 2-kappa)")
-    sub.add_argument("--workers", type=int, help="worker threads (WIGNERLAB_THREADS caps this)")
+    sub.add_argument("--workers", type=int, help="deprecated; ignored, runs are serial")
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--plot", action="store_true", help="also write an SVG plot next to --out")
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
@@ -219,7 +206,7 @@ def _build_spec(args) -> ExperimentSpec:
     if schedules:
         overrides["eta"] = schedules
     if args.dist is not None:
-        overrides["dist"] = _parse_dist_pair(args.dist)
+        overrides["dist"] = _parse_dist(args.dist)
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.kappa is not None:
@@ -332,7 +319,7 @@ def _run_experiment_command(args) -> int:
 
 def _run_diagnostics_command(args) -> int:
     if args.dist is not None:
-        off, diag = _parse_dist_pair(args.dist)
+        off, diag = _parse_dist(args.dist)
     else:
         off, diag = gaussian_off(), gaussian_diag()
     matrix = sample_wigner(args.n, off, diag, SeedSpec(args.seed))
@@ -347,7 +334,7 @@ def _run_diagnostics_command(args) -> int:
 
 
 def _run_regularity_command(args) -> int:
-    dist = _parse_single_dist(args.dist, args.role)
+    (dist,) = _parse_dist(args.dist, (args.role,))
     values = regularity_integrals(dist)
     for key in ("I6", "I4", "I2pp"):
         print(f"{key}={values[key]:.10g}")
@@ -358,6 +345,8 @@ def _run_regularity_command(args) -> int:
 
 
 def _check_semicircle() -> tuple[float, float]:
+    from scipy import integrate
+
     grid = np.linspace(-1.9, 1.9, 381)
     resid = max(
         abs(math.pi * rho_sc(E) - m_sc(complex(E, 1e-9)).imag) for E in grid

@@ -161,16 +161,16 @@ def select_indices(lam: Sequence[float], E: float, eps: float, N: int) -> Select
     """
     _check_eps(eps)
     lam = np.asarray(lam, dtype=float)
-    if not good_event(lam, E, eps, N):
+    dist = N * np.abs(lam - E)
+    # the good event of :func:`good_event`, on the same distances
+    if int(np.count_nonzero(dist >= eps)) < GOOD_EVENT_COUNT:
         raise DomainError(
             "index selection needs the good event: fewer than "
             f"{GOOD_EVENT_COUNT} eigenvalues at rescaled distance >= {eps}"
         )
-    dist = N * np.abs(lam - E)
     order = np.argsort(dist, kind="stable")
-    beta0 = int(order[0])
-    rest = [int(i) for i in order if i != beta0 and dist[i] >= eps][:GOOD_EVENT_COUNT]
-    beta = np.array([beta0] + rest, dtype=np.int64)
+    rest = order[1:][dist[order[1:]] >= eps][:GOOD_EVENT_COUNT]
+    beta = np.concatenate((order[:1], rest)).astype(np.int64)
     return Selection(beta=beta, delta=float(dist[beta[-1]]))
 
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtr
 
 from .errors import ConfigurationError, NumericError
 
@@ -80,7 +78,11 @@ class DistributionSpec:
     _smooth_w: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        try:
+            params = tuple(float(p) for p in self.params)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"distribution parameters must be numbers, got {self.params!r}") from None
+        object.__setattr__(self, "params", params)
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown distribution kind {self.kind!r}; expected one of {_KINDS}")
         if self.role not in _ROLE_VARIANCE:
@@ -137,6 +139,8 @@ class DistributionSpec:
         """Probability density, positive on all of R."""
         x = np.asarray(x, dtype=float)
         if self.kind == "smoothed_uniform":
+            from scipy.special import ndtr
+
             a, w = self._half_width, self._smooth_w
             # upper-tail form: ndtr saturates at 1 for arguments beyond ~8,
             # so the direct difference cancels to 0 in the far tails; the
@@ -236,6 +240,8 @@ def regularity_integrals(dist: DistributionSpec, rel_tol: float = 1e-6) -> dict:
     driven to a relative accuracy of ``rel_tol`` and raises
     :class:`NumericError` if that cannot be met.
     """
+    from scipy.integrate import quad
+
     L = dist._support_bound()
 
     def score_pow(x, p):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +22,16 @@ from .errors import ConfigurationError, DomainError
 from .seeding import SeedSpec
 
 __all__ = ["HermitianMatrix", "sample_entry", "sample_wigner", "sample_gue"]
+
+
+@lru_cache(maxsize=16)
+def _triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat row-major positions of the strict upper triangle of an ``n x n``
+    matrix, in packed order, and of the mirrored lower-triangle entries."""
+    rows, cols = np.triu_indices(n, 1)
+    upper, lower = rows * n + cols, cols * n + rows
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
 
 
 @dataclass
@@ -63,16 +74,18 @@ class HermitianMatrix:
     @classmethod
     def _pack(cls, matrix: np.ndarray) -> "HermitianMatrix":
         n = matrix.shape[0]
-        iu = np.triu_indices(n, 1)
-        return cls(n=n, diagonal=matrix.diagonal().real.copy(), upper=matrix[iu])
+        upper, _ = _triangles(n)
+        return cls(n=n, diagonal=matrix.diagonal().real.copy(), upper=matrix.ravel()[upper])
 
     def dense(self) -> np.ndarray:
         """Materialise the full ``n x n`` complex matrix."""
-        h = np.zeros((self.n, self.n), dtype=np.complex128)
-        iu = np.triu_indices(self.n, 1)
-        h[iu] = self.upper
-        h += h.conj().T
-        np.fill_diagonal(h, self.diagonal)
+        n = self.n
+        upper, lower = _triangles(n)
+        h = np.empty((n, n), dtype=np.complex128)
+        flat = h.reshape(-1)
+        flat[upper] = self.upper
+        flat[lower] = self.upper.conj()
+        flat[:: n + 1] = self.diagonal
         return h
 
     def trace(self) -> float:

@@ -11,7 +11,14 @@ Reproducibility contract: sample ``i`` of cell ``k`` always draws from the
 stream ``(master_seed, k * samples + i)``, every per-sample statistic is
 stored at its sample index, and reductions run in index order with
 compensated summation.  Results are therefore bit-identical for a fixed
-spec no matter how many workers execute the samples.
+spec.
+
+Samples run in one serial loop over chunks of ``_CHUNK`` samples.  Each
+sample is drawn and diagonalised on its own; the chunk's eigenvalues are
+stacked into a ``(B, N)`` array and the observables are evaluated on the
+whole chunk as ``(B, P, N)`` array expressions, which keeps their
+temporaries small.  There is no worker pool: the ``workers`` argument is
+still validated but starts no threads.
 """
 
 from __future__ import annotations
@@ -19,9 +26,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +37,10 @@ from .eigensolver import Spectrum, eigvalsh, minor
 from .ensembles import sample_wigner
 from .errors import ConfigurationError
 from .seeding import SeedSpec
-from .spectral import F_sc, counting, rho_sc, semicircle_quantile, unfolded_spacings, wigner_surmise_gue_cdf
+
+# ``counting`` is unused here but stays bound: perfbench/tracer.py wraps the
+# spectral entry points by their names in this module.
+from .spectral import F_sc, counting, rho_sc, semicircle_quantile, unfolded_spacings, wigner_surmise_gue_cdf  # noqa: F401
 from .version import __version__
 
 __all__ = [
@@ -326,7 +335,12 @@ def rows_from_csv(text: str) -> list:
 
 
 def worker_count(requested: Optional[int] = None) -> int:
-    """Effective worker pool size; WIGNERLAB_THREADS caps it."""
+    """Validated worker count of a run; WIGNERLAB_THREADS caps it.
+
+    Deprecated: runs are serial and start no threads whatever this returns.
+    The value and its validation stay because callers still pass
+    ``workers`` and ``--workers``, and the benchmark records it.
+    """
     base = requested if requested is not None else min(8, os.cpu_count() or 1)
     if base < 1:
         raise ConfigurationError(f"worker count must be at least 1, got {base}")
@@ -352,51 +366,58 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / m)
 
 
-def _collect(
-    spec: ExperimentSpec,
-    cell_index: int,
-    sample_fn: Callable[[SeedSpec], Sequence[float]],
-    width: int,
-    workers: int,
-) -> np.ndarray:
-    """Evaluate the per-sample statistics of one cell into a dense table.
+def _spectra(spec: ExperimentSpec, n: int, cell: int, drop_row: bool = False) -> Iterator[np.ndarray]:
+    """Eigenvalues of one cell's samples, one ``(B, N)`` chunk at a time.
 
-    Row ``i`` always comes from stream ``(seed, cell_index * samples + i)``
-    and lands at index ``i``, so the table content does not depend on the
-    worker count.
+    Row ``b`` of the chunk starting at sample ``lo`` holds the ascending
+    eigenvalues of sample ``lo + b``, drawn from stream
+    ``(seed, cell * samples + lo + b)``; with ``drop_row`` they are those of
+    the minor without row and column 0.
     """
+    off, diag = spec.dist
     m = spec.samples
-    out = np.empty((m, width), dtype=np.float64)
-    offset = cell_index * m
-
-    def run_range(lo: int, hi: int) -> None:
+    for lo in range(0, m, _CHUNK):
+        hi = min(lo + _CHUNK, m)
+        mu = np.empty((hi - lo, n - 1 if drop_row else n))
         for i in range(lo, hi):
-            out[i, :] = sample_fn(SeedSpec(spec.seed, offset + i))
-
-    _run_chunks(run_range, m, workers)
-    return out
-
-
-def _run_chunks(run_range: Callable[[int, int], None], m: int, workers: int) -> None:
-    bounds = [(lo, min(lo + _CHUNK, m)) for lo in range(0, m, _CHUNK)]
-    if workers <= 1 or len(bounds) == 1:
-        for lo, hi in bounds:
-            run_range(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_range, lo, hi) for lo, hi in bounds]
-        for fut in futures:
-            fut.result()
+            matrix = sample_wigner(n, off, diag, SeedSpec(spec.seed, cell * m + i))
+            mu[i - lo] = eigvalsh(minor(matrix, 0) if drop_row else matrix).eigenvalues
+        yield mu
 
 
-def _matrix_spectrum(spec: ExperimentSpec, n: int, seed: SeedSpec) -> Spectrum:
-    off, diag = spec.dist
-    return eigvalsh(sample_wigner(n, off, diag, seed))
+def _table(
+    spec: ExperimentSpec,
+    n: int,
+    cell: int,
+    stat: Callable[[np.ndarray], np.ndarray],
+    drop_row: bool = False,
+) -> np.ndarray:
+    """Per-sample statistics of one cell: ``stat`` maps a ``(B, N)`` chunk of
+    spectra to its ``(B, width)`` rows, and row ``i`` belongs to sample ``i``."""
+    return np.concatenate(
+        [np.asarray(stat(mu), dtype=np.float64) for mu in _spectra(spec, n, cell, drop_row)]
+    )
 
 
-def _minor_spectrum(spec: ExperimentSpec, n: int, seed: SeedSpec) -> Spectrum:
-    off, diag = spec.dist
-    return eigvalsh(minor(sample_wigner(n, off, diag, seed), 0))
+def _grid(spec: ExperimentSpec, n: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """Energy-major ``(E, schedule, eta)`` points of one size, and the
+    energies and resolved etas as arrays."""
+    points = [(E, sch, sch.resolve(n)) for E in spec.energy for sch in spec.eta]
+    return points, np.array([p[0] for p in points]), np.array([p[2] for p in points])
+
+
+def _window_counts(mu: np.ndarray, E: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """``(B, P)`` eigenvalue counts in the closed windows ``[E - eta/2, E + eta/2]``."""
+    x = mu[:, None, :]
+    inside = (x >= (E - eta / 2.0)[:, None]) & (x <= (E + eta / 2.0)[:, None])
+    return np.count_nonzero(inside, axis=-1)
+
+
+def _im_stieltjes(mu: np.ndarray, E: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """``(B, P)`` values of ``Im m_N(E + i eta)``, the Poisson-kernel sums
+    ``(1/N) sum_a eta / ((mu_a - E)^2 + eta^2)``."""
+    E, eta = E[:, None], eta[:, None]
+    return np.sum(eta / ((mu[:, None, :] - E) ** 2 + eta * eta), axis=-1) / mu.shape[1]
 
 
 def _window_reference(E: float, eta: float) -> float:
@@ -417,19 +438,23 @@ def _submicro_extras(
 
 
 def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> ExperimentResult:
-    """Run one experiment on a worker pool and assemble the result table."""
+    """Run one experiment and assemble the result table.
+
+    ``workers`` is deprecated: it is validated by :func:`worker_count` and
+    otherwise ignored, because the samples run in one serial loop.
+    """
     t0 = time.perf_counter()
-    nworkers = worker_count(workers)
+    worker_count(workers)
     runner = {
-        "dos": _run_dos,
+        "dos": _run_density,
         "im_stieltjes": _run_im_stieltjes,
         "wegner": _run_wegner,
         "derivative": _run_derivative,
-        "scale_sweep": _run_scale_sweep,
+        "scale_sweep": _run_density,
         "delta_moments": _run_delta_moments,
         "spacing": _run_spacing,
     }[spec.kind]
-    rows, warnings = runner(spec, nworkers)
+    rows, warnings = runner(spec)
     return ExperimentResult(
         spec=spec,
         rows=rows,
@@ -442,44 +467,39 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Exper
 # -- experiment runners ----------------------------------------------------
 
 
-def _run_dos(spec: ExperimentSpec, workers: int) -> tuple[list, list]:
+def _run_density(spec: ExperimentSpec) -> tuple[list, list]:
+    """``dos`` against the semicircle window average, or ``scale_sweep``
+    against ``rho_sc(E)`` with one series per eta schedule."""
     rows: list = []
     warnings: list = []
+    sweep = spec.kind == "scale_sweep"
     for ci, n in enumerate(spec.n):
-        points = [(E, sch.resolve(n)) for E in spec.energy for sch in spec.eta]
-
-        def sample_fn(seed, n=n, points=points):
-            sp = _matrix_spectrum(spec, n, seed)
-            return [
-                counting(sp, E - eta / 2.0, E + eta / 2.0) / (n * eta) for E, eta in points
-            ]
-
-        table = _collect(spec, ci, sample_fn, len(points), workers)
-        for k, (E, eta) in enumerate(points):
+        points, Es, etas = _grid(spec, n)
+        table = _table(spec, n, ci, lambda mu: _window_counts(mu, Es, etas) / (n * etas))
+        for k, (E, sch, eta) in enumerate(points):
             mean, se = _mean_stderr(table[:, k])
-            ref = _window_reference(E, eta)
-            extras = _submicro_extras(n, eta, table[:, k], warnings, f"dos at E={E:g}")
+            if sweep:
+                ref = float(rho_sc(E))
+                extras = {
+                    "series": sch.label(),
+                    **_submicro_extras(n, eta, table[:, k], warnings, f"sweep at E={E:g}"),
+                }
+            else:
+                ref = _window_reference(E, eta)
+                extras = _submicro_extras(n, eta, table[:, k], warnings, f"dos at E={E:g}")
             rows.append(
                 ResultRow(n, E, eta, mean, se, spec.samples, ref, mean / ref, extras)
             )
     return rows, warnings
 
 
-def _run_im_stieltjes(spec: ExperimentSpec, workers: int) -> tuple[list, list]:
+def _run_im_stieltjes(spec: ExperimentSpec) -> tuple[list, list]:
     rows: list = []
     warnings: list = []
     for ci, n in enumerate(spec.n):
-        points = [(E, sch.resolve(n)) for E in spec.energy for sch in spec.eta]
-
-        def sample_fn(seed, n=n, points=points):
-            sp = _matrix_spectrum(spec, n, seed)
-            mu = sp.eigenvalues
-            return [
-                float(np.sum(eta / ((mu - E) ** 2 + eta * eta))) / n for E, eta in points
-            ]
-
-        table = _collect(spec, ci, sample_fn, len(points), workers)
-        for k, (E, eta) in enumerate(points):
+        points, Es, etas = _grid(spec, n)
+        table = _table(spec, n, ci, lambda mu: _im_stieltjes(mu, Es, etas))
+        for k, (E, _, eta) in enumerate(points):
             mean, se = _mean_stderr(table[:, k])
             ref = math.pi * rho_sc(E)
             predicted = math.sqrt(math.pi * rho_sc(E) / (spec.samples * n * eta)) / math.sqrt(
@@ -497,27 +517,24 @@ def _run_im_stieltjes(spec: ExperimentSpec, workers: int) -> tuple[list, list]:
     return rows, warnings
 
 
-def _run_wegner(spec: ExperimentSpec, workers: int) -> tuple[list, list]:
+def _run_wegner(spec: ExperimentSpec) -> tuple[list, list]:
     rows: list = []
     warnings: list = []
     for ci, n in enumerate(spec.n):
-        etas = [sch.resolve(n) for sch in spec.eta]
-        if any(b >= a for a, b in zip(etas, etas[1:])):
+        resolved = [sch.resolve(n) for sch in spec.eta]
+        if any(b >= a for a, b in zip(resolved, resolved[1:])):
             raise ConfigurationError(
-                f"wegner eta schedule must be strictly decreasing, resolved to {etas} at n={n}"
+                f"wegner eta schedule must be strictly decreasing, resolved to {resolved} at n={n}"
             )
-        points = [(E, eta) for E in spec.energy for eta in etas]
+        points, Es, etas = _grid(spec, n)
 
-        def sample_fn(seed, n=n, points=points):
-            sp = _matrix_spectrum(spec, n, seed)
-            vals = []
-            for E, eta in points:
-                cnt = counting(sp, E - eta / 2.0, E + eta / 2.0)
-                vals.extend((float(cnt), float(cnt) ** 2))
-            return vals
+        def stat(mu):
+            counts = _window_counts(mu, Es, etas).astype(np.float64)
+            # columns 2k and 2k+1: count and squared count at point k
+            return np.stack([counts, counts**2], axis=-1).reshape(len(mu), -1)
 
-        table = _collect(spec, ci, sample_fn, 2 * len(points), workers)
-        for k, (E, eta) in enumerate(points):
+        table = _table(spec, n, ci, stat)
+        for k, (E, _, eta) in enumerate(points):
             counts = table[:, 2 * k]
             squares = table[:, 2 * k + 1]
             mean_c, se_c = _mean_stderr(counts)
@@ -539,41 +556,31 @@ def _run_wegner(spec: ExperimentSpec, workers: int) -> tuple[list, list]:
     return rows, warnings
 
 
-def _run_derivative(spec: ExperimentSpec, workers: int) -> tuple[list, list]:
+def _run_derivative(spec: ExperimentSpec) -> tuple[list, list]:
     if "delta_e" not in spec.extra:
         raise ConfigurationError("derivative experiments need extra['delta_e']")
     delta_sched = EtaSchedule.from_json(spec.extra["delta_e"])
     rows: list = []
     warnings: list = []
     for ci, n in enumerate(spec.n):
-        delta_e = delta_sched.resolve(n)
-        if delta_e <= 0.0:
-            raise ConfigurationError(f"finite-difference step must be positive, got {delta_e}")
-        points = []
-        for E in spec.energy:
-            for sch in spec.eta:
-                eta = sch.resolve(n)
-                if eta > 1.0 / n:
-                    raise ConfigurationError(
-                        f"derivative scan needs eta <= 1/N, got eta={eta:g} at N={n}"
-                    )
-                points.append((E, eta))
-
-        def sample_fn(seed, n=n, points=points, de=delta_e):
-            sp = _matrix_spectrum(spec, n, seed)
-            mu = sp.eigenvalues
-            vals = []
-            for E, eta in points:
-                hi = float(np.sum(eta / ((mu - (E + de)) ** 2 + eta * eta))) / n
-                lo = float(np.sum(eta / ((mu - (E - de)) ** 2 + eta * eta))) / n
-                vals.append((hi - lo) / (2.0 * de))
-            return vals
-
-        table = _collect(spec, ci, sample_fn, len(points), workers)
-        for k, (E, eta) in enumerate(points):
+        de = delta_sched.resolve(n)
+        if de <= 0.0:
+            raise ConfigurationError(f"finite-difference step must be positive, got {de}")
+        points, Es, etas = _grid(spec, n)
+        for _, _, eta in points:
+            if eta > 1.0 / n:
+                raise ConfigurationError(
+                    f"derivative scan needs eta <= 1/N, got eta={eta:g} at N={n}"
+                )
+        table = _table(
+            spec, n, ci,
+            lambda mu: (_im_stieltjes(mu, Es + de, etas) - _im_stieltjes(mu, Es - de, etas))
+            / (2.0 * de),
+        )
+        for k, (E, _, eta) in enumerate(points):
             mean, se = _mean_stderr(table[:, k])
             extras = {
-                "delta_e": delta_e,
+                "delta_e": de,
                 "bound_2se": (abs(mean) + 2.0 * se) / n,
                 **_submicro_extras(n, eta, np.abs(table[:, k]), warnings, f"derivative at E={E:g}"),
             }
@@ -585,36 +592,7 @@ def _run_derivative(spec: ExperimentSpec, workers: int) -> tuple[list, list]:
     return rows, warnings
 
 
-def _run_scale_sweep(spec: ExperimentSpec, workers: int) -> tuple[list, list]:
-    rows: list = []
-    warnings: list = []
-    for ci, n in enumerate(spec.n):
-        points = [(E, sch) for E in spec.energy for sch in spec.eta]
-
-        def sample_fn(seed, n=n, points=points):
-            sp = _matrix_spectrum(spec, n, seed)
-            vals = []
-            for E, sch in points:
-                eta = sch.resolve(n)
-                vals.append(counting(sp, E - eta / 2.0, E + eta / 2.0) / (n * eta))
-            return vals
-
-        table = _collect(spec, ci, sample_fn, len(points), workers)
-        for k, (E, sch) in enumerate(points):
-            eta = sch.resolve(n)
-            mean, se = _mean_stderr(table[:, k])
-            ref = float(rho_sc(E))
-            extras = {
-                "series": sch.label(),
-                **_submicro_extras(n, eta, table[:, k], warnings, f"sweep at E={E:g}"),
-            }
-            rows.append(
-                ResultRow(n, E, eta, mean, se, spec.samples, ref, mean / ref, extras)
-            )
-    return rows, warnings
-
-
-def _run_delta_moments(spec: ExperimentSpec, workers: int) -> tuple[list, list]:
+def _run_delta_moments(spec: ExperimentSpec) -> tuple[list, list]:
     eps = float(spec.extra.get("eps", 1.0))
     if not 0.0 < eps <= 1.0:
         raise ConfigurationError(f"extra['eps'] must lie in (0, 1], got {eps}")
@@ -630,13 +608,10 @@ def _run_delta_moments(spec: ExperimentSpec, workers: int) -> tuple[list, list]:
 
     rows: list = []
     warnings: list = []
-    width = len(orders) + 2 * len(deltas)
     for ci, n in enumerate(spec.n):
         for ei, E in enumerate(spec.energy):
 
-            def sample_fn(seed, n=n, E=E):
-                sp = _minor_spectrum(spec, n, seed)
-                lam = sp.eigenvalues
+            def sample_stat(lam, n=n, E=E):
                 dist = n * np.abs(lam - E)
                 omega = good_event(lam, E, eps, n)
                 delta_span = (
@@ -652,7 +627,9 @@ def _run_delta_moments(spec: ExperimentSpec, workers: int) -> tuple[list, list]:
 
             # one cell per (n, E) pair so each energy gets fresh streams
             cell = ci * len(spec.energy) + ei
-            table = _collect(spec, cell, sample_fn, width, workers)
+            table = _table(
+                spec, n, cell, lambda mu: [sample_stat(lam) for lam in mu], drop_row=True
+            )
             col = 0
             for k in orders:
                 mean, se = _mean_stderr(table[:, col])
@@ -688,7 +665,7 @@ def _run_delta_moments(spec: ExperimentSpec, workers: int) -> tuple[list, list]:
     return rows, warnings
 
 
-def _run_spacing(spec: ExperimentSpec, workers: int) -> tuple[list, list]:
+def _run_spacing(spec: ExperimentSpec) -> tuple[list, list]:
     window = spec.extra.get("window")
     if window is None:
         window = (semicircle_quantile(0.25), semicircle_quantile(0.75))
@@ -701,15 +678,11 @@ def _run_spacing(spec: ExperimentSpec, workers: int) -> tuple[list, list]:
     rows: list = []
     warnings: list = []
     for ci, n in enumerate(spec.n):
-        per_sample: list = [None] * spec.samples
-        offset = ci * spec.samples
-
-        def run_range(a: int, b: int, n=n):
-            for i in range(a, b):
-                sp = _matrix_spectrum(spec, n, SeedSpec(spec.seed, offset + i))
-                per_sample[i] = unfolded_spacings(sp, window).spacings
-
-        _run_chunks(run_range, spec.samples, workers)
+        per_sample = [
+            unfolded_spacings(Spectrum(n, mu), window).spacings
+            for chunk in _spectra(spec, n, ci)
+            for mu in chunk
+        ]
         means = [float(np.mean(s)) for s in per_sample if s.size > 0]
         pooled = np.concatenate(per_sample)
         if means:

@@ -3,8 +3,8 @@
 Every sample of an experiment owns an independent stream addressed by the
 pair ``(master_seed, stream_index)``.  The stream is derived statelessly
 through :class:`numpy.random.SeedSequence`, so sample ``i`` produces the
-same draws no matter how many workers run, in which order the samples are
-scheduled, or whether earlier samples were computed at all.
+same draws no matter in which order the samples are scheduled, or whether
+earlier samples were computed at all.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .eigensolver import Spectrum
 from .errors import DomainError
@@ -79,6 +78,8 @@ def semicircle_quantile(p: float) -> float:
     """Inverse of :func:`F_sc` on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile level must lie in (0, 1), got {p}")
+    from scipy.optimize import brentq
+
     return brentq(lambda x: F_sc(x) - p, -2.0, 2.0, xtol=1e-14)
 
 

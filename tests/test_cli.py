@@ -3,6 +3,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.dom.minidom
 
 import pytest
@@ -199,6 +202,30 @@ def test_dist_flag_parsing(tmp_path):
                  "--eta", "0.5", "--dist", pair, "--out", str(out)]) == 0
     assert main(["dos", "--n", "16", "--samples", "2", "--energy", "0",
                  "--eta", "0.5", "--dist", "cauchy"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["dos", "--n", "16", "--samples", "2", "--eta", "0.5", "--dist", "smoothed_uniform:abc"],
+    ["diagnostics", "--n", "16", "--dist", "gaussian_mixture:1,0,x"],
+    ["regularity", "--dist", "smoothed_uniform:abc"],
+    ["dos", "--spec", json.dumps({"n": [16], "samples": 2, "eta": [0.5], "dist": {
+        "off": {"kind": "smoothed_uniform", "params": ["abc"], "role": "off_diagonal"},
+        "diag": {"kind": "gaussian", "role": "diagonal"}}})],
+])
+def test_non_numeric_dist_parameters_exit_two(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: distribution parameters must be numbers")
+    assert "Traceback" not in err
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the functions that need it, not at start-up
+    code = "import sys, wignerlab.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 # -- SVG renderer ------------------------------------------------------------

@@ -65,6 +65,40 @@ def test_select_indices_requires_good_event():
         select_indices(np.zeros(9), 0.0, 0.5, 9)
 
 
+def _select_indices_loop(lam, E, eps, N):
+    """Reference selection: the closest index, then eligible ones by distance."""
+    if not good_event(lam, E, eps, N):
+        return None
+    dist = N * np.abs(np.asarray(lam, dtype=float) - E)
+    order = np.argsort(dist, kind="stable")
+    beta0 = int(order[0])
+    rest = [int(i) for i in order if i != beta0 and dist[i] >= eps][:GOOD_EVENT_COUNT]
+    return [beta0] + rest, float(dist[rest[-1] if rest else beta0])
+
+
+def test_select_indices_matches_loop_reference_with_ties():
+    rng = np.random.default_rng(20)
+    for trial in range(20000):
+        size = int(rng.integers(1, 24))
+        if trial % 2:
+            # a coarse grid makes many exactly tied distances
+            lam = rng.integers(-6, 7, size) / 8.0
+        else:
+            lam = rng.uniform(-2.0, 2.0, size)
+        E = float(rng.choice([0.0, 0.25, -0.5, float(rng.uniform(-1.0, 1.0))]))
+        eps = float(rng.choice([1.0, 0.5, float(rng.uniform(0.01, 1.0))]))
+        N = int(rng.integers(1, 16))
+        expected = _select_indices_loop(lam, E, eps, N)
+        if expected is None:
+            with pytest.raises(DomainError):
+                select_indices(lam, E, eps, N)
+            continue
+        sel = select_indices(lam, E, eps, N)
+        assert sel.beta.dtype == np.int64
+        assert list(sel.beta) == expected[0]
+        assert sel.delta == expected[1]
+
+
 def test_coefficients_on_site():
     n, eps = 12, 0.25
     co = coefficients(np.array([0.7]), 0.7, eps, n)
