@@ -56,8 +56,8 @@ def _parse_dist(text: str, roles: tuple = ("off_diagonal", "diagonal")) -> tuple
 
     The text is a law name with optional ``:p1,p2,...`` parameters, applied
     to every role, or JSON: ``{"off": law, "diag": law}`` for the two
-    roles, one law object for a single role.  Malformed text raises
-    :class:`ConfigurationError`.
+    roles, one law object for a single role, which takes that role unless
+    it names its own.  Malformed text raises :class:`ConfigurationError`.
     """
     text = text.strip()
     if not text.startswith("{"):
@@ -69,10 +69,10 @@ def _parse_dist(text: str, roles: tuple = ("off_diagonal", "diagonal")) -> tuple
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"bad --dist JSON: {exc}") from None
     if len(roles) == 1:
+        if isinstance(obj, dict):
+            obj = {"role": roles[0], **obj}
         return (DistributionSpec.from_json(obj),)
-    if not isinstance(obj, dict) or set(obj) != {"off", "diag"}:
-        raise ConfigurationError("--dist JSON must have exactly the keys 'off' and 'diag'")
-    return DistributionSpec.from_json(obj["off"]), DistributionSpec.from_json(obj["diag"])
+    return DistributionSpec.pair_from_json(obj)
 
 
 def _load_spec_json(value: str) -> dict:
@@ -161,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--out", help="output path (default stdout)")
 
     reg = subs.add_parser("regularity", help="smoothness integrals I6, I4, I2pp of an entry law")
-    reg.add_argument("--dist", default="gaussian", help="entry law, e.g. gaussian or smoothed_uniform:0.4")
+    reg.add_argument("--dist", default="gaussian", help="entry law, e.g. gaussian, smoothed_uniform:0.4 or JSON")
     reg.add_argument(
         "--role", choices=("off_diagonal", "diagonal"), default="off_diagonal",
         help="entry role fixing the target variance (default off_diagonal)",
@@ -291,29 +291,29 @@ def emit_plot(result: ExperimentResult, out: str) -> None:
         fh.write(svg)
 
 
-def _emit_result(result: ExperimentResult, args) -> None:
-    if args.format == "json":
-        text = json.dumps(result.to_json(), indent=2) + "\n"
-    else:
-        text = result.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(text: str, out) -> None:
+    """Write ``text`` to the path ``out``, or to stdout when there is none."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    for note in result.warnings:
-        print(f"warning: {note}", file=sys.stderr)
-    if args.plot:
-        if not args.out:
-            raise ConfigurationError("--plot needs --out to derive the SVG path")
-        root, _ = os.path.splitext(args.out)
-        emit_plot(result, root + ".svg")
 
 
 def _run_experiment_command(args) -> int:
+    if args.plot and not args.out:
+        raise ConfigurationError("--plot needs --out to derive the SVG path")
     spec = _build_spec(args)
     result = run_experiment(spec, workers=args.workers)
-    _emit_result(result, args)
+    if args.format == "json":
+        _write(json.dumps(result.to_json(), indent=2, allow_nan=False) + "\n", args.out)
+    else:
+        _write(result.to_csv(), args.out)
+    for note in result.warnings:
+        print(f"warning: {note}", file=sys.stderr)
+    if args.plot:
+        root, _ = os.path.splitext(args.out)
+        emit_plot(result, root + ".svg")
     return 0
 
 
@@ -324,12 +324,7 @@ def _run_diagnostics_command(args) -> int:
         off, diag = gaussian_off(), gaussian_diag()
     matrix = sample_wigner(args.n, off, diag, SeedSpec(args.seed))
     record = minor_diagnostics(matrix, args.j, args.energy, args.eps)
-    text = json.dumps(record.to_json(), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(record.to_json(), indent=2) + "\n", args.out)
     return 0
 
 

@@ -133,6 +133,13 @@ class DistributionSpec:
             raise ConfigurationError("distribution spec needs a 'kind' field") from None
         return cls(kind=kind, params=tuple(obj.get("params", ())), role=obj.get("role", "off_diagonal"))
 
+    @classmethod
+    def pair_from_json(cls, obj: dict) -> tuple["DistributionSpec", "DistributionSpec"]:
+        """The ``(off, diag)`` laws of a ``{"off": law, "diag": law}`` object."""
+        if not isinstance(obj, dict) or set(obj) != {"off", "diag"}:
+            raise ConfigurationError("dist must be an object with exactly the keys 'off' and 'diag'")
+        return cls.from_json(obj["off"]), cls.from_json(obj["diag"])
+
     # -- density and derivatives ------------------------------------------
 
     def density(self, x) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ensembles import HermitianMatrix
+from .ensembles import HermitianMatrix, _triangles
 from .errors import DomainError, NumericError
 
 __all__ = ["Spectrum", "eigh", "eigvalsh", "minor"]
@@ -79,12 +79,15 @@ def minor(matrix: HermitianMatrix, j: int) -> HermitianMatrix:
     """The ``(n-1) x (n-1)`` principal minor with row and column ``j`` removed.
 
     ``j`` is a 0-based index.  Entries keep their original scaling, so the
-    minor of an ``n``-scaled Wigner matrix stays ``n``-scaled.
+    minor of an ``n``-scaled Wigner matrix stays ``n``-scaled.  The minor is
+    sliced from the packed storage: the upper-triangle pairs off row and
+    column ``j`` keep their row-major order, which is the minor's.
     """
-    if not 0 <= j < matrix.n:
-        raise DomainError(f"minor index must lie in [0, {matrix.n}), got {j}")
-    if matrix.n == 1:
+    n = matrix.n
+    if not 0 <= j < n:
+        raise DomainError(f"minor index must lie in [0, {n}), got {j}")
+    if n == 1:
         raise DomainError("a 1 x 1 matrix has no proper minor")
-    dense = matrix.dense()
-    keep = np.arange(matrix.n) != j
-    return HermitianMatrix._pack(dense[np.ix_(keep, keep)])
+    rows, cols = np.divmod(_triangles(n)[0], n)
+    keep = (rows != j) & (cols != j)
+    return HermitianMatrix(n=n - 1, diagonal=np.delete(matrix.diagonal, j), upper=matrix.upper[keep])

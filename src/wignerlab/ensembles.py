@@ -69,10 +69,6 @@ class HermitianMatrix:
         matrix = matrix.astype(np.complex128, copy=False)
         if not np.array_equal(matrix, matrix.conj().T):
             raise DomainError("matrix is not exactly Hermitian")
-        return cls._pack(matrix)
-
-    @classmethod
-    def _pack(cls, matrix: np.ndarray) -> "HermitianMatrix":
         n = matrix.shape[0]
         upper, _ = _triangles(n)
         return cls(n=n, diagonal=matrix.diagonal().real.copy(), upper=matrix.ravel()[upper])

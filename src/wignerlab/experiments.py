@@ -19,6 +19,14 @@ stacked into a ``(B, N)`` array and the observables are evaluated on the
 whole chunk as ``(B, P, N)`` array expressions, which keeps their
 temporaries small.  There is no worker pool: the ``workers`` argument is
 still validated but starts no threads.
+
+Kinds and core: :func:`run_experiment` holds the one loop over sizes.  A
+kind checks the whole spec, for every size, before anything is sampled and
+returns the step that samples one size and builds its rows.  The grid kinds
+(``dos``, ``scale_sweep``, ``im_stieltjes``, ``derivative``, ``wegner``)
+share :func:`_grid_step`: a chunk statistic over the energy-major
+(energy, eta) grid plus a row builder per point.  ``delta_moments`` loops
+over energies, one cell each; ``spacing`` pools ragged spacings.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -88,8 +96,8 @@ class EtaSchedule:
         if self.kind not in _ETA_KINDS:
             raise ConfigurationError(f"unknown eta schedule kind {self.kind!r}")
         object.__setattr__(self, "coef", float(self.coef))
-        if not self.coef > 0.0:
-            raise ConfigurationError(f"eta schedule coefficient must be positive, got {self.coef}")
+        if not 0.0 < self.coef < math.inf:
+            raise ConfigurationError(f"eta schedule coefficient must be positive and finite, got {self.coef}")
 
     def resolve(self, n: int) -> float:
         if self.kind == "const":
@@ -123,6 +131,13 @@ class EtaSchedule:
         raise ConfigurationError(f"cannot parse eta schedule from {obj!r}")
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``; bools and non-integers raise."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_tuple(value, caster, what: str) -> tuple:
     if isinstance(value, (list, tuple, np.ndarray)):
         items = list(value)
@@ -152,10 +167,10 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"unknown experiment kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}"
             )
-        object.__setattr__(self, "n", _as_tuple(self.n, int, "n"))
+        object.__setattr__(self, "n", _as_tuple(self.n, lambda v: _integer(v, "n"), "n"))
         if any(v < 1 for v in self.n):
             raise ConfigurationError(f"matrix sizes must be positive, got {self.n}")
-        object.__setattr__(self, "samples", int(self.samples))
+        object.__setattr__(self, "samples", _integer(self.samples, "samples"))
         if self.samples < 1:
             raise ConfigurationError(f"samples must be at least 1, got {self.samples}")
         object.__setattr__(self, "energy", _as_tuple(self.energy, float, "energy"))
@@ -182,7 +197,7 @@ class ExperimentSpec:
                 f"got roles ({off.role!r}, {diag.role!r})"
             )
         object.__setattr__(self, "dist", (off, diag))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if not isinstance(self.extra, dict):
@@ -213,23 +228,13 @@ class ExperimentSpec:
             if req not in obj:
                 raise ConfigurationError(f"experiment spec needs the {req!r} field")
         dist = obj.get("dist")
-        if dist is not None:
-            if not isinstance(dist, dict) or set(dist) != {"off", "diag"}:
-                raise ConfigurationError("dist must be an object with 'off' and 'diag' laws")
-            dist = (
-                DistributionSpec.from_json(dist["off"]),
-                DistributionSpec.from_json(dist["diag"]),
-            )
-        eta = obj.get("eta", ())
-        if not isinstance(eta, (list, tuple)):
-            eta = (eta,)
         return cls(
             kind=obj["kind"],
             n=obj["n"],
             samples=obj["samples"],
             energy=obj.get("energy", (0.0,)),
-            eta=tuple(EtaSchedule.from_json(e) for e in eta),
-            dist=dist,
+            eta=obj.get("eta", ()),
+            dist=None if dist is None else DistributionSpec.pair_from_json(dist),
             seed=obj.get("seed", 42),
             kappa=obj.get("kappa", 0.5),
             extra=obj.get("extra", {}),
@@ -251,16 +256,7 @@ class ResultRow:
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {
-            "n": self.n,
-            "energy": self.energy,
-            "eta": self.eta,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "reference": self.reference,
-            "ratio": self.ratio,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extras"}
         out.update(self.extras)
         return out
 
@@ -295,13 +291,25 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
-        return {
+        """JSON-ready record; non-finite floats become ``None`` (JSON null)."""
+        return _finite_or_none({
             "spec": self.spec.to_json(),
             "rows": [row.to_json() for row in self.rows],
             "wall_time_s": self.wall_time_s,
             "version": self.version,
             "warnings": list(self.warnings),
-        }
+        })
+
+
+def _finite_or_none(value):
+    """``value`` with every non-finite float, at any depth, replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -319,18 +327,8 @@ def rows_from_csv(text: str) -> list:
         parts = ln.split(",")
         if len(parts) != 8:
             raise ConfigurationError(f"malformed CSV row: {ln!r}")
-        rows.append(
-            ResultRow(
-                n=int(parts[0]),
-                energy=float(parts[1]),
-                eta=float(parts[2]),
-                mean=float(parts[3]),
-                stderr=float(parts[4]),
-                samples=int(parts[5]),
-                reference=float(parts[6]),
-                ratio=float(parts[7]),
-            )
-        )
+        n, *floats, samples, reference, ratio = parts
+        rows.append(ResultRow(int(n), *map(float, floats), int(samples), float(reference), float(ratio)))
     return rows
 
 
@@ -393,17 +391,10 @@ def _table(
     drop_row: bool = False,
 ) -> np.ndarray:
     """Per-sample statistics of one cell: ``stat`` maps a ``(B, N)`` chunk of
-    spectra to its ``(B, width)`` rows, and row ``i`` belongs to sample ``i``."""
+    spectra to its ``(B, ...)`` rows, and row ``i`` belongs to sample ``i``."""
     return np.concatenate(
         [np.asarray(stat(mu), dtype=np.float64) for mu in _spectra(spec, n, cell, drop_row)]
     )
-
-
-def _grid(spec: ExperimentSpec, n: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """Energy-major ``(E, schedule, eta)`` points of one size, and the
-    energies and resolved etas as arrays."""
-    points = [(E, sch, sch.resolve(n)) for E in spec.energy for sch in spec.eta]
-    return points, np.array([p[0] for p in points]), np.array([p[2] for p in points])
 
 
 def _window_counts(mu: np.ndarray, E: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -413,15 +404,16 @@ def _window_counts(mu: np.ndarray, E: np.ndarray, eta: np.ndarray) -> np.ndarray
     return np.count_nonzero(inside, axis=-1)
 
 
+def _density(mu: np.ndarray, E: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """``(B, P)`` window counts per unit of ``N * eta``."""
+    return _window_counts(mu, E, eta) / (mu.shape[1] * eta)
+
+
 def _im_stieltjes(mu: np.ndarray, E: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """``(B, P)`` values of ``Im m_N(E + i eta)``, the Poisson-kernel sums
     ``(1/N) sum_a eta / ((mu_a - E)^2 + eta^2)``."""
     E, eta = E[:, None], eta[:, None]
     return np.sum(eta / ((mu[:, None, :] - E) ** 2 + eta * eta), axis=-1) / mu.shape[1]
-
-
-def _window_reference(E: float, eta: float) -> float:
-    return (F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0)) / eta
 
 
 def _submicro_extras(
@@ -437,162 +429,169 @@ def _submicro_extras(
     return {"sample_max": float(np.max(column))}
 
 
+# A step runs one matrix size: step(n, cell, warnings) samples the size's
+# cells and returns its rows, appending any warnings.
+_Step = Callable[[int, int, list], list]
+
+
 def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> ExperimentResult:
     """Run one experiment and assemble the result table.
 
+    The whole spec is checked before the first sample is drawn.
     ``workers`` is deprecated: it is validated by :func:`worker_count` and
     otherwise ignored, because the samples run in one serial loop.
     """
     t0 = time.perf_counter()
     worker_count(workers)
-    runner = {
-        "dos": _run_density,
-        "im_stieltjes": _run_im_stieltjes,
-        "wegner": _run_wegner,
-        "derivative": _run_derivative,
-        "scale_sweep": _run_density,
-        "delta_moments": _run_delta_moments,
-        "spacing": _run_spacing,
-    }[spec.kind]
-    rows, warnings = runner(spec)
-    return ExperimentResult(
-        spec=spec,
-        rows=rows,
-        wall_time_s=time.perf_counter() - t0,
-        version=__version__,
-        warnings=warnings,
-    )
-
-
-# -- experiment runners ----------------------------------------------------
-
-
-def _run_density(spec: ExperimentSpec) -> tuple[list, list]:
-    """``dos`` against the semicircle window average, or ``scale_sweep``
-    against ``rho_sc(E)`` with one series per eta schedule."""
+    step = _KINDS[spec.kind](spec)
     rows: list = []
     warnings: list = []
-    sweep = spec.kind == "scale_sweep"
     for ci, n in enumerate(spec.n):
-        points, Es, etas = _grid(spec, n)
-        table = _table(spec, n, ci, lambda mu: _window_counts(mu, Es, etas) / (n * etas))
+        rows.extend(step(n, ci, warnings))
+    return ExperimentResult(spec, rows, time.perf_counter() - t0, __version__, warnings)
+
+
+# -- experiment kinds: each checks the spec and returns the per-size step --
+
+
+def _grid_step(
+    spec: ExperimentSpec,
+    stat: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    row: Callable[..., list],
+) -> _Step:
+    """Step over the energy-major ``(E, schedule)`` grid, one cell per size.
+
+    ``stat(mu, E, eta)`` maps a ``(B, N)`` chunk of spectra and the grid's
+    energies and resolved etas to ``(B, P, ...)`` values, and
+    ``row(n, E, schedule, eta, values, warnings)`` turns the ``(samples,
+    ...)`` values of one point into its rows.
+    """
+
+    def step(n: int, cell: int, warnings: list) -> list:
+        points = [(E, sch, sch.resolve(n)) for E in spec.energy for sch in spec.eta]
+        Es = np.array([p[0] for p in points])
+        etas = np.array([p[2] for p in points])
+        table = _table(spec, n, cell, lambda mu: stat(mu, Es, etas))
+        rows: list = []
         for k, (E, sch, eta) in enumerate(points):
-            mean, se = _mean_stderr(table[:, k])
-            if sweep:
-                ref = float(rho_sc(E))
-                extras = {
-                    "series": sch.label(),
-                    **_submicro_extras(n, eta, table[:, k], warnings, f"sweep at E={E:g}"),
-                }
-            else:
-                ref = _window_reference(E, eta)
-                extras = _submicro_extras(n, eta, table[:, k], warnings, f"dos at E={E:g}")
-            rows.append(
-                ResultRow(n, E, eta, mean, se, spec.samples, ref, mean / ref, extras)
+            rows.extend(row(n, E, sch, eta, table[:, k], warnings))
+        return rows
+
+    return step
+
+
+def _dos(spec: ExperimentSpec) -> _Step:
+    """Averaged density against the semicircle window average."""
+
+    def row(n, E, sch, eta, values, warnings):
+        mean, se = _mean_stderr(values)
+        ref = (F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0)) / eta
+        extras = _submicro_extras(n, eta, values, warnings, f"dos at E={E:g}")
+        return [ResultRow(n, E, eta, mean, se, spec.samples, ref, mean / ref, extras)]
+
+    return _grid_step(spec, _density, row)
+
+
+def _scale_sweep(spec: ExperimentSpec) -> _Step:
+    """Averaged density against ``rho_sc(E)``, one series per eta schedule."""
+
+    def row(n, E, sch, eta, values, warnings):
+        mean, se = _mean_stderr(values)
+        ref = float(rho_sc(E))
+        extras = {
+            "series": sch.label(),
+            **_submicro_extras(n, eta, values, warnings, f"sweep at E={E:g}"),
+        }
+        return [ResultRow(n, E, eta, mean, se, spec.samples, ref, mean / ref, extras)]
+
+    return _grid_step(spec, _density, row)
+
+
+def _im_stieltjes_kind(spec: ExperimentSpec) -> _Step:
+    def row(n, E, sch, eta, values, warnings):
+        mean, se = _mean_stderr(values)
+        ref = math.pi * rho_sc(E)
+        predicted = math.sqrt(math.pi * rho_sc(E) / (spec.samples * n * eta)) / math.sqrt(
+            n * eta
+        )
+        if predicted > 0.2 * ref:
+            warnings.append(
+                f"predicted stderr {predicted:.3g} exceeds 20% of reference {ref:.3g} "
+                f"at N={n}, E={E:g}, eta={eta:g}"
             )
-    return rows, warnings
+        extras = _submicro_extras(n, eta, values, warnings, f"im_stieltjes at E={E:g}")
+        return [ResultRow(n, E, eta, mean, se, spec.samples, ref, mean / ref, extras)]
+
+    return _grid_step(spec, _im_stieltjes, row)
 
 
-def _run_im_stieltjes(spec: ExperimentSpec) -> tuple[list, list]:
-    rows: list = []
-    warnings: list = []
-    for ci, n in enumerate(spec.n):
-        points, Es, etas = _grid(spec, n)
-        table = _table(spec, n, ci, lambda mu: _im_stieltjes(mu, Es, etas))
-        for k, (E, _, eta) in enumerate(points):
-            mean, se = _mean_stderr(table[:, k])
-            ref = math.pi * rho_sc(E)
-            predicted = math.sqrt(math.pi * rho_sc(E) / (spec.samples * n * eta)) / math.sqrt(
-                n * eta
-            )
-            if predicted > 0.2 * ref:
-                warnings.append(
-                    f"predicted stderr {predicted:.3g} exceeds 20% of reference {ref:.3g} "
-                    f"at N={n}, E={E:g}, eta={eta:g}"
-                )
-            extras = _submicro_extras(n, eta, table[:, k], warnings, f"im_stieltjes at E={E:g}")
-            rows.append(
-                ResultRow(n, E, eta, mean, se, spec.samples, ref, mean / ref, extras)
-            )
-    return rows, warnings
-
-
-def _run_wegner(spec: ExperimentSpec) -> tuple[list, list]:
-    rows: list = []
-    warnings: list = []
-    for ci, n in enumerate(spec.n):
+def _wegner(spec: ExperimentSpec) -> _Step:
+    for n in spec.n:
         resolved = [sch.resolve(n) for sch in spec.eta]
         if any(b >= a for a, b in zip(resolved, resolved[1:])):
             raise ConfigurationError(
                 f"wegner eta schedule must be strictly decreasing, resolved to {resolved} at n={n}"
             )
-        points, Es, etas = _grid(spec, n)
 
-        def stat(mu):
-            counts = _window_counts(mu, Es, etas).astype(np.float64)
-            # columns 2k and 2k+1: count and squared count at point k
-            return np.stack([counts, counts**2], axis=-1).reshape(len(mu), -1)
+    def stat(mu, E, eta):
+        counts = _window_counts(mu, E, eta).astype(np.float64)
+        return np.stack([counts, counts**2], axis=-1)
 
-        table = _table(spec, n, ci, stat)
-        for k, (E, _, eta) in enumerate(points):
-            counts = table[:, 2 * k]
-            squares = table[:, 2 * k + 1]
-            mean_c, se_c = _mean_stderr(counts)
-            mean_s, se_s = _mean_stderr(squares)
-            base_extras = _submicro_extras(n, eta, counts, warnings, f"wegner at E={E:g}")
-            ref_count = n * (F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0))
-            rows.append(
-                ResultRow(
-                    n, E, eta, mean_c, se_c, spec.samples, ref_count, mean_c / (n * eta),
-                    {"statistic": "count_mean", **base_extras},
-                )
-            )
-            rows.append(
-                ResultRow(
-                    n, E, eta, mean_s, se_s, spec.samples, float("nan"), mean_s / (n * eta),
-                    {"statistic": "count_sq_mean", **base_extras},
-                )
-            )
-    return rows, warnings
+    def row(n, E, sch, eta, values, warnings):
+        counts, squares = values[:, 0], values[:, 1]
+        mean_c, se_c = _mean_stderr(counts)
+        mean_s, se_s = _mean_stderr(squares)
+        base_extras = _submicro_extras(n, eta, counts, warnings, f"wegner at E={E:g}")
+        ref_count = n * (F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0))
+        return [
+            ResultRow(
+                n, E, eta, mean_c, se_c, spec.samples, ref_count, mean_c / (n * eta),
+                {"statistic": "count_mean", **base_extras},
+            ),
+            ResultRow(
+                n, E, eta, mean_s, se_s, spec.samples, float("nan"), mean_s / (n * eta),
+                {"statistic": "count_sq_mean", **base_extras},
+            ),
+        ]
+
+    return _grid_step(spec, stat, row)
 
 
-def _run_derivative(spec: ExperimentSpec) -> tuple[list, list]:
+def _derivative(spec: ExperimentSpec) -> _Step:
     if "delta_e" not in spec.extra:
         raise ConfigurationError("derivative experiments need extra['delta_e']")
     delta_sched = EtaSchedule.from_json(spec.extra["delta_e"])
-    rows: list = []
-    warnings: list = []
-    for ci, n in enumerate(spec.n):
-        de = delta_sched.resolve(n)
-        if de <= 0.0:
-            raise ConfigurationError(f"finite-difference step must be positive, got {de}")
-        points, Es, etas = _grid(spec, n)
-        for _, _, eta in points:
+    steps = {}
+    for n in spec.n:
+        steps[n] = delta_sched.resolve(n)
+        if steps[n] <= 0.0:
+            raise ConfigurationError(f"finite-difference step must be positive, got {steps[n]}")
+        for sch in spec.eta:
+            eta = sch.resolve(n)
             if eta > 1.0 / n:
                 raise ConfigurationError(
                     f"derivative scan needs eta <= 1/N, got eta={eta:g} at N={n}"
                 )
-        table = _table(
-            spec, n, ci,
-            lambda mu: (_im_stieltjes(mu, Es + de, etas) - _im_stieltjes(mu, Es - de, etas))
-            / (2.0 * de),
-        )
-        for k, (E, _, eta) in enumerate(points):
-            mean, se = _mean_stderr(table[:, k])
-            extras = {
-                "delta_e": de,
-                "bound_2se": (abs(mean) + 2.0 * se) / n,
-                **_submicro_extras(n, eta, np.abs(table[:, k]), warnings, f"derivative at E={E:g}"),
-            }
-            rows.append(
-                ResultRow(
-                    n, E, eta, mean, se, spec.samples, float("nan"), abs(mean) / n, extras
-                )
-            )
-    return rows, warnings
+
+    def stat(mu, E, eta):
+        de = steps[mu.shape[1]]
+        return (_im_stieltjes(mu, E + de, eta) - _im_stieltjes(mu, E - de, eta)) / (2.0 * de)
+
+    def row(n, E, sch, eta, values, warnings):
+        mean, se = _mean_stderr(values)
+        extras = {
+            "delta_e": steps[n],
+            "bound_2se": (abs(mean) + 2.0 * se) / n,
+            **_submicro_extras(n, eta, np.abs(values), warnings, f"derivative at E={E:g}"),
+        }
+        return [
+            ResultRow(n, E, eta, mean, se, spec.samples, float("nan"), abs(mean) / n, extras)
+        ]
+
+    return _grid_step(spec, stat, row)
 
 
-def _run_delta_moments(spec: ExperimentSpec) -> tuple[list, list]:
+def _delta_moments(spec: ExperimentSpec) -> _Step:
     eps = float(spec.extra.get("eps", 1.0))
     if not 0.0 < eps <= 1.0:
         raise ConfigurationError(f"extra['eps'] must lie in (0, 1], got {eps}")
@@ -606,81 +605,66 @@ def _run_delta_moments(spec: ExperimentSpec) -> tuple[list, list]:
     if part2_order < 0:
         raise ConfigurationError(f"extra['part2_order'] must be non-negative, got {part2_order}")
 
-    rows: list = []
-    warnings: list = []
-    for ci, n in enumerate(spec.n):
+    def sample_stat(lam, n, E):
+        dist = n * np.abs(lam - E)
+        omega = good_event(lam, E, eps, n)
+        delta_span = select_indices(lam, E, eps, n).delta if omega else 0.0
+        vals = [delta_span**k if omega else 0.0 for k in orders]
+        for d in deltas:
+            cnt = float(np.sum(dist <= d))
+            vals.append((delta_span**part2_order) * cnt * cnt if omega else 0.0)
+            vals.append(1.0 if dist.min() <= d else 0.0)
+        return vals
+
+    def step(n: int, ci: int, warnings: list) -> list:
+        rows: list = []
         for ei, E in enumerate(spec.energy):
-
-            def sample_stat(lam, n=n, E=E):
-                dist = n * np.abs(lam - E)
-                omega = good_event(lam, E, eps, n)
-                delta_span = (
-                    select_indices(lam, E, eps, n).delta if omega else 0.0
-                )
-                vals = [delta_span**k if omega else 0.0 for k in orders]
-                for d in deltas:
-                    cnt = float(np.sum(dist <= d))
-                    part2 = (delta_span**part2_order) * cnt * cnt if omega else 0.0
-                    vals.append(part2)
-                    vals.append(1.0 if dist.min() <= d else 0.0)
-                return vals
-
             # one cell per (n, E) pair so each energy gets fresh streams
             cell = ci * len(spec.energy) + ei
             table = _table(
-                spec, n, cell, lambda mu: [sample_stat(lam) for lam in mu], drop_row=True
+                spec, n, cell, lambda mu: [sample_stat(lam, n, E) for lam in mu], drop_row=True
             )
-            col = 0
+            # columns: one per order, then count_sq and nearest per delta
+            moments = iter([_mean_stderr(column) for column in table.T])
+            nan = float("nan")
             for k in orders:
-                mean, se = _mean_stderr(table[:, col])
-                rows.append(
-                    ResultRow(
-                        n, E, eps, mean, se, spec.samples, float("nan"), float("nan"),
-                        {"statistic": "omega_delta_moment", "order": k, "eps": eps},
-                    )
-                )
-                col += 1
+                mean, se = next(moments)
+                rows.append(ResultRow(
+                    n, E, eps, mean, se, spec.samples, nan, nan,
+                    {"statistic": "omega_delta_moment", "order": k, "eps": eps},
+                ))
             for d in deltas:
-                mean, se = _mean_stderr(table[:, col])
-                rows.append(
-                    ResultRow(
-                        n, E, d, mean, se, spec.samples, float("nan"), mean / d,
-                        {
-                            "statistic": "delta_moment_count_sq",
-                            "order": part2_order,
-                            "delta": d,
-                            "eps": eps,
-                        },
-                    )
-                )
-                col += 1
-                mean, se = _mean_stderr(table[:, col])
-                rows.append(
-                    ResultRow(
-                        n, E, d, mean, se, spec.samples, float("nan"), mean / d,
-                        {"statistic": "nearest_eigenvalue_prob", "delta": d, "eps": eps},
-                    )
-                )
-                col += 1
-    return rows, warnings
+                mean, se = next(moments)
+                rows.append(ResultRow(
+                    n, E, d, mean, se, spec.samples, nan, mean / d,
+                    {"statistic": "delta_moment_count_sq", "order": part2_order, "delta": d,
+                     "eps": eps},
+                ))
+                mean, se = next(moments)
+                rows.append(ResultRow(
+                    n, E, d, mean, se, spec.samples, nan, mean / d,
+                    {"statistic": "nearest_eigenvalue_prob", "delta": d, "eps": eps},
+                ))
+        return rows
+
+    return step
 
 
-def _run_spacing(spec: ExperimentSpec) -> tuple[list, list]:
+def _spacing(spec: ExperimentSpec) -> _Step:
     window = spec.extra.get("window")
     if window is None:
         window = (semicircle_quantile(0.25), semicircle_quantile(0.75))
-    else:
-        window = (float(window[0]), float(window[1]))
-    lo, hi = window
+    try:
+        lo, hi = window = tuple(float(w) for w in window)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"spacing window must be two numbers, got {window!r}") from None
     if not (-2.0 < lo < hi < 2.0):
         raise ConfigurationError(f"spacing window must satisfy -2 < lo < hi < 2, got {window}")
 
-    rows: list = []
-    warnings: list = []
-    for ci, n in enumerate(spec.n):
+    def step(n: int, cell: int, warnings: list) -> list:
         per_sample = [
             unfolded_spacings(Spectrum(n, mu), window).spacings
-            for chunk in _spectra(spec, n, ci)
+            for chunk in _spectra(spec, n, cell)
             for mu in chunk
         ]
         means = [float(np.mean(s)) for s in per_sample if s.size > 0]
@@ -697,12 +681,9 @@ def _run_spacing(spec: ExperimentSpec) -> tuple[list, list]:
             "frac_below_0p1": float(np.mean(pooled < 0.1)) if pooled.size else float("nan"),
             "ks_distance": _ks_distance(pooled) if pooled.size else float("nan"),
         }
-        rows.append(
-            ResultRow(
-                n, (lo + hi) / 2.0, hi - lo, mean, se, len(means), 1.0, mean, extras
-            )
-        )
-    return rows, warnings
+        return [ResultRow(n, (lo + hi) / 2.0, hi - lo, mean, se, len(means), 1.0, mean, extras)]
+
+    return step
 
 
 def _ks_distance(spacings: np.ndarray) -> float:
@@ -712,3 +693,14 @@ def _ks_distance(spacings: np.ndarray) -> float:
     steps_hi = np.arange(1, s.size + 1) / s.size
     steps_lo = np.arange(0, s.size) / s.size
     return float(max(np.max(np.abs(steps_hi - cdf)), np.max(np.abs(steps_lo - cdf))))
+
+
+_KINDS: dict = {
+    "dos": _dos,
+    "im_stieltjes": _im_stieltjes_kind,
+    "wegner": _wegner,
+    "derivative": _derivative,
+    "scale_sweep": _scale_sweep,
+    "delta_moments": _delta_moments,
+    "spacing": _spacing,
+}

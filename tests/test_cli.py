@@ -77,9 +77,13 @@ def test_plot_single_row(tmp_path):
     assert "stroke-dasharray" in svg  # reference line
 
 
-def test_plot_requires_out():
+def test_plot_requires_out(capsys):
     assert main(["dos", "--n", "12", "--samples", "2", "--energy", "0",
                  "--eta", "0.5", "--seed", "1", "--plot"]) == 2
+    # refused before the run: nothing is written to stdout
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--plot needs --out" in captured.err
 
 
 def test_spec_file_with_flag_overrides(tmp_path):
@@ -144,6 +148,29 @@ def test_regularity_prints_gaussian_integrals(capsys):
     assert "I6=120" in out
     assert "I4=12" in out
     assert "I2pp=8" in out
+
+
+def test_regularity_json_law_takes_role(capsys):
+    # a JSON law without a role key takes --role; one with a role keeps it
+    law = json.dumps({"kind": "gaussian"})
+    assert main(["regularity", "--dist", law, "--role", "diagonal"]) == 0
+    assert capsys.readouterr().out.split() == ["I6=15", "I4=3", "I2pp=2"]
+    assert main(["regularity", "--dist", "gaussian", "--role", "diagonal"]) == 0
+    assert capsys.readouterr().out.split() == ["I6=15", "I4=3", "I2pp=2"]
+    assert main(["regularity", "--dist", law]) == 0
+    assert capsys.readouterr().out.split() == ["I6=120", "I4=12", "I2pp=8"]
+    law = json.dumps({"kind": "gaussian", "role": "off_diagonal"})
+    assert main(["regularity", "--dist", law, "--role", "diagonal"]) == 0
+    assert capsys.readouterr().out.split() == ["I6=120", "I4=12", "I2pp=8"]
+
+
+def test_json_output_is_strict(capsys):
+    # a one-sample stderr is written as null, not as a bare NaN
+    assert main(["dos", "--n", "8", "--samples", "1", "--eta", "0.5", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert "NaN" not in out
+    obj = json.loads(out, parse_constant=lambda c: pytest.fail(f"bare {c} in JSON output"))
+    assert obj["rows"][0]["stderr"] is None
 
 
 def test_regularity_other_law(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from wignerlab import (
     sample_gue,
     worker_count,
 )
+from wignerlab import experiments
 from wignerlab.experiments import _mean_stderr
 
 
@@ -52,6 +54,8 @@ def test_eta_schedule_validation():
         EtaSchedule("linear", 1.0)
     with pytest.raises(ConfigurationError):
         EtaSchedule("const", 0.0)
+    with pytest.raises(ConfigurationError):
+        EtaSchedule("over_n", math.inf)
     with pytest.raises(ConfigurationError):
         EtaSchedule.from_json("0.5")
 
@@ -91,6 +95,15 @@ def test_spec_rejects_bad_fields():
         ExperimentSpec(
             kind="dos", n=32, samples=4, eta=[1.0], dist=(gaussian_diag(), gaussian_diag())
         )
+    # sizes, budgets and seeds are integers: no silent truncation, no bools
+    for bad in (dict(n=64.9), dict(n=[32, 48.0]), dict(samples=True), dict(samples=4.0),
+                dict(seed=False), dict(seed=1.5), dict(n="32")):
+        with pytest.raises(ConfigurationError):
+            ExperimentSpec(**{"kind": "dos", "n": 32, "samples": 4, "eta": [1.0], **bad})
+    spec = ExperimentSpec(kind="dos", n=np.int64(32), samples=np.int32(4), eta=[1.0],
+                          seed=np.uint8(3))
+    assert (spec.n, spec.samples, spec.seed) == ((32,), 4, 3)
+    assert all(type(v) is int for v in (*spec.n, spec.samples, spec.seed))
 
 
 def test_spec_json_round_trip():
@@ -369,6 +382,25 @@ def test_spacing_window_validation():
         )
 
 
+@pytest.mark.parametrize("spec", [
+    dict(kind="derivative", n=[8, 64], eta=[0.05], extra={"delta_e": 0.01}),
+    dict(kind="derivative", n=[8, 64], eta=[{"over_n": 0.5}]),
+    dict(kind="wegner", n=[64, 4], eta=[0.5, {"over_n": 2}]),
+    dict(kind="delta_moments", n=[16, 32], extra={"eps": 0.0}),
+    dict(kind="delta_moments", n=[16], extra={"moment_orders": [1, -1]}),
+    dict(kind="spacing", n=[16, 32], extra={"window": [0.5, 0.5]}),
+    dict(kind="spacing", n=[16], extra={"window": [0.5]}),
+], ids=["derivative-eta", "derivative-step", "wegner", "eps", "orders", "window", "window-len"])
+def test_invalid_spec_samples_nothing(spec, monkeypatch):
+    # every check runs for all sizes before the first matrix is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was sampled before the spec was checked")
+
+    monkeypatch.setattr(experiments, "sample_wigner", refuse)
+    with pytest.raises(ConfigurationError):
+        run_experiment(ExperimentSpec(samples=40, energy=0.0, seed=1, **spec), workers=1)
+
+
 # -- serialization -------------------------------------------------------------------
 
 
@@ -403,6 +435,26 @@ def test_rows_from_csv_validation():
         rows_from_csv("who,what\n1,2\n")
     with pytest.raises(ConfigurationError):
         rows_from_csv(CSV_HEADER + "\n1,2,3\n")
+
+
+@pytest.mark.parametrize("spec, null", [
+    (dict(kind="dos", n=8, samples=1, eta=[0.5]), "stderr"),
+    (dict(kind="wegner", n=24, samples=4, eta=[{"over_n": 1}, {"over_n": 0.01}]), "reference"),
+    # a window too narrow to hold an eigenvalue leaves the pooled extras NaN
+    (dict(kind="spacing", n=8, samples=1, extra={"window": [0.0, 1e-9]}), "ks_distance"),
+], ids=["dos-one-sample", "wegner", "spacing-empty"])
+def test_result_json_is_strict(spec, null):
+    # NaN and infinities are written as null, in the row extras too
+    res = run_experiment(ExperimentSpec(energy=0.0, seed=14, **spec), workers=1)
+    text = json.dumps(res.to_json(), allow_nan=False)
+    obj = json.loads(text, parse_constant=lambda c: pytest.fail(f"bare {c} in JSON"))
+    assert any(row[null] is None for row in obj["rows"])
+    for row, got in zip(res.rows, obj["rows"]):
+        for key, value in row.to_json().items():
+            if isinstance(value, float) and not math.isfinite(value):
+                assert got[key] is None
+    # the CSV keeps its NaN fields
+    assert "nan" in res.to_csv()
 
 
 def test_result_json_shape():
