@@ -51,6 +51,11 @@ class OverlapData(NamedTuple):
     xi: np.ndarray
 
 
+def _require_single(matrix: HermitianMatrix) -> None:
+    if matrix.batch_shape:
+        raise DomainError(f"expected one matrix, got a stack of shape {matrix.batch_shape}")
+
+
 def _removed_column(matrix: HermitianMatrix, j: int) -> np.ndarray:
     """Entries ``H[k, j]`` for ``k != j``: the vector coupling index ``j``
     to the minor (the conjugate of row ``j`` without its diagonal entry)."""
@@ -60,6 +65,7 @@ def _removed_column(matrix: HermitianMatrix, j: int) -> np.ndarray:
 
 def overlaps(matrix: HermitianMatrix, j: int) -> OverlapData:
     """Eigenvalues of ``minor(H, j)`` and overlaps with the removed column."""
+    _require_single(matrix)
     if matrix.n < 2:
         raise DomainError("overlaps need matrix dimension at least 2")
     sub = eigh(minor(matrix, j))
@@ -79,6 +85,7 @@ def schur_resolvent_residual(matrix: HermitianMatrix, j: int, z: complex) -> flo
     z = complex(z)
     if not z.imag > 0.0:
         raise DomainError(f"resolvent comparison needs Im z > 0, got z = {z}")
+    _require_single(matrix)
     if not 0 <= j < matrix.n:
         raise DomainError(f"row index must lie in [0, {matrix.n}), got {j}")
     dense = matrix.dense()

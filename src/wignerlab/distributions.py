@@ -191,7 +191,16 @@ class DistributionSpec:
             # degenerate mixture and plain gaussian share this exact path,
             # so they consume the stream identically
             return sds[0] * rng.standard_normal(size)
-        idx = rng.choice(len(wts), size=size, p=wts)
+        # the component draw of ``rng.choice(len(wts), size, p=wts)``, which
+        # consumes the stream identically: one uniform per value, and the
+        # component is the number of inner cdf boundaries at or below it
+        # (``searchsorted(side="right")``), counted without a binary search
+        cdf = wts.cumsum()
+        cdf /= cdf[-1]
+        u = rng.random(size)
+        idx = np.zeros(size, dtype=np.intp)
+        for boundary in cdf[:-1]:
+            idx += u >= boundary
         return mus[idx] + sds[idx] * rng.standard_normal(size)
 
     # -- integration support ------------------------------------------------

@@ -5,11 +5,17 @@ of that this module pins down the parts LAPACK leaves arbitrary: eigenvalues
 are returned ascending, and each eigenvector is rotated by a global phase so
 that its largest-magnitude component (lowest index on ties) is real and
 positive.  For a fixed input matrix the output is then fully deterministic.
+
+:func:`eigvalsh`, :func:`eigh` and :func:`minor` also take a stack of
+matrices (a :class:`HermitianMatrix` with batch axes) and act on each
+matrix of it; row ``b`` of a stacked result equals the single-matrix result
+for matrix ``b``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -25,6 +31,8 @@ class Spectrum:
     """Eigenvalues (ascending) and optionally matching eigenvectors.
 
     ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``.
+    For a stack, ``eigenvalues`` has shape ``(..., n)`` and ``eigenvectors``
+    ``(..., n, n)``, with the same leading axes.
     """
 
     n: int
@@ -33,16 +41,16 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
-        if self.eigenvalues.shape != (self.n,):
+        if self.eigenvalues.shape[-1:] != (self.n,):
             raise DomainError(
-                f"eigenvalues must have shape ({self.n},), got {self.eigenvalues.shape}"
+                f"eigenvalues must have shape (..., {self.n}), got {self.eigenvalues.shape}"
             )
         if self.eigenvectors is not None:
             self.eigenvectors = np.asarray(self.eigenvectors, dtype=np.complex128)
-            if self.eigenvectors.shape != (self.n, self.n):
+            expected = self.eigenvalues.shape + (self.n,)
+            if self.eigenvectors.shape != expected:
                 raise DomainError(
-                    f"eigenvectors must have shape ({self.n}, {self.n}), "
-                    f"got {self.eigenvectors.shape}"
+                    f"eigenvectors must have shape {expected}, got {self.eigenvectors.shape}"
                 )
 
 
@@ -51,8 +59,8 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
     Ties in magnitude resolve to the lowest index (argmax convention).
     """
-    lead = np.argmax(np.abs(vectors), axis=0)
-    pivots = vectors[lead, np.arange(vectors.shape[1])]
+    lead = np.argmax(np.abs(vectors), axis=-2)
+    pivots = np.take_along_axis(vectors, lead[..., None, :], axis=-2)
     phases = pivots / np.abs(pivots)
     return vectors * phases.conj()
 
@@ -75,19 +83,31 @@ def eigvalsh(matrix: HermitianMatrix) -> Spectrum:
     return Spectrum(n=matrix.n, eigenvalues=vals)
 
 
+@lru_cache(maxsize=64)
+def _minor_positions(n: int, j: int) -> np.ndarray:
+    """Packed positions of the upper-triangle pairs off row and column ``j``."""
+    rows, cols = np.divmod(_triangles(n)[0], n)
+    keep = np.flatnonzero((rows != j) & (cols != j))
+    keep.flags.writeable = False
+    return keep
+
+
 def minor(matrix: HermitianMatrix, j: int) -> HermitianMatrix:
     """The ``(n-1) x (n-1)`` principal minor with row and column ``j`` removed.
 
     ``j`` is a 0-based index.  Entries keep their original scaling, so the
     minor of an ``n``-scaled Wigner matrix stays ``n``-scaled.  The minor is
     sliced from the packed storage: the upper-triangle pairs off row and
-    column ``j`` keep their row-major order, which is the minor's.
+    column ``j`` keep their row-major order, which is the minor's.  A stack
+    gives the stack of minors.
     """
     n = matrix.n
     if not 0 <= j < n:
         raise DomainError(f"minor index must lie in [0, {n}), got {j}")
     if n == 1:
         raise DomainError("a 1 x 1 matrix has no proper minor")
-    rows, cols = np.divmod(_triangles(n)[0], n)
-    keep = (rows != j) & (cols != j)
-    return HermitianMatrix(n=n - 1, diagonal=np.delete(matrix.diagonal, j), upper=matrix.upper[keep])
+    return HermitianMatrix(
+        n=n - 1,
+        diagonal=np.delete(matrix.diagonal, j, axis=-1),
+        upper=np.take(matrix.upper, _minor_positions(n, j), axis=-1),
+    )

@@ -7,6 +7,10 @@ diagonal entries are ``h_jj = x_jj / sqrt(n)`` with ``x_jj`` of mean 0 and
 variance 1.  The lower triangle is the conjugate of the upper one, so the
 matrix is Hermitian by construction and its spectrum concentrates on
 ``[-2, 2]``.  Gaussian entry laws give the GUE.
+
+A :class:`HermitianMatrix` may carry leading batch axes: a stack of ``B``
+matrices of one size is sampled, unpacked and diagonalised in one call each,
+with every matrix drawn from its own stream exactly as if sampled alone.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -36,11 +41,15 @@ def _triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class HermitianMatrix:
-    """Packed Hermitian matrix: real diagonal plus row-major upper triangle.
+    """Packed Hermitian matrix, or stack of them: real diagonal plus
+    row-major upper triangle.
 
-    ``upper[m]`` holds the entry ``(j, k)``, ``j < k``, with pairs ordered
-    row-major: ``(0,1), (0,2), ..., (0,n-1), (1,2), ...``.  Entries are
-    stored already scaled, i.e. including the ``1/sqrt(n)`` ensemble factor.
+    ``upper[..., m]`` holds the entry ``(j, k)``, ``j < k``, with pairs
+    ordered row-major: ``(0,1), (0,2), ..., (0,n-1), (1,2), ...``.  Entries
+    are stored already scaled, i.e. including the ``1/sqrt(n)`` ensemble
+    factor.  ``diagonal`` has shape ``(..., n)`` and ``upper`` shape
+    ``(..., n(n-1)/2)``; their leading axes, ``batch_shape``, index the
+    matrices of a stack and are ``()`` for a single matrix.
     """
 
     n: int
@@ -52,13 +61,20 @@ class HermitianMatrix:
         self.upper = np.asarray(self.upper, dtype=np.complex128)
         if self.n < 1:
             raise DomainError(f"matrix dimension must be at least 1, got {self.n}")
-        if self.diagonal.shape != (self.n,):
+        if self.diagonal.shape[-1:] != (self.n,):
             raise DomainError(
-                f"diagonal must have shape ({self.n},), got {self.diagonal.shape}"
+                f"diagonal must have shape (..., {self.n}), got {self.diagonal.shape}"
             )
         m = self.n * (self.n - 1) // 2
-        if self.upper.shape != (m,):
-            raise DomainError(f"upper triangle must have shape ({m},), got {self.upper.shape}")
+        if self.upper.shape != self.batch_shape + (m,):
+            raise DomainError(
+                f"upper triangle must have shape {self.batch_shape + (m,)}, got {self.upper.shape}"
+            )
+
+    @property
+    def batch_shape(self) -> tuple:
+        """Leading axes of a stack; ``()`` for a single matrix."""
+        return self.diagonal.shape[:-1]
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray) -> "HermitianMatrix":
@@ -74,23 +90,29 @@ class HermitianMatrix:
         return cls(n=n, diagonal=matrix.diagonal().real.copy(), upper=matrix.ravel()[upper])
 
     def dense(self) -> np.ndarray:
-        """Materialise the full ``n x n`` complex matrix."""
+        """Materialise the full complex matrix, ``(..., n, n)`` for a stack."""
         n = self.n
         upper, lower = _triangles(n)
-        h = np.empty((n, n), dtype=np.complex128)
-        flat = h.reshape(-1)
-        flat[upper] = self.upper
-        flat[lower] = self.upper.conj()
-        flat[:: n + 1] = self.diagonal
+        h = np.empty(self.batch_shape + (n, n), dtype=np.complex128)
+        rows = h.reshape(-1, n * n)
+        packed = self.upper.reshape(len(rows), upper.size)
+        # one matrix at a time: scattering through the 1-D positions is much
+        # faster than fancy indexing the last axis of the 2-D stack
+        for flat, row in zip(rows, packed):
+            flat[upper] = row
+            flat[lower] = row.conj()
+        rows[:, :: n + 1] = self.diagonal.reshape(-1, n)
         return h
 
-    def trace(self) -> float:
-        return float(self.diagonal.sum())
+    def trace(self):
+        """Trace; an array over ``batch_shape`` for a stack."""
+        t = self.diagonal.sum(axis=-1)
+        return float(t) if t.ndim == 0 else t
 
-    def frobenius_norm(self) -> float:
-        return math.sqrt(
-            float(np.sum(self.diagonal**2)) + 2.0 * float(np.sum(np.abs(self.upper) ** 2))
-        )
+    def frobenius_norm(self):
+        """Frobenius norm; an array over ``batch_shape`` for a stack."""
+        sq = np.sum(self.diagonal**2, axis=-1) + 2.0 * np.sum(np.abs(self.upper) ** 2, axis=-1)
+        return math.sqrt(float(sq)) if sq.ndim == 0 else np.sqrt(sq)
 
 
 def sample_entry(dist: DistributionSpec, seed: SeedSpec, size: int) -> np.ndarray:
@@ -104,14 +126,16 @@ def sample_wigner(
     n: int,
     off_dist: DistributionSpec,
     diag_dist: DistributionSpec,
-    seed: SeedSpec,
+    seed: Union[SeedSpec, Sequence[SeedSpec]],
 ) -> HermitianMatrix:
-    """Sample one Hermitian Wigner matrix.
+    """Sample one Hermitian Wigner matrix, or a stack with one per stream.
 
-    The stream is consumed in a fixed order: all upper-triangle real parts,
+    Each stream is consumed in a fixed order: all upper-triangle real parts,
     then all upper-triangle imaginary parts, then the diagonal, each as one
-    vectorised draw.  That makes the matrix a pure function of
-    ``(n, off_dist, diag_dist, seed)``.
+    vectorised draw.  That makes a matrix a pure function of
+    ``(n, off_dist, diag_dist, seed)``.  Given a sequence of seeds, matrix
+    ``b`` of the returned ``(len(seed),)`` stack is drawn from ``seed[b]``
+    and equals the single-seed sample bit for bit.
     """
     if n < 1:
         raise DomainError(f"matrix dimension must be at least 1, got {n}")
@@ -123,13 +147,24 @@ def sample_wigner(
         raise ConfigurationError(
             f"diagonal law must have role 'diagonal', got {diag_dist.role!r}"
         )
-    rng = seed.generator()
+    single = isinstance(seed, SeedSpec)
+    seeds = (seed,) if single else tuple(seed)
+    if not all(isinstance(s, SeedSpec) for s in seeds):
+        raise ConfigurationError("seed must be a SeedSpec or a sequence of SeedSpecs")
     m = n * (n - 1) // 2
+    diagonal = np.empty((len(seeds), n))
+    upper = np.empty((len(seeds), m), dtype=np.complex128)
+    for s, dg, up in zip(seeds, diagonal, upper):
+        rng = s.generator()
+        up.real = off_dist.sample(rng, m)
+        up.imag = off_dist.sample(rng, m)
+        dg[:] = diag_dist.sample(rng, n)
     scale = 1.0 / math.sqrt(n)
-    xs = off_dist.sample(rng, m)
-    ys = off_dist.sample(rng, m)
-    dg = diag_dist.sample(rng, n)
-    return HermitianMatrix(n=n, diagonal=dg * scale, upper=(xs + 1j * ys) * scale)
+    diagonal *= scale
+    upper *= scale
+    if single:
+        return HermitianMatrix(n=n, diagonal=diagonal[0], upper=upper[0])
+    return HermitianMatrix(n=n, diagonal=diagonal, upper=upper)
 
 
 def sample_gue(n: int, seed: SeedSpec) -> HermitianMatrix:

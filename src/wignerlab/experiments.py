@@ -13,12 +13,15 @@ stored at its sample index, and reductions run in index order with
 compensated summation.  Results are therefore bit-identical for a fixed
 spec.
 
-Samples run in one serial loop over chunks of ``_CHUNK`` samples.  Each
-sample is drawn and diagonalised on its own; the chunk's eigenvalues are
-stacked into a ``(B, N)`` array and the observables are evaluated on the
-whole chunk as ``(B, P, N)`` array expressions, which keeps their
-temporaries small.  There is no worker pool: the ``workers`` argument is
-still validated but starts no threads.
+Samples run in one serial loop over chunks.  A chunk of ``B`` samples is
+one :class:`HermitianMatrix` stack: it is sampled (each matrix from its own
+stream), sliced to its minors where the kind needs them, unpacked and
+diagonalised with one call each, giving a ``(B, N)`` array of eigenvalues.
+``B`` is set by a byte budget for the dense ``(B, N, N)`` stack (see
+:func:`_chunk_depth`).  The observables are evaluated on the whole chunk as
+``(B, P, N)`` array expressions, which keeps their temporaries small.  The
+bytes do not depend on ``B``.  There is no worker pool: the ``workers``
+argument is still validated but starts no threads.
 
 Kinds and core: :func:`run_experiment` holds the one loop over sizes.  A
 kind checks the whole spec, for every size, before anything is sampled and
@@ -74,7 +77,12 @@ EXPERIMENT_KINDS = (
 
 _ETA_KINDS = ("const", "over_n", "over_n32")
 
-_CHUNK = 32
+# A chunk's dense (B, N, N) complex stack is kept near 1 MiB: B = 16 at
+# N = 64, 4 at N = 128 and 1 from N = 256.  At N = 128, 2 and 4 MiB stacks
+# ran at most a few percent faster, inside the run-to-run spread, but added
+# 2.4 and 7.5 MB to a 44.6 MB peak RSS.
+_STACK_BYTES = 2**20
+_MAX_CHUNK = 32
 
 CSV_HEADER = "n,energy,eta,mean,stderr,samples,reference,ratio"
 
@@ -95,7 +103,7 @@ class EtaSchedule:
     def __post_init__(self) -> None:
         if self.kind not in _ETA_KINDS:
             raise ConfigurationError(f"unknown eta schedule kind {self.kind!r}")
-        object.__setattr__(self, "coef", float(self.coef))
+        object.__setattr__(self, "coef", _real(self.coef, "eta schedule coefficient"))
         if not 0.0 < self.coef < math.inf:
             raise ConfigurationError(f"eta schedule coefficient must be positive and finite, got {self.coef}")
 
@@ -138,11 +146,20 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a ``float``; bools and non-numbers raise."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _items(value) -> list:
+    """The items of a list, tuple or array; a lone value is one item."""
+    return list(value) if isinstance(value, (list, tuple, np.ndarray)) else [value]
+
+
 def _as_tuple(value, caster, what: str) -> tuple:
-    if isinstance(value, (list, tuple, np.ndarray)):
-        items = list(value)
-    else:
-        items = [value]
+    items = _items(value)
     if not items:
         raise ConfigurationError(f"{what} must not be empty")
     return tuple(caster(v) for v in items)
@@ -173,8 +190,8 @@ class ExperimentSpec:
         object.__setattr__(self, "samples", _integer(self.samples, "samples"))
         if self.samples < 1:
             raise ConfigurationError(f"samples must be at least 1, got {self.samples}")
-        object.__setattr__(self, "energy", _as_tuple(self.energy, float, "energy"))
-        object.__setattr__(self, "kappa", float(self.kappa))
+        object.__setattr__(self, "energy", _as_tuple(self.energy, lambda v: _real(v, "energy"), "energy"))
+        object.__setattr__(self, "kappa", _real(self.kappa, "kappa"))
         if not 0.0 < self.kappa < 2.0:
             raise ConfigurationError(f"kappa must lie in (0, 2), got {self.kappa}")
         bulk = 2.0 - self.kappa
@@ -364,6 +381,12 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / m)
 
 
+def _chunk_depth(n: int) -> int:
+    """Matrices per chunk at size ``n``: as many ``16 n^2``-byte dense
+    matrices as fit in ``_STACK_BYTES``, between 1 and ``_MAX_CHUNK``."""
+    return max(1, min(_MAX_CHUNK, _STACK_BYTES // (16 * n * n)))
+
+
 def _spectra(spec: ExperimentSpec, n: int, cell: int, drop_row: bool = False) -> Iterator[np.ndarray]:
     """Eigenvalues of one cell's samples, one ``(B, N)`` chunk at a time.
 
@@ -374,13 +397,11 @@ def _spectra(spec: ExperimentSpec, n: int, cell: int, drop_row: bool = False) ->
     """
     off, diag = spec.dist
     m = spec.samples
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        mu = np.empty((hi - lo, n - 1 if drop_row else n))
-        for i in range(lo, hi):
-            matrix = sample_wigner(n, off, diag, SeedSpec(spec.seed, cell * m + i))
-            mu[i - lo] = eigvalsh(minor(matrix, 0) if drop_row else matrix).eigenvalues
-        yield mu
+    depth = _chunk_depth(n)
+    for lo in range(0, m, depth):
+        seeds = [SeedSpec(spec.seed, cell * m + i) for i in range(lo, min(lo + depth, m))]
+        stack = sample_wigner(n, off, diag, seeds)
+        yield eigvalsh(minor(stack, 0) if drop_row else stack).eigenvalues
 
 
 def _table(
@@ -592,16 +613,16 @@ def _derivative(spec: ExperimentSpec) -> _Step:
 
 
 def _delta_moments(spec: ExperimentSpec) -> _Step:
-    eps = float(spec.extra.get("eps", 1.0))
+    eps = _real(spec.extra.get("eps", 1.0), "extra['eps']")
     if not 0.0 < eps <= 1.0:
         raise ConfigurationError(f"extra['eps'] must lie in (0, 1], got {eps}")
-    orders = [int(k) for k in spec.extra.get("moment_orders", (0, 1, 2))]
+    orders = [_integer(k, "a moment order") for k in _items(spec.extra.get("moment_orders", (0, 1, 2)))]
     if any(k < 0 for k in orders):
         raise ConfigurationError(f"moment orders must be non-negative, got {orders}")
-    deltas = [float(d) for d in spec.extra.get("deltas", (0.5, 0.1, 0.02))]
-    if any(d <= 0.0 for d in deltas):
-        raise ConfigurationError(f"deltas must be positive, got {deltas}")
-    part2_order = int(spec.extra.get("part2_order", 0))
+    deltas = [_real(d, "a delta") for d in _items(spec.extra.get("deltas", (0.5, 0.1, 0.02)))]
+    if not all(0.0 < d < math.inf for d in deltas):
+        raise ConfigurationError(f"deltas must be positive and finite, got {deltas}")
+    part2_order = _integer(spec.extra.get("part2_order", 0), "extra['part2_order']")
     if part2_order < 0:
         raise ConfigurationError(f"extra['part2_order'] must be non-negative, got {part2_order}")
 

@@ -83,11 +83,18 @@ def semicircle_quantile(p: float) -> float:
     return brentq(lambda x: F_sc(x) - p, -2.0, 2.0, xtol=1e-14)
 
 
+def _values(spec: Spectrum) -> np.ndarray:
+    """Eigenvalues of a single spectrum; a stack would mix its matrices."""
+    if spec.eigenvalues.ndim != 1:
+        raise DomainError(f"expected the spectrum of one matrix, got shape {spec.eigenvalues.shape}")
+    return spec.eigenvalues
+
+
 def counting(spec: Spectrum, a: float, b: float) -> int:
     """Number of eigenvalues in the closed interval ``[a, b]``."""
     if a > b:
         raise DomainError(f"interval is reversed: a={a} > b={b}")
-    mu = spec.eigenvalues
+    mu = _values(spec)
     return int(np.searchsorted(mu, b, side="right") - np.searchsorted(mu, a, side="left"))
 
 
@@ -96,7 +103,7 @@ def stieltjes(spec: Spectrum, z: complex) -> complex:
     z = complex(z)
     if not z.imag > 0.0:
         raise DomainError(f"stieltjes needs Im z > 0, got z = {z}")
-    return complex(np.mean(1.0 / (spec.eigenvalues - z)))
+    return complex(np.mean(1.0 / (_values(spec) - z)))
 
 
 class DyadicBound(NamedTuple):
@@ -120,7 +127,7 @@ def dyadic_bound(spec: Spectrum, E: float, eps: float) -> DyadicBound:
     """
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
-    mu = spec.eigenvalues
+    mu = _values(spec)
     n = spec.n
     lhs = float(np.sum(eps / ((mu - E) ** 2 + eps * eps)) / n)
     dist = np.abs(mu - E)
@@ -221,7 +228,7 @@ def unfolded_spacings(spec: Spectrum, window: tuple[float, float]) -> SpacingSam
     lo, hi = float(window[0]), float(window[1])
     if not (-2.0 < lo < hi < 2.0):
         raise DomainError(f"window must satisfy -2 < lo < hi < 2, got ({lo}, {hi})")
-    mu = spec.eigenvalues
+    mu = _values(spec)
     inside = mu[(mu >= lo) & (mu <= hi)]
     if inside.size < 2:
         return SpacingSample(spacings=np.empty(0), window=(lo, hi))

@@ -117,10 +117,20 @@ def test_missing_spec_file():
     assert main(["dos", "--spec", "/nonexistent/spec.json"]) == 2
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     assert main(["dos", "--samples", "4", "--energy", "0", "--eta", "0.5"]) == 2
     assert main(["dos", "--n", "16", "--samples", "4", "--energy", "1.9",
                  "--eta", "0.5"]) == 2
+    # non-numeric or boolean spec fields are configuration errors, not crashes
+    base = {"n": [8], "samples": 2, "eta": [0.5]}
+    for command, bad in (
+        ("dos", {"kappa": "x"}), ("dos", {"kappa": True}), ("dos", {"energy": "x"}),
+        ("dos", {"energy": [True]}), ("dos", {"eta": [{"over_n": "x"}]}),
+        ("deriv", {"eta": [0.05], "extra": {"delta_e": {"over_n": "x"}}}),
+    ):
+        capsys.readouterr()
+        assert main([command, "--spec", json.dumps({**base, **bad})]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
     with pytest.raises(SystemExit) as exc:
         main(["dos", "--n", "not_a_number"])
     assert exc.value.code == 2

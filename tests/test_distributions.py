@@ -79,6 +79,25 @@ def test_single_component_mixture_streams_like_gaussian():
     np.testing.assert_array_equal(plain, mix)
 
 
+@pytest.mark.parametrize("params", [
+    (0.5, -1.0, 0.5, 0.5, 1.0, 0.5),
+    (0.3, -1.0, 0.5, 0.7, 0.4, 0.8),
+    (0.2, -1.0, 0.3, 0.5, 0.0, 1.0, 0.3, 2.0, 0.5),
+    (1e-3, 5.0, 0.1, 1.0, 0.0, 1.0, 2.0, -0.5, 0.2),
+], ids=["two-even", "two-uneven", "three", "three-rare"])
+def test_mixture_draw_matches_rng_choice(params):
+    # the reference is the draw the sampler used to make, through rng.choice
+    dist = DistributionSpec("gaussian_mixture", params, "off_diagonal")
+    wts, mus, sds = dist._mix
+    for seed in range(4):
+        for size in (0, 1, 7, 1000, 8128):
+            rng = SeedSpec(seed, size).generator()
+            idx = rng.choice(len(wts), size, p=wts)
+            expected = mus[idx] + sds[idx] * rng.standard_normal(size)
+            got = dist.sample(SeedSpec(seed, size).generator(), size)
+            assert got.tobytes() == expected.tobytes()
+
+
 def test_sampling_is_seed_deterministic():
     for dist in LAWS:
         a = dist.sample(SeedSpec(7).generator(), 32)

@@ -10,8 +10,11 @@ from wignerlab import (
     Spectrum,
     eigh,
     eigvalsh,
+    gaussian_diag,
+    gaussian_off,
     minor,
     sample_gue,
+    sample_wigner,
 )
 
 
@@ -94,3 +97,19 @@ def test_spectrum_shape_validation():
         Spectrum(n=3, eigenvalues=np.zeros(2))
     with pytest.raises(DomainError):
         Spectrum(n=2, eigenvalues=np.zeros(2), eigenvectors=np.zeros((3, 2), dtype=complex))
+    with pytest.raises(DomainError):
+        Spectrum(n=3, eigenvalues=np.zeros(()))
+    # a stack's vectors carry the same batch axes as its values
+    assert Spectrum(n=3, eigenvalues=np.zeros((4, 3))).eigenvalues.shape == (4, 3)
+    with pytest.raises(DomainError):
+        Spectrum(n=3, eigenvalues=np.zeros((4, 3)), eigenvectors=np.zeros((2, 3, 3), dtype=complex))
+
+
+def test_eigh_on_a_stack_matches_single_calls():
+    seeds = [SeedSpec(12, k) for k in range(3)]
+    stack = eigh(sample_wigner(10, gaussian_off(), gaussian_diag(), seeds))
+    assert stack.eigenvectors.shape == (3, 10, 10)
+    for b, seed in enumerate(seeds):
+        single = eigh(sample_gue(10, seed))
+        np.testing.assert_array_equal(stack.eigenvalues[b], single.eigenvalues)
+        np.testing.assert_array_equal(stack.eigenvectors[b], single.eigenvectors)

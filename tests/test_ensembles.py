@@ -11,12 +11,31 @@ from wignerlab import (
     DomainError,
     HermitianMatrix,
     SeedSpec,
+    counting,
+    dyadic_bound,
     eigvalsh,
     gaussian_diag,
     gaussian_off,
+    minor,
+    overlaps,
     sample_gue,
     sample_wigner,
+    schur_resolvent_residual,
+    stieltjes,
+    unfolded_spacings,
 )
+
+LAW_PAIRS = {
+    "gaussian": (gaussian_off(), gaussian_diag()),
+    "mixture": (
+        DistributionSpec("gaussian_mixture", (0.5, -1.0, 0.5, 0.5, 1.0, 0.5), "off_diagonal"),
+        DistributionSpec("gaussian_mixture", (0.2, -1.0, 0.3, 0.5, 0.0, 1.0, 0.3, 2.0, 0.5), "diagonal"),
+    ),
+    "smoothed_uniform": (
+        DistributionSpec("smoothed_uniform", (0.3,), "off_diagonal"),
+        DistributionSpec("smoothed_uniform", (0.4,), "diagonal"),
+    ),
+}
 
 
 def test_from_dense_round_trip():
@@ -113,3 +132,74 @@ def test_hermitian_matrix_shape_validation():
         HermitianMatrix(n=3, diagonal=np.zeros(2), upper=np.zeros(3, dtype=complex))
     with pytest.raises(DomainError):
         HermitianMatrix(n=3, diagonal=np.zeros(3), upper=np.zeros(5, dtype=complex))
+
+
+# -- stacks ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("law", sorted(LAW_PAIRS))
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_stack_rows_equal_single_seed_calls(n, law):
+    off, diag = LAW_PAIRS[law]
+    seeds = [SeedSpec(17, k) for k in (3, 0, 9)]
+    stack = sample_wigner(n, off, diag, seeds)
+    singles = [sample_wigner(n, off, diag, s) for s in seeds]
+    assert stack.batch_shape == (3,) and singles[0].batch_shape == ()
+    dense = stack.dense()
+    assert dense.shape == (3, n, n)
+    for b, single in enumerate(singles):
+        assert stack.diagonal[b].tobytes() == single.diagonal.tobytes()
+        assert stack.upper[b].tobytes() == single.upper.tobytes()
+        assert dense[b].tobytes() == single.dense().tobytes()
+    for j in (0, n // 2, n - 1):
+        sub = minor(stack, j)
+        assert (sub.n, sub.batch_shape) == (n - 1, (3,))
+        for b, single in enumerate(singles):
+            one = minor(single, j)
+            assert sub.diagonal[b].tobytes() == one.diagonal.tobytes()
+            assert sub.upper[b].tobytes() == one.upper.tobytes()
+    values = eigvalsh(stack).eigenvalues
+    assert values.shape == (3, n)
+    for b, single in enumerate(singles):
+        assert values[b].tobytes() == eigvalsh(single).eigenvalues.tobytes()
+
+
+def test_stack_shapes_and_reductions():
+    seeds = [SeedSpec(4, k) for k in range(3)]
+    stack = sample_wigner(5, gaussian_off(), gaussian_diag(), seeds)
+    singles = [sample_wigner(5, gaussian_off(), gaussian_diag(), s) for s in seeds]
+    # trace and norm are per matrix, never summed across the stack
+    np.testing.assert_array_equal(stack.trace(), [m.trace() for m in singles])
+    np.testing.assert_allclose(stack.frobenius_norm(), [m.frobenius_norm() for m in singles],
+                               rtol=1e-15)
+    assert isinstance(singles[0].trace(), float) and isinstance(singles[0].frobenius_norm(), float)
+    assert sample_wigner(5, gaussian_off(), gaussian_diag(), []).dense().shape == (0, 5, 5)
+    # a 2 x 2 grid of matrices keeps both batch axes
+    grid = HermitianMatrix(n=5, diagonal=stack.diagonal[[0, 1, 2, 0]].reshape(2, 2, 5),
+                           upper=stack.upper[[0, 1, 2, 0]].reshape(2, 2, 10))
+    np.testing.assert_array_equal(grid.dense()[1, 0], singles[2].dense())
+    assert grid.trace().shape == (2, 2)
+    with pytest.raises(DomainError):
+        HermitianMatrix(n=5, diagonal=np.zeros((3, 5)), upper=np.zeros((2, 10), dtype=complex))
+    with pytest.raises(DomainError):
+        HermitianMatrix(n=5, diagonal=np.zeros((3, 5)), upper=np.zeros(10, dtype=complex))
+    with pytest.raises(DomainError):
+        HermitianMatrix(n=5, diagonal=np.zeros(5), upper=np.zeros((3, 10), dtype=complex))
+    with pytest.raises(ConfigurationError):
+        sample_wigner(5, gaussian_off(), gaussian_diag(), [SeedSpec(1), 2])
+
+
+def test_single_matrix_observables_refuse_a_stack():
+    # these reduce over one spectrum or matrix; a stack would mix its rows
+    stack = sample_wigner(6, gaussian_off(), gaussian_diag(), [SeedSpec(2, k) for k in range(2)])
+    spectra = eigvalsh(stack)
+    for call in (
+        lambda: counting(spectra, -1.0, 1.0),
+        lambda: stieltjes(spectra, 0.1j),
+        lambda: dyadic_bound(spectra, 0.0, 0.1),
+        lambda: unfolded_spacings(spectra, (-1.0, 1.0)),
+        lambda: overlaps(stack, 0),
+        lambda: schur_resolvent_residual(stack, 0, 0.1j),
+    ):
+        with pytest.raises(DomainError):
+            call()

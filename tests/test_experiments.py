@@ -104,6 +104,31 @@ def test_spec_rejects_bad_fields():
                           seed=np.uint8(3))
     assert (spec.n, spec.samples, spec.seed) == ((32,), 4, 3)
     assert all(type(v) is int for v in (*spec.n, spec.samples, spec.seed))
+    # energies, kappa and eta coefficients are real numbers: no strings, no bools
+    for bad in (dict(energy="x"), dict(energy=[0.0, "0.5"]), dict(energy=[True]),
+                dict(kappa="x"), dict(kappa=True), dict(eta=[{"over_n": "x"}]),
+                dict(eta=[{"kind": "const", "coef": None}]), dict(eta=[{"over_n": True}])):
+        with pytest.raises(ConfigurationError):
+            ExperimentSpec(**{"kind": "dos", "n": 32, "samples": 4, "eta": [1.0], **bad})
+    spec = ExperimentSpec(kind="dos", n=32, samples=4, energy=[np.float32(0.5), 1], eta=[2],
+                          kappa=np.float64(0.25))
+    assert (spec.energy, spec.kappa, spec.eta[0].coef) == ((0.5, 1.0), 0.25, 2.0)
+    # extras are checked, with the same rules, before anything is sampled
+    for kind, extra in (
+        ("derivative", {"delta_e": {"over_n": "x"}}),
+        ("derivative", {"delta_e": True}),
+        ("delta_moments", {"eps": "0.5"}),
+        ("delta_moments", {"eps": True}),
+        ("delta_moments", {"deltas": [0.5, "x"]}),
+        ("delta_moments", {"deltas": [float("nan")]}),
+        ("delta_moments", {"moment_orders": [1.5]}),
+        ("delta_moments", {"moment_orders": [True]}),
+        ("delta_moments", {"moment_orders": "x"}),
+        ("delta_moments", {"part2_order": 1.5}),
+        ("delta_moments", {"part2_order": "1"}),
+    ):
+        with pytest.raises(ConfigurationError):
+            run_experiment(ExperimentSpec(kind=kind, n=8, samples=2, eta=[0.1], extra=extra))
 
 
 def test_spec_json_round_trip():
@@ -399,6 +424,37 @@ def test_invalid_spec_samples_nothing(spec, monkeypatch):
     monkeypatch.setattr(experiments, "sample_wigner", refuse)
     with pytest.raises(ConfigurationError):
         run_experiment(ExperimentSpec(samples=40, energy=0.0, seed=1, **spec), workers=1)
+
+
+CHUNK_SPECS = {
+    "dos": dict(energy=[0.0, 0.7], eta=[0.3, {"over_n": 1.0}, {"over_n": 0.02}]),
+    "im_stieltjes": dict(energy=[0.0, -1.1], eta=[{"over_n": 0.1}, {"over_n": 2.0}]),
+    "wegner": dict(energy=[0.0, 0.5], eta=[0.5, {"over_n": 1.0}, {"over_n": 0.1}]),
+    "derivative": dict(energy=[0.0, 1.0], eta=[{"over_n": 0.5}], extra={"delta_e": {"over_n": 0.25}}),
+    "scale_sweep": dict(energy=[0.0], eta=[0.5, {"over_n32": 1.0}], dist={
+        "off": {"kind": "smoothed_uniform", "params": [0.3], "role": "off_diagonal"},
+        "diag": {"kind": "smoothed_uniform", "params": [0.3], "role": "diagonal"}}),
+    "delta_moments": dict(energy=[0.0, 0.8], dist={
+        "off": {"kind": "gaussian_mixture", "params": [0.5, -1.0, 0.5, 0.5, 1.0, 0.5],
+                "role": "off_diagonal"},
+        "diag": {"kind": "gaussian", "role": "diagonal"}},
+        extra={"eps": 0.5, "deltas": [0.5, 0.25], "part2_order": 1}),
+    "spacing": dict(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHUNK_SPECS))
+def test_csv_bytes_do_not_depend_on_chunk_depth(kind, monkeypatch):
+    # 37 samples at N = 16 and 72: the default chunks hold 32 and 12 matrices,
+    # so chunk boundaries fall mid-cell; a one-byte budget gives one matrix
+    # per chunk
+    spec = ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[16, 72], samples=37,
+                                         seed=23))
+    assert [experiments._chunk_depth(n) for n in spec.n] == [32, 12]
+    default = run_experiment(spec).to_csv()
+    monkeypatch.setattr(experiments, "_STACK_BYTES", 1)
+    assert [experiments._chunk_depth(n) for n in spec.n] == [1, 1]
+    assert run_experiment(spec).to_csv() == default
 
 
 # -- serialization -------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Pinned CSV bytes for every experiment kind at small budgets.
 
-Each spec has more samples than one sampling chunk (32), so chunk
-boundaries are crossed.  The SHA-256 of each CSV is pinned per build:
+Each spec has more samples than one sampling chunk holds (at most 32), so
+chunk boundaries are crossed.  The SHA-256 of each CSV is pinned per build:
 ``eigvalsh`` bytes depend on numpy, the LAPACK build, OpenBLAS's run-time
 kernel and its thread count, so the digests are keyed by
 ``perfbench/environment.build_key`` and the test skips on any other build.
