@@ -83,13 +83,13 @@ def _load_spec_json(value: str) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"bad inline spec JSON: {exc}") from None
     else:
-        if not os.path.exists(value):
-            raise ConfigurationError(f"spec file not found: {value}")
-        with open(value, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(value, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"bad spec file {value}: {exc}") from None
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read spec file {value}: {exc.strerror}") from None
+        except ValueError as exc:  # bad JSON or not UTF-8
+            raise ConfigurationError(f"bad spec file {value}: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigurationError("experiment spec must be a JSON object")
     return obj
@@ -112,7 +112,10 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dist", help="entry law for both roles, e.g. gaussian or smoothed_uniform:0.4")
     sub.add_argument("--seed", type=int, help="master seed (default 42)")
     sub.add_argument("--kappa", type=float, help="bulk margin: energies stay in (-2+kappa, 2-kappa)")
-    sub.add_argument("--workers", type=int, help="deprecated; ignored, runs are serial")
+    sub.add_argument(
+        "--workers", type=int,
+        help="chunks diagonalised at once for N <= 128 (default: one per core, at most 8)",
+    )
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--plot", action="store_true", help="also write an SVG plot next to --out")
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
@@ -287,22 +290,32 @@ def emit_plot(result: ExperimentResult, out: str) -> None:
         y_label="estimate",
         reference=reference,
     )
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write(svg, out)
+
+
+def _check_out(out) -> None:
+    """Refuse an ``--out`` path that cannot be a file in an existing
+    directory, before anything is sampled."""
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ConfigurationError(f"--out must name a file in an existing directory, got {out!r}")
 
 
 def _write(text: str, out) -> None:
     """Write ``text`` to the path ``out``, or to stdout when there is none."""
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _run_experiment_command(args) -> int:
     if args.plot and not args.out:
         raise ConfigurationError("--plot needs --out to derive the SVG path")
+    _check_out(args.out)
     spec = _build_spec(args)
     result = run_experiment(spec, workers=args.workers)
     if args.format == "json":
@@ -318,13 +331,14 @@ def _run_experiment_command(args) -> int:
 
 
 def _run_diagnostics_command(args) -> int:
+    _check_out(args.out)
     if args.dist is not None:
         off, diag = _parse_dist(args.dist)
     else:
         off, diag = gaussian_off(), gaussian_diag()
     matrix = sample_wigner(args.n, off, diag, SeedSpec(args.seed))
     record = minor_diagnostics(matrix, args.j, args.energy, args.eps)
-    _write(json.dumps(record.to_json(), indent=2) + "\n", args.out)
+    _write(json.dumps(record.to_json(), indent=2, allow_nan=False) + "\n", args.out)
     return 0
 
 

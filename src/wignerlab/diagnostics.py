@@ -19,6 +19,7 @@ The objects built here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -217,8 +218,12 @@ class MinorDiagnostics:
 
 def minor_diagnostics(matrix: HermitianMatrix, j: int, E: float, eps: float) -> MinorDiagnostics:
     """Assemble the diagnostics record for one matrix and removed row."""
+    if not math.isfinite(E):
+        raise DomainError(f"energy must be finite, got {E}")
     lam, xi = overlaps(matrix, j)
     coef = coefficients(lam, E, eps, matrix.n)
+    if not all(np.isfinite(values).all() for values in coef):
+        raise NumericError(f"coefficients overflow at energy {E:g}")
     omega = good_event(lam, E, eps, matrix.n)
     beta = None
     delta = None

@@ -10,20 +10,26 @@ positive.  For a fixed input matrix the output is then fully deterministic.
 matrices (a :class:`HermitianMatrix` with batch axes) and act on each
 matrix of it; row ``b`` of a stacked result equals the single-matrix result
 for matrix ``b``.
+
+:func:`one_blas_thread` runs a block with numpy's bundled OpenBLAS on one
+thread, so that callers can diagonalise several small stacks at once
+without each LAPACK call also spreading over every core.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .ensembles import HermitianMatrix, _triangles
 from .errors import DomainError, NumericError
 
-__all__ = ["Spectrum", "eigh", "eigvalsh", "minor"]
+__all__ = ["Spectrum", "eigh", "eigvalsh", "minor", "one_blas_thread"]
 
 
 @dataclass
@@ -111,3 +117,47 @@ def minor(matrix: HermitianMatrix, j: int) -> HermitianMatrix:
         diagonal=np.delete(matrix.diagonal, j, axis=-1),
         upper=np.take(matrix.upper, _minor_positions(n, j), axis=-1),
     )
+
+
+@lru_cache(maxsize=1)
+def _find_openblas():
+    """``(get_num_threads, set_num_threads)`` of the OpenBLAS bundled in
+    numpy's wheels, or ``None`` where numpy uses another BLAS."""
+    import ctypes
+    import glob
+
+    bundled = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    libs = glob.glob(os.path.join(bundled, "*openblas*"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(libs[0])
+    try:
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[bool]:
+    """Run the block with numpy's bundled OpenBLAS on one thread.
+
+    Yields whether the thread count could be set; where the bundled OpenBLAS
+    is not found nothing changes and it yields ``False``.  The count is
+    process-wide, so only one thread may enter this block at a time, and
+    LAPACK calls started inside it must finish before it exits.  The
+    previous count is restored on every exit path.
+    """
+    found = _find_openblas()
+    if found is None:
+        yield False
+        return
+    get, put = found
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)

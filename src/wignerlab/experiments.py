@@ -13,15 +13,22 @@ stored at its sample index, and reductions run in index order with
 compensated summation.  Results are therefore bit-identical for a fixed
 spec.
 
-Samples run in one serial loop over chunks.  A chunk of ``B`` samples is
-one :class:`HermitianMatrix` stack: it is sampled (each matrix from its own
+Samples run in chunks.  A chunk of ``B`` samples is one
+:class:`HermitianMatrix` stack: it is sampled (each matrix from its own
 stream), sliced to its minors where the kind needs them, unpacked and
 diagonalised with one call each, giving a ``(B, N)`` array of eigenvalues.
 ``B`` is set by a byte budget for the dense ``(B, N, N)`` stack (see
 :func:`_chunk_depth`).  The observables are evaluated on the whole chunk as
 ``(B, P, N)`` array expressions, which keeps their temporaries small.  The
-bytes do not depend on ``B``.  There is no worker pool: the ``workers``
-argument is still validated but starts no threads.
+bytes do not depend on ``B``.
+
+Up to ``N = 128`` each chunk is diagonalised on one OpenBLAS thread, and a
+pool of :func:`worker_count` threads samples and diagonalises that many
+chunks at once while the calling thread evaluates the observables of the
+finished chunks in chunk order.  The comments at ``_ONE_BLAS_THREAD_MAX_N``
+and ``_GIL_FREE_SIZE`` give the measurements behind both limits.  Larger
+matrices, and builds whose BLAS thread count cannot be set, run the chunks
+serially.  The bytes do not depend on the worker count either.
 
 Kinds and core: :func:`run_experiment` holds the one loop over sizes.  A
 kind checks the whole spec, for every size, before anything is sampled and
@@ -37,14 +44,17 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .diagnostics import good_event, select_indices
 from .distributions import DistributionSpec, gaussian_diag, gaussian_off
-from .eigensolver import Spectrum, eigvalsh, minor
+from .eigensolver import Spectrum, eigvalsh, minor, one_blas_thread
 from .ensembles import sample_wigner
 from .errors import ConfigurationError
 from .seeding import SeedSpec
@@ -83,6 +93,21 @@ _ETA_KINDS = ("const", "over_n", "over_n32")
 # 2.4 and 7.5 MB to a 44.6 MB peak RSS.
 _STACK_BYTES = 2**20
 _MAX_CHUNK = 32
+
+# Up to this size a chunk is diagonalised on one OpenBLAS thread and the
+# other cores take further chunks.  With OpenBLAS 0.3.31 stacked ``eigvalsh``
+# gives the same bytes at one and two BLAS threads for every N up to 162 (not
+# at 164, 256 or 512), and at N = 64 one thread is as fast in wall time as two
+# at half the CPU time.  At N = 512 two BLAS threads are about 25% faster, so
+# larger sizes keep OpenBLAS's own threads and run serially.
+_ONE_BLAS_THREAD_MAX_N = 128
+
+# numpy's stacked ``eigvalsh`` releases the GIL only when B * N exceeds this,
+# so smaller chunks would serialise on the GIL and the pool would only add
+# overhead: on two cores two threads ran 0.8-0.9x as fast as one at N = 64,
+# B = 7 and 1.5-2.1x at B = 8.  The stack budget above gives
+# B * N = 2**16 / N >= 512 for 16 <= N <= 128.
+_GIL_FREE_SIZE = 500
 
 CSV_HEADER = "n,energy,eta,mean,stderr,samples,reference,ratio"
 
@@ -350,11 +375,13 @@ def rows_from_csv(text: str) -> list:
 
 
 def worker_count(requested: Optional[int] = None) -> int:
-    """Validated worker count of a run; WIGNERLAB_THREADS caps it.
+    """Chunks a run diagonalises at once; WIGNERLAB_THREADS caps it.
 
-    Deprecated: runs are serial and start no threads whatever this returns.
-    The value and its validation stay because callers still pass
-    ``workers`` and ``--workers``, and the benchmark records it.
+    The default is one per core, at most 8.  Only sizes up to
+    ``_ONE_BLAS_THREAD_MAX_N`` use more than one: there each chunk's LAPACK
+    call runs on one BLAS thread, so a pool of this many threads fills the
+    cores instead of oversubscribing them.  Larger matrices run serially on
+    OpenBLAS's own threads.  The result does not depend on this count.
     """
     base = requested if requested is not None else min(8, os.cpu_count() or 1)
     if base < 1:
@@ -387,35 +414,80 @@ def _chunk_depth(n: int) -> int:
     return max(1, min(_MAX_CHUNK, _STACK_BYTES // (16 * n * n)))
 
 
-def _spectra(spec: ExperimentSpec, n: int, cell: int, drop_row: bool = False) -> Iterator[np.ndarray]:
-    """Eigenvalues of one cell's samples, one ``(B, N)`` chunk at a time.
+def _spectra(
+    n: int, off: DistributionSpec, diag: DistributionSpec, seeds: list, drop_row: bool
+) -> np.ndarray:
+    """``(B, N)`` ascending eigenvalues of the matrices drawn from ``seeds``,
+    row ``b`` from ``seeds[b]``; with ``drop_row`` those of the minors without
+    row and column 0."""
+    stack = sample_wigner(n, off, diag, seeds)
+    if drop_row:
+        # rebinding frees the full packed stack before the minors are unpacked
+        stack = minor(stack, 0)
+    return eigvalsh(stack).eigenvalues
 
-    Row ``b`` of the chunk starting at sample ``lo`` holds the ascending
-    eigenvalues of sample ``lo + b``, drawn from stream
-    ``(seed, cell * samples + lo + b)``; with ``drop_row`` they are those of
-    the minor without row and column 0.
+
+def _chunk_stats(
+    spec: ExperimentSpec,
+    n: int,
+    cell: int,
+    workers: int,
+    stat: Callable[[np.ndarray], object],
+    drop_row: bool = False,
+) -> list:
+    """``stat`` of each ``(B, N)`` chunk of one cell's spectra, in chunk order.
+
+    Row ``b`` of the chunk starting at sample ``lo`` holds the spectrum of
+    sample ``lo + b``, drawn from stream ``(seed, cell * samples + lo + b)``
+    (see :func:`_spectra`).  Up to ``N = _ONE_BLAS_THREAD_MAX_N`` the chunks
+    are diagonalised on one BLAS thread each, and ``workers`` of them at a
+    time on a thread pool when they are large enough to release the GIL.
+    Only the calling thread sets the BLAS thread count, and the pool is shut
+    down before it is restored.  ``stat`` runs on the calling thread, in
+    chunk order.
     """
     off, diag = spec.dist
     m = spec.samples
     depth = _chunk_depth(n)
-    for lo in range(0, m, depth):
-        seeds = [SeedSpec(spec.seed, cell * m + i) for i in range(lo, min(lo + depth, m))]
-        stack = sample_wigner(n, off, diag, seeds)
-        yield eigvalsh(minor(stack, 0) if drop_row else stack).eigenvalues
+    chunks = [[SeedSpec(spec.seed, cell * m + i) for i in range(lo, min(lo + depth, m))]
+              for lo in range(0, m, depth)]
+    size = n - 1 if drop_row else n
+    with one_blas_thread() if size <= _ONE_BLAS_THREAD_MAX_N else nullcontext(False) as pinned:
+        if not pinned or workers == 1 or depth * size <= _GIL_FREE_SIZE:
+            return [stat(_spectra(n, off, diag, seeds, drop_row)) for seeds in chunks]
+        from concurrent.futures import ThreadPoolExecutor
+
+        todo = iter(chunks)
+        out: list = []
+        with ThreadPoolExecutor(workers) as pool:
+            pending = deque(
+                pool.submit(_spectra, n, off, diag, seeds, drop_row) for seeds in islice(todo, workers)
+            )
+            try:
+                while pending:
+                    mu = pending.popleft().result()
+                    seeds = next(todo, None)
+                    if seeds is not None:
+                        pending.append(pool.submit(_spectra, n, off, diag, seeds, drop_row))
+                    out.append(stat(mu))
+            finally:
+                for future in pending:
+                    future.cancel()
+        return out
 
 
 def _table(
     spec: ExperimentSpec,
     n: int,
     cell: int,
+    workers: int,
     stat: Callable[[np.ndarray], np.ndarray],
     drop_row: bool = False,
 ) -> np.ndarray:
     """Per-sample statistics of one cell: ``stat`` maps a ``(B, N)`` chunk of
     spectra to its ``(B, ...)`` rows, and row ``i`` belongs to sample ``i``."""
-    return np.concatenate(
-        [np.asarray(stat(mu), dtype=np.float64) for mu in _spectra(spec, n, cell, drop_row)]
-    )
+    chunks = _chunk_stats(spec, n, cell, workers, stat, drop_row)
+    return np.concatenate([np.asarray(rows, dtype=np.float64) for rows in chunks])
 
 
 def _window_counts(mu: np.ndarray, E: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -450,25 +522,28 @@ def _submicro_extras(
     return {"sample_max": float(np.max(column))}
 
 
-# A step runs one matrix size: step(n, cell, warnings) samples the size's
-# cells and returns its rows, appending any warnings.
-_Step = Callable[[int, int, list], list]
+# A step runs one matrix size: step(n, cell, workers, warnings) samples the
+# size's cells on up to ``workers`` threads and returns its rows, appending
+# any warnings.
+_Step = Callable[[int, int, int, list], list]
 
 
 def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> ExperimentResult:
     """Run one experiment and assemble the result table.
 
     The whole spec is checked before the first sample is drawn.
-    ``workers`` is deprecated: it is validated by :func:`worker_count` and
-    otherwise ignored, because the samples run in one serial loop.
+    ``workers`` caps the chunks diagonalised at once (see
+    :func:`worker_count`); the result does not depend on it.  Runs up to
+    ``N = 128`` set OpenBLAS's process-wide thread count for their
+    duration, so experiments must not run in several threads at once.
     """
     t0 = time.perf_counter()
-    worker_count(workers)
+    threads = worker_count(workers)
     step = _KINDS[spec.kind](spec)
     rows: list = []
     warnings: list = []
     for ci, n in enumerate(spec.n):
-        rows.extend(step(n, ci, warnings))
+        rows.extend(step(n, ci, threads, warnings))
     return ExperimentResult(spec, rows, time.perf_counter() - t0, __version__, warnings)
 
 
@@ -488,11 +563,11 @@ def _grid_step(
     ...)`` values of one point into its rows.
     """
 
-    def step(n: int, cell: int, warnings: list) -> list:
+    def step(n: int, cell: int, workers: int, warnings: list) -> list:
         points = [(E, sch, sch.resolve(n)) for E in spec.energy for sch in spec.eta]
         Es = np.array([p[0] for p in points])
         etas = np.array([p[2] for p in points])
-        table = _table(spec, n, cell, lambda mu: stat(mu, Es, etas))
+        table = _table(spec, n, cell, workers, lambda mu: stat(mu, Es, etas))
         rows: list = []
         for k, (E, sch, eta) in enumerate(points):
             rows.extend(row(n, E, sch, eta, table[:, k], warnings))
@@ -637,13 +712,14 @@ def _delta_moments(spec: ExperimentSpec) -> _Step:
             vals.append(1.0 if dist.min() <= d else 0.0)
         return vals
 
-    def step(n: int, ci: int, warnings: list) -> list:
+    def step(n: int, ci: int, workers: int, warnings: list) -> list:
         rows: list = []
         for ei, E in enumerate(spec.energy):
             # one cell per (n, E) pair so each energy gets fresh streams
             cell = ci * len(spec.energy) + ei
             table = _table(
-                spec, n, cell, lambda mu: [sample_stat(lam, n, E) for lam in mu], drop_row=True
+                spec, n, cell, workers, lambda mu: [sample_stat(lam, n, E) for lam in mu],
+                drop_row=True,
             )
             # columns: one per order, then count_sq and nearest per delta
             moments = iter([_mean_stderr(column) for column in table.T])
@@ -682,12 +758,12 @@ def _spacing(spec: ExperimentSpec) -> _Step:
     if not (-2.0 < lo < hi < 2.0):
         raise ConfigurationError(f"spacing window must satisfy -2 < lo < hi < 2, got {window}")
 
-    def step(n: int, cell: int, warnings: list) -> list:
-        per_sample = [
-            unfolded_spacings(Spectrum(n, mu), window).spacings
-            for chunk in _spectra(spec, n, cell)
-            for mu in chunk
-        ]
+    def step(n: int, cell: int, workers: int, warnings: list) -> list:
+        per_chunk = _chunk_stats(
+            spec, n, cell, workers,
+            lambda chunk: [unfolded_spacings(Spectrum(n, mu), window).spacings for mu in chunk],
+        )
+        per_sample = [s for chunk in per_chunk for s in chunk]
         means = [float(np.mean(s)) for s in per_sample if s.size > 0]
         pooled = np.concatenate(per_sample)
         if means:

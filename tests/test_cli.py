@@ -8,6 +8,7 @@ import subprocess
 import sys
 import xml.dom.minidom
 
+import numpy as np
 import pytest
 
 from wignerlab import DomainError, NumericError, Series, render_plot, rows_from_csv
@@ -117,7 +118,7 @@ def test_missing_spec_file():
     assert main(["dos", "--spec", "/nonexistent/spec.json"]) == 2
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, tmp_path, monkeypatch):
     assert main(["dos", "--samples", "4", "--energy", "0", "--eta", "0.5"]) == 2
     assert main(["dos", "--n", "16", "--samples", "4", "--energy", "1.9",
                  "--eta", "0.5"]) == 2
@@ -130,6 +131,18 @@ def test_usage_errors_exit_two(capsys):
     ):
         capsys.readouterr()
         assert main([command, "--spec", json.dumps({**base, **bad})]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    # a spec path that is a directory, and an --out that cannot be written,
+    # which is refused before anything is sampled
+    assert main(["dos", "--spec", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    (tmp_path / "p.svg").mkdir()
+    assert main(["dos", "--n", "8", "--samples", "2", "--eta", "0.5",
+                 "--out", str(tmp_path / "p.csv"), "--plot"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    monkeypatch.setattr(cli_module, "run_experiment", lambda *a, **k: pytest.fail("sampled"))
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["dos", "--n", "8", "--samples", "2", "--eta", "0.5", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
     with pytest.raises(SystemExit) as exc:
         main(["dos", "--n", "not_a_number"])
@@ -204,6 +217,21 @@ def test_diagnostics_json(tmp_path):
 
 def test_diagnostics_eps_validation():
     assert main(["diagnostics", "--n", "16", "--eps", "2.0"]) == 2
+
+
+@pytest.mark.parametrize("energy", ["nan", "inf", "-inf"])
+def test_diagnostics_rejects_non_finite_energy(energy, capsys):
+    assert main(["diagnostics", "--n", "8", f"--energy={energy}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_diagnostics_overflow_is_a_numeric_failure(capsys):
+    # strict JSON cannot carry the NaN the coefficients overflow to
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["diagnostics", "--n", "8", "--energy", "1e200"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_check_suite_passes():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from wignerlab import (
     ConfigurationError,
     EtaSchedule,
     ExperimentSpec,
+    NumericError,
     SeedSpec,
     counting,
     eigvalsh,
@@ -21,7 +24,7 @@ from wignerlab import (
     sample_gue,
     worker_count,
 )
-from wignerlab import experiments
+from wignerlab import eigensolver, experiments
 from wignerlab.experiments import _mean_stderr
 
 
@@ -455,6 +458,98 @@ def test_csv_bytes_do_not_depend_on_chunk_depth(kind, monkeypatch):
     monkeypatch.setattr(experiments, "_STACK_BYTES", 1)
     assert [experiments._chunk_depth(n) for n in spec.n] == [1, 1]
     assert run_experiment(spec).to_csv() == default
+
+
+def _chunk_spec(kind):
+    # 37 samples at N = 16 and 72: chunks of 32 and 12 matrices, B * N above
+    # the size at which the pool is used (the delta_moments minors at N = 16
+    # stay below it and run serially)
+    return ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[16, 72], samples=37,
+                                         seed=29))
+
+
+@pytest.mark.parametrize("kind", sorted(CHUNK_SPECS))
+def test_csv_bytes_do_not_depend_on_workers(kind):
+    spec = _chunk_spec(kind)
+    serial = run_experiment(spec, workers=1).to_csv()
+    assert run_experiment(spec, workers=2).to_csv() == serial
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert run_experiment(spec, workers=8).to_csv() == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _recording_eigvalsh(calls, fail_at=None):
+    """``eigvalsh`` that records (n, thread, BLAS threads) per call and
+    raises NumericError on call number ``fail_at``."""
+    found = eigensolver._find_openblas()
+    lock = threading.Lock()
+
+    def wrapped(stack):
+        with lock:
+            calls.append((stack.n, threading.get_ident(), found[0]() if found else None))
+            count = len(calls)
+        if count == fail_at:
+            raise NumericError("synthetic failure")
+        return eigvalsh(stack)
+
+    return wrapped
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the test
+    (so that a count left at 1 shows) and the original restored after."""
+    found = eigensolver._find_openblas()
+    if found is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    get, put = found
+    original = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(original)
+
+
+def test_pool_runs_small_sizes_on_one_blas_thread(monkeypatch, blas_threads):
+    before = blas_threads()
+    calls: list = []
+    monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(calls))
+    # N = 72 is pooled on one BLAS thread; N = 160 keeps OpenBLAS's threads
+    spec = ExperimentSpec.from_json(dict(CHUNK_SPECS["dos"], kind="dos", n=[72, 160], samples=37,
+                                         seed=3))
+    run_experiment(spec, workers=2)
+    assert blas_threads() == before
+    small = [c for c in calls if c[0] == 72]
+    large = [c for c in calls if c[0] == 160]
+    assert len(small) == 4 and len(large) == 19
+    assert {c[2] for c in small} == {1}
+    assert any(c[1] != threading.get_ident() for c in small)
+    assert {c[2] for c in large} == {before}
+    assert {c[1] for c in large} == {threading.get_ident()}
+
+
+def test_blas_threads_restored_when_a_chunk_fails(monkeypatch, blas_threads):
+    before, threads = blas_threads(), threading.active_count()
+    calls: list = []
+    monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(calls, fail_at=3))
+    with pytest.raises(NumericError, match="synthetic failure"):
+        run_experiment(_chunk_spec("wegner"), workers=2)
+    assert blas_threads() == before
+    assert threading.active_count() == threads  # the pool was shut down
+
+
+def test_serial_without_blas_thread_control(monkeypatch):
+    spec = _chunk_spec("im_stieltjes")
+    pooled = run_experiment(spec, workers=2).to_csv()
+    calls: list = []
+    monkeypatch.setattr(eigensolver, "_find_openblas", lambda: None)
+    monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(calls))
+    assert run_experiment(spec, workers=2).to_csv() == pooled
+    assert {c[1] for c in calls} == {threading.get_ident()}
 
 
 # -- serialization -------------------------------------------------------------------
