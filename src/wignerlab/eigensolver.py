@@ -81,12 +81,18 @@ def eigh(matrix: HermitianMatrix) -> Spectrum:
 
 
 def eigvalsh(matrix: HermitianMatrix) -> Spectrum:
-    """Eigenvalues only; cheaper when no vectors are needed."""
+    """Eigenvalues only; cheaper when no vectors are needed.
+
+    The packed matrix is dropped once unpacked, so a caller that keeps no
+    reference to it has it freed before LAPACK runs.
+    """
+    n, dense = matrix.n, matrix.dense()
+    del matrix
     try:
-        vals = np.linalg.eigvalsh(matrix.dense())
+        vals = np.linalg.eigvalsh(dense)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue computation failed for n={matrix.n}: {exc}") from exc
-    return Spectrum(n=matrix.n, eigenvalues=vals)
+        raise NumericError(f"eigenvalue computation failed for n={n}: {exc}") from exc
+    return Spectrum(n=n, eigenvalues=vals)
 
 
 @lru_cache(maxsize=64)

@@ -22,11 +22,12 @@ diagonalised with one call each, giving a ``(B, N)`` array of eigenvalues.
 ``(B, P, N)`` array expressions, which keeps their temporaries small.  The
 bytes do not depend on ``B``.
 
-Up to ``N = 128`` each chunk is diagonalised on one OpenBLAS thread, and a
-pool of :func:`worker_count` threads samples and diagonalises that many
-chunks at once while the calling thread evaluates the observables of the
-finished chunks in chunk order.  The comments at ``_ONE_BLAS_THREAD_MAX_N``
-and ``_GIL_FREE_SIZE`` give the measurements behind both limits.  Larger
+Each chunk is one task: it is drawn, diagonalised and reduced to its
+observables in one go.  Up to ``N = 128`` each task runs on one OpenBLAS
+thread, and a pool of :func:`worker_count` threads runs that many tasks at
+once, statistic included; the calling thread only gathers the results in
+chunk order.  The comments at ``_ONE_BLAS_THREAD_MAX_N`` and
+``_GIL_FREE_SIZE`` give the measurements behind both limits.  Larger
 matrices, and builds whose BLAS thread count cannot be set, run the chunks
 serially.  The bytes do not depend on the worker count either.
 
@@ -44,10 +45,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
-from itertools import islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -375,27 +374,30 @@ def rows_from_csv(text: str) -> list:
 
 
 def worker_count(requested: Optional[int] = None) -> int:
-    """Chunks a run diagonalises at once; WIGNERLAB_THREADS caps it.
+    """Chunks a run processes at once; WIGNERLAB_THREADS caps it.
 
-    The default is one per core, at most 8.  Only sizes up to
-    ``_ONE_BLAS_THREAD_MAX_N`` use more than one: there each chunk's LAPACK
-    call runs on one BLAS thread, so a pool of this many threads fills the
-    cores instead of oversubscribing them.  Larger matrices run serially on
-    OpenBLAS's own threads.  The result does not depend on this count.
+    The default is one per CPU the process may run on, at most 8.  Only
+    sizes up to ``_ONE_BLAS_THREAD_MAX_N`` use more than one: there each
+    chunk is drawn, diagonalised on one BLAS thread and reduced by its own
+    pool task, so a pool of this many threads fills the cores instead of
+    oversubscribing them.  Larger matrices run serially on OpenBLAS's own
+    threads.  The result does not depend on this count.
     """
-    base = requested if requested is not None else min(8, os.cpu_count() or 1)
-    if base < 1:
-        raise ConfigurationError(f"worker count must be at least 1, got {base}")
+    if requested is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        requested = min(8, cpus or 1)
+    if requested < 1:
+        raise ConfigurationError(f"worker count must be at least 1, got {requested}")
     env = os.environ.get("WIGNERLAB_THREADS")
     if env is None:
-        return base
+        return requested
     try:
         cap = int(env)
     except ValueError:
         raise ConfigurationError(f"WIGNERLAB_THREADS must be an integer, got {env!r}") from None
     if cap < 1:
         raise ConfigurationError(f"WIGNERLAB_THREADS must be at least 1, got {cap}")
-    return min(base, cap)
+    return min(requested, cap)
 
 
 def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
@@ -420,11 +422,11 @@ def _spectra(
     """``(B, N)`` ascending eigenvalues of the matrices drawn from ``seeds``,
     row ``b`` from ``seeds[b]``; with ``drop_row`` those of the minors without
     row and column 0."""
-    stack = sample_wigner(n, off, diag, seeds)
+    # no name here holds the packed stack, so eigvalsh frees it once unpacked
+    # and it is not alive while LAPACK runs
     if drop_row:
-        # rebinding frees the full packed stack before the minors are unpacked
-        stack = minor(stack, 0)
-    return eigvalsh(stack).eigenvalues
+        return eigvalsh(minor(sample_wigner(n, off, diag, seeds), 0)).eigenvalues
+    return eigvalsh(sample_wigner(n, off, diag, seeds)).eigenvalues
 
 
 def _chunk_stats(
@@ -439,12 +441,13 @@ def _chunk_stats(
 
     Row ``b`` of the chunk starting at sample ``lo`` holds the spectrum of
     sample ``lo + b``, drawn from stream ``(seed, cell * samples + lo + b)``
-    (see :func:`_spectra`).  Up to ``N = _ONE_BLAS_THREAD_MAX_N`` the chunks
-    are diagonalised on one BLAS thread each, and ``workers`` of them at a
-    time on a thread pool when they are large enough to release the GIL.
+    (see :func:`_spectra`).  A chunk is one task: draw, diagonalise, then
+    ``stat``.  Up to ``N = _ONE_BLAS_THREAD_MAX_N`` the tasks run on one BLAS
+    thread each, and on a pool of ``workers`` threads when the chunks are
+    large enough to release the GIL; the calling thread then only gathers
+    the results in chunk order, so ``stat`` must not write shared state.
     Only the calling thread sets the BLAS thread count, and the pool is shut
-    down before it is restored.  ``stat`` runs on the calling thread, in
-    chunk order.
+    down before it is restored.
     """
     off, diag = spec.dist
     m = spec.samples
@@ -452,28 +455,18 @@ def _chunk_stats(
     chunks = [[SeedSpec(spec.seed, cell * m + i) for i in range(lo, min(lo + depth, m))]
               for lo in range(0, m, depth)]
     size = n - 1 if drop_row else n
+
+    def task(seeds: list) -> object:
+        return stat(_spectra(n, off, diag, seeds, drop_row))
+
     with one_blas_thread() if size <= _ONE_BLAS_THREAD_MAX_N else nullcontext(False) as pinned:
         if not pinned or workers == 1 or depth * size <= _GIL_FREE_SIZE:
-            return [stat(_spectra(n, off, diag, seeds, drop_row)) for seeds in chunks]
+            return [task(seeds) for seeds in chunks]
         from concurrent.futures import ThreadPoolExecutor
 
-        todo = iter(chunks)
-        out: list = []
+        # map yields in chunk order and cancels the queued chunks if one raises
         with ThreadPoolExecutor(workers) as pool:
-            pending = deque(
-                pool.submit(_spectra, n, off, diag, seeds, drop_row) for seeds in islice(todo, workers)
-            )
-            try:
-                while pending:
-                    mu = pending.popleft().result()
-                    seeds = next(todo, None)
-                    if seeds is not None:
-                        pending.append(pool.submit(_spectra, n, off, diag, seeds, drop_row))
-                    out.append(stat(mu))
-            finally:
-                for future in pending:
-                    future.cancel()
-        return out
+            return list(pool.map(task, chunks))
 
 
 def _table(
@@ -532,7 +525,7 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Exper
     """Run one experiment and assemble the result table.
 
     The whole spec is checked before the first sample is drawn.
-    ``workers`` caps the chunks diagonalised at once (see
+    ``workers`` caps the chunks processed at once (see
     :func:`worker_count`); the result does not depend on it.  Runs up to
     ``N = 128`` set OpenBLAS's process-wide thread count for their
     duration, so experiments must not run in several threads at once.

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -175,6 +177,20 @@ def test_worker_count_env_cap(monkeypatch):
 def test_worker_count_rejects_bad_request():
     with pytest.raises(ConfigurationError):
         worker_count(0)
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("WIGNERLAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count() == 1  # pinned to one CPU of 64
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(12)))
+    assert worker_count() == 8
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert worker_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count() == 1
 
 
 # -- reductions -------------------------------------------------------------------
@@ -550,6 +566,75 @@ def test_serial_without_blas_thread_control(monkeypatch):
     monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(calls))
     assert run_experiment(spec, workers=2).to_csv() == pooled
     assert {c[1] for c in calls} == {threading.get_ident()}
+
+
+def test_failed_chunk_cancels_queued_chunks(monkeypatch, blas_threads):
+    before, threads = blas_threads(), threading.active_count()
+    # 16 chunks of 12 matrices at N = 72, all pooled
+    spec = ExperimentSpec.from_json(dict(CHUNK_SPECS["dos"], kind="dos", n=[72], samples=192,
+                                         seed=31))
+    chunks = -(-spec.samples // experiments._chunk_depth(72))
+    assert chunks >= 8
+    calls: list = []
+    monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(calls, fail_at=3))
+    with pytest.raises(NumericError, match="synthetic failure"):
+        run_experiment(spec, workers=2)
+    assert len(calls) < chunks
+    assert blas_threads() == before
+    assert threading.active_count() == threads
+
+
+def test_pool_runs_whole_chunks_off_the_calling_thread(monkeypatch, blas_threads):
+    spec = _chunk_spec("dos")
+    serial = run_experiment(spec, workers=1).to_csv()
+    calls: list = []
+    stat_threads: list = []
+    density = experiments._density
+
+    def recording_density(mu, E, eta):
+        stat_threads.append((mu.shape[1], threading.get_ident()))
+        return density(mu, E, eta)
+
+    monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(calls))
+    monkeypatch.setattr(experiments, "_density", recording_density)
+    assert run_experiment(spec, workers=2).to_csv() == serial
+    main = threading.get_ident()
+    # both sizes are pooled: N = 16 in 2 chunks of up to 32, N = 72 in 4 of 12
+    assert sorted(c[0] for c in calls) == [16] * 2 + [72] * 4
+    assert sorted(n for n, _ in stat_threads) == [16] * 2 + [72] * 4
+    assert main not in {c[1] for c in calls}
+    assert main not in {t for _, t in stat_threads}
+
+
+@pytest.mark.parametrize("drop_row", [False, True])
+def test_packed_stack_is_freed_before_lapack(monkeypatch, drop_row):
+    refs: list = []
+    draw, cut = experiments.sample_wigner, experiments.minor
+
+    def recording_draw(*args):
+        stack = draw(*args)
+        refs.append(weakref.ref(stack.upper))
+        return stack
+
+    def recording_minor(*args):
+        stack = cut(*args)
+        refs.append(weakref.ref(stack.upper))
+        return stack
+
+    lapack = np.linalg.eigvalsh
+    alive: list = []
+
+    def checked(a):
+        alive.extend(r() is not None for r in refs)
+        return lapack(a)
+
+    monkeypatch.setattr(experiments, "sample_wigner", recording_draw)
+    monkeypatch.setattr(experiments, "minor", recording_minor)
+    monkeypatch.setattr(np.linalg, "eigvalsh", checked)
+    seeds = [SeedSpec(7, i) for i in range(4)]
+    mu = experiments._spectra(128, gaussian_off(), gaussian_diag(), seeds, drop_row)
+    assert mu.shape == (4, 127 if drop_row else 128)
+    assert alive == [False] * (2 if drop_row else 1)
 
 
 # -- serialization -------------------------------------------------------------------
