@@ -54,6 +54,7 @@ from .spectral import (
     dyadic_bound,
     gue_log_density,
     gue_log_normalization,
+    im_stieltjes,
     m_sc,
     rho_sc,
     semicircle_quantile,
@@ -91,6 +92,7 @@ __all__ = [
     "F_sc",
     "semicircle_quantile",
     "counting",
+    "im_stieltjes",
     "stieltjes",
     "DyadicBound",
     "dyadic_bound",

@@ -140,15 +140,17 @@ def coefficients(lam: Sequence[float], E: float, eps: float, N: int) -> Coeffici
     return Coefficients(c=c, d=d, c_prime=c_prime, d_prime=d_prime)
 
 
-def good_event(lam: Sequence[float], E: float, eps: float, N: int) -> bool:
+def good_event(lam, E: float, eps: float, N: int):
     """True when at least 8 eigenvalues satisfy ``N |lambda - E| >= eps``.
 
     The boundary ``N |lambda - E| = eps`` counts as outside the excluded
-    window, i.e. as eligible.
+    window, i.e. as eligible.  A ``(B, n)`` stack of spectra gives ``B``
+    answers, one per row.
     """
     _check_eps(eps)
     lam = np.asarray(lam, dtype=float)
-    return int(np.sum(N * np.abs(lam - E) >= eps)) >= GOOD_EVENT_COUNT
+    out = np.count_nonzero(N * np.abs(lam - E) >= eps, axis=-1) >= GOOD_EVENT_COUNT
+    return out if out.ndim else bool(out)
 
 
 class Selection(NamedTuple):
@@ -158,28 +160,35 @@ class Selection(NamedTuple):
     delta: float
 
 
-def select_indices(lam: Sequence[float], E: float, eps: float, N: int) -> Selection:
+def select_indices(lam, E: float, eps: float, N: int) -> Selection:
     """Pick the closest eigenvalue and eight eligible ones by distance.
 
     ``beta_0`` minimises ``|lambda - E|``; ``beta_1..beta_8`` are drawn in
     increasing ``|lambda - E|`` from the indices with
     ``N |lambda - E| >= eps`` that were not selected before.  Ties resolve
     to the lower index.  ``Delta = N |lambda_{beta_8} - E|``.  Requires the
-    good event.
+    good event.  A ``(B, n)`` stack of spectra, every row with the good
+    event, gives ``(B, 9)`` indices and ``B`` spans.
     """
     _check_eps(eps)
     lam = np.asarray(lam, dtype=float)
     dist = N * np.abs(lam - E)
     # the good event of :func:`good_event`, on the same distances
-    if int(np.count_nonzero(dist >= eps)) < GOOD_EVENT_COUNT:
+    eligible = np.count_nonzero(dist >= eps, axis=-1)
+    if np.any(eligible < GOOD_EVENT_COUNT):
         raise DomainError(
             "index selection needs the good event: fewer than "
             f"{GOOD_EVENT_COUNT} eigenvalues at rescaled distance >= {eps}"
         )
-    order = np.argsort(dist, kind="stable")
-    rest = order[1:][dist[order[1:]] >= eps][:GOOD_EVENT_COUNT]
-    beta = np.concatenate((order[:1], rest)).astype(np.int64)
-    return Selection(beta=beta, delta=float(dist[beta[-1]]))
+    order = np.argsort(dist, axis=-1, kind="stable")
+    # in sorted order the eligible indices come last, so beta_1.. start at the
+    # first of them, or right after beta_0 when beta_0 is eligible itself
+    first = np.maximum(dist.shape[-1] - eligible, 1)[..., None]
+    picks = first + np.arange(min(GOOD_EVENT_COUNT, dist.shape[-1] - 1))
+    beta = np.concatenate((order[..., :1], np.take_along_axis(order, picks, axis=-1)), axis=-1)
+    beta = beta.astype(np.int64)
+    delta = np.take_along_axis(dist, beta[..., -1:], axis=-1)[..., 0]
+    return Selection(beta=beta, delta=delta if delta.ndim else float(delta))
 
 
 @dataclass

@@ -36,8 +36,11 @@ kind checks the whole spec, for every size, before anything is sampled and
 returns the step that samples one size and builds its rows.  The grid kinds
 (``dos``, ``scale_sweep``, ``im_stieltjes``, ``derivative``, ``wegner``)
 share :func:`_grid_step`: a chunk statistic over the energy-major
-(energy, eta) grid plus a row builder per point.  ``delta_moments`` loops
-over energies, one cell each; ``spacing`` pools ragged spacings.
+(energy, eta) grid plus a row builder per point, one shared by the mean
+kinds (:func:`_mean_kind`).  ``delta_moments`` loops over energies, one cell
+each; ``spacing`` pools ragged spacings.  The statistics call the stacked
+observables of :mod:`~wignerlab.spectral` and :mod:`~wignerlab.diagnostics`
+once per chunk, through their names in this module.
 """
 
 from __future__ import annotations
@@ -57,10 +60,7 @@ from .eigensolver import Spectrum, eigvalsh, minor, one_blas_thread
 from .ensembles import sample_wigner
 from .errors import ConfigurationError
 from .seeding import SeedSpec
-
-# ``counting`` is unused here but stays bound: perfbench/tracer.py wraps the
-# spectral entry points by their names in this module.
-from .spectral import F_sc, counting, rho_sc, semicircle_quantile, unfolded_spacings, wigner_surmise_gue_cdf  # noqa: F401
+from .spectral import F_sc, counting, im_stieltjes, rho_sc, semicircle_quantile, unfolded_spacings, wigner_surmise_gue_cdf
 from .version import __version__
 
 __all__ = [
@@ -84,7 +84,8 @@ EXPERIMENT_KINDS = (
     "spacing",
 )
 
-_ETA_KINDS = ("const", "over_n", "over_n32")
+# eta schedule kind -> (power of n it divides the coefficient by, label suffix)
+_ETA_KINDS = {"const": (0, ""), "over_n": (1, "/N"), "over_n32": (1.5, "/N^1.5")}
 
 # A chunk's dense (B, N, N) complex stack is kept near 1 MiB: B = 16 at
 # N = 64, 4 at N = 128 and 1 from N = 256.  At N = 128, 2 and 4 MiB stacks
@@ -132,18 +133,11 @@ class EtaSchedule:
             raise ConfigurationError(f"eta schedule coefficient must be positive and finite, got {self.coef}")
 
     def resolve(self, n: int) -> float:
-        if self.kind == "const":
-            return self.coef
-        if self.kind == "over_n":
-            return self.coef / n
-        return self.coef / n**1.5
+        # n**0 == 1 and x / 1 == x exactly, so ``const`` resolves to coef
+        return self.coef / n ** _ETA_KINDS[self.kind][0]
 
     def label(self) -> str:
-        if self.kind == "const":
-            return f"{self.coef:g}"
-        if self.kind == "over_n":
-            return f"{self.coef:g}/N"
-        return f"{self.coef:g}/N^1.5"
+        return f"{self.coef:g}{_ETA_KINDS[self.kind][1]}"
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "coef": self.coef}
@@ -157,9 +151,9 @@ class EtaSchedule:
         if isinstance(obj, dict):
             if "kind" in obj:
                 return cls(obj["kind"], obj.get("coef", 0.0))
-            for key, kind in (("const", "const"), ("over_n", "over_n"), ("over_n32", "over_n32")):
-                if key in obj and len(obj) == 1:
-                    return cls(kind, obj[key])
+            for kind in _ETA_KINDS:
+                if kind in obj and len(obj) == 1:
+                    return cls(kind, obj[kind])
         raise ConfigurationError(f"cannot parse eta schedule from {obj!r}")
 
 
@@ -261,25 +255,14 @@ class ExperimentSpec:
     def from_json(cls, obj: dict) -> "ExperimentSpec":
         if not isinstance(obj, dict):
             raise ConfigurationError(f"experiment spec must be a JSON object, got {type(obj).__name__}")
-        known = {"kind", "n", "samples", "energy", "eta", "dist", "seed", "kappa", "extra"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown experiment spec fields: {sorted(unknown)}")
         for req in ("kind", "n", "samples"):
             if req not in obj:
                 raise ConfigurationError(f"experiment spec needs the {req!r} field")
         dist = obj.get("dist")
-        return cls(
-            kind=obj["kind"],
-            n=obj["n"],
-            samples=obj["samples"],
-            energy=obj.get("energy", (0.0,)),
-            eta=obj.get("eta", ()),
-            dist=None if dist is None else DistributionSpec.pair_from_json(dist),
-            seed=obj.get("seed", 42),
-            kappa=obj.get("kappa", 0.5),
-            extra=obj.get("extra", {}),
-        )
+        return cls(**{**obj, "dist": None if dist is None else DistributionSpec.pair_from_json(dist)})
 
 
 @dataclass
@@ -483,23 +466,11 @@ def _table(
     return np.concatenate([np.asarray(rows, dtype=np.float64) for rows in chunks])
 
 
-def _window_counts(mu: np.ndarray, E: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """``(B, P)`` eigenvalue counts in the closed windows ``[E - eta/2, E + eta/2]``."""
-    x = mu[:, None, :]
-    inside = (x >= (E - eta / 2.0)[:, None]) & (x <= (E + eta / 2.0)[:, None])
-    return np.count_nonzero(inside, axis=-1)
-
-
 def _density(mu: np.ndarray, E: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """``(B, P)`` window counts per unit of ``N * eta``."""
-    return _window_counts(mu, E, eta) / (mu.shape[1] * eta)
-
-
-def _im_stieltjes(mu: np.ndarray, E: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """``(B, P)`` values of ``Im m_N(E + i eta)``, the Poisson-kernel sums
-    ``(1/N) sum_a eta / ((mu_a - E)^2 + eta^2)``."""
-    E, eta = E[:, None], eta[:, None]
-    return np.sum(eta / ((mu[:, None, :] - E) ** 2 + eta * eta), axis=-1) / mu.shape[1]
+    """``(B, P)`` counts in the closed windows ``[E - eta/2, E + eta/2]`` per
+    unit of ``N * eta``."""
+    n = mu.shape[1]
+    return counting(Spectrum(n, mu), E - eta / 2.0, E + eta / 2.0) / (n * eta)
 
 
 def _submicro_extras(
@@ -569,37 +540,42 @@ def _grid_step(
     return step
 
 
-def _dos(spec: ExperimentSpec) -> _Step:
-    """Averaged density against the semicircle window average."""
+def _mean_kind(
+    spec: ExperimentSpec, stat: Callable, reference: Callable, what: str, head=None
+) -> _Step:
+    """Grid kind with one row per point: the sample mean of ``stat`` against
+    ``reference(E, eta)``; ``head(n, E, sch, eta, ref, warnings)`` gives the
+    extras that come before the sub-microscopic ones."""
 
     def row(n, E, sch, eta, values, warnings):
         mean, se = _mean_stderr(values)
-        ref = (F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0)) / eta
-        extras = _submicro_extras(n, eta, values, warnings, f"dos at E={E:g}")
+        ref = reference(E, eta)
+        extras = head(n, E, sch, eta, ref, warnings) if head else {}
+        extras.update(_submicro_extras(n, eta, values, warnings, f"{what} at E={E:g}"))
         return [ResultRow(n, E, eta, mean, se, spec.samples, ref, mean / ref, extras)]
 
-    return _grid_step(spec, _density, row)
+    return _grid_step(spec, stat, row)
+
+
+def _dos(spec: ExperimentSpec) -> _Step:
+    """Averaged density against the semicircle window average."""
+    return _mean_kind(
+        spec, _density, lambda E, eta: (F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0)) / eta, "dos"
+    )
 
 
 def _scale_sweep(spec: ExperimentSpec) -> _Step:
     """Averaged density against ``rho_sc(E)``, one series per eta schedule."""
-
-    def row(n, E, sch, eta, values, warnings):
-        mean, se = _mean_stderr(values)
-        ref = float(rho_sc(E))
-        extras = {
-            "series": sch.label(),
-            **_submicro_extras(n, eta, values, warnings, f"sweep at E={E:g}"),
-        }
-        return [ResultRow(n, E, eta, mean, se, spec.samples, ref, mean / ref, extras)]
-
-    return _grid_step(spec, _density, row)
+    return _mean_kind(
+        spec, _density, lambda E, eta: float(rho_sc(E)), "sweep",
+        lambda n, E, sch, eta, ref, warnings: {"series": sch.label()},
+    )
 
 
 def _im_stieltjes_kind(spec: ExperimentSpec) -> _Step:
-    def row(n, E, sch, eta, values, warnings):
-        mean, se = _mean_stderr(values)
-        ref = math.pi * rho_sc(E)
+    """Averaged ``Im m_N(E + i eta)`` against ``pi rho_sc(E)``."""
+
+    def warn(n, E, sch, eta, ref, warnings):
         predicted = math.sqrt(math.pi * rho_sc(E) / (spec.samples * n * eta)) / math.sqrt(
             n * eta
         )
@@ -608,10 +584,12 @@ def _im_stieltjes_kind(spec: ExperimentSpec) -> _Step:
                 f"predicted stderr {predicted:.3g} exceeds 20% of reference {ref:.3g} "
                 f"at N={n}, E={E:g}, eta={eta:g}"
             )
-        extras = _submicro_extras(n, eta, values, warnings, f"im_stieltjes at E={E:g}")
-        return [ResultRow(n, E, eta, mean, se, spec.samples, ref, mean / ref, extras)]
+        return {}
 
-    return _grid_step(spec, _im_stieltjes, row)
+    return _mean_kind(
+        spec, lambda mu, E, eta: im_stieltjes(Spectrum(mu.shape[1], mu), E, eta),
+        lambda E, eta: math.pi * rho_sc(E), "im_stieltjes", warn,
+    )
 
 
 def _wegner(spec: ExperimentSpec) -> _Step:
@@ -623,7 +601,7 @@ def _wegner(spec: ExperimentSpec) -> _Step:
             )
 
     def stat(mu, E, eta):
-        counts = _window_counts(mu, E, eta).astype(np.float64)
+        counts = counting(Spectrum(mu.shape[1], mu), E - eta / 2.0, E + eta / 2.0).astype(np.float64)
         return np.stack([counts, counts**2], axis=-1)
 
     def row(n, E, sch, eta, values, warnings):
@@ -663,8 +641,8 @@ def _derivative(spec: ExperimentSpec) -> _Step:
                 )
 
     def stat(mu, E, eta):
-        de = steps[mu.shape[1]]
-        return (_im_stieltjes(mu, E + de, eta) - _im_stieltjes(mu, E - de, eta)) / (2.0 * de)
+        spectra, de = Spectrum(mu.shape[1], mu), steps[mu.shape[1]]
+        return (im_stieltjes(spectra, E + de, eta) - im_stieltjes(spectra, E - de, eta)) / (2.0 * de)
 
     def row(n, E, sch, eta, values, warnings):
         mean, se = _mean_stderr(values)
@@ -694,27 +672,27 @@ def _delta_moments(spec: ExperimentSpec) -> _Step:
     if part2_order < 0:
         raise ConfigurationError(f"extra['part2_order'] must be non-negative, got {part2_order}")
 
-    def sample_stat(lam, n, E):
+    def stat(lam, n, E):
+        """``(B, columns)`` chunk values: one column per order, then count_sq
+        and nearest per delta; the moments are 0 off the good event."""
         dist = n * np.abs(lam - E)
         omega = good_event(lam, E, eps, n)
-        delta_span = select_indices(lam, E, eps, n).delta if omega else 0.0
-        vals = [delta_span**k if omega else 0.0 for k in orders]
+        span = np.zeros(len(lam))
+        span[omega] = select_indices(lam[omega], E, eps, n).delta
+        # float ** int, not np.power: they differ in the last bit for exponents >= 3
+        powers = [np.array([s**k for s in span.tolist()]) for k in (*orders, part2_order)]
+        columns = [np.where(omega, p, 0.0) for p in powers[:-1]]
         for d in deltas:
-            cnt = float(np.sum(dist <= d))
-            vals.append((delta_span**part2_order) * cnt * cnt if omega else 0.0)
-            vals.append(1.0 if dist.min() <= d else 0.0)
-        return vals
+            cnt = np.count_nonzero(dist <= d, axis=-1)
+            columns += [np.where(omega, powers[-1] * cnt * cnt, 0.0), dist.min(axis=-1) <= d]
+        return np.stack(columns, axis=-1)
 
     def step(n: int, ci: int, workers: int, warnings: list) -> list:
         rows: list = []
         for ei, E in enumerate(spec.energy):
             # one cell per (n, E) pair so each energy gets fresh streams
             cell = ci * len(spec.energy) + ei
-            table = _table(
-                spec, n, cell, workers, lambda mu: [sample_stat(lam, n, E) for lam in mu],
-                drop_row=True,
-            )
-            # columns: one per order, then count_sq and nearest per delta
+            table = _table(spec, n, cell, workers, lambda mu: stat(mu, n, E), drop_row=True)
             moments = iter([_mean_stderr(column) for column in table.T])
             nan = float("nan")
             for k in orders:

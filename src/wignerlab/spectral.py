@@ -6,9 +6,10 @@ on ``[-2, 2]``, its Stieltjes transform ``m_sc`` (the root of
 used for unfolding, the sine-kernel determinant, the GUE joint eigenvalue
 log-density, and the GUE Wigner surmise.
 
-Empirical statistics operate on a :class:`~wignerlab.eigensolver.Spectrum`:
-interval counting, the empirical Stieltjes transform, a pointwise dyadic
-upper bound on its imaginary part, and unfolded nearest-neighbour spacings.
+Empirical statistics operate on a :class:`~wignerlab.eigensolver.Spectrum`.
+Interval counting and ``Im m_N`` act on a spectrum stack row by row; the
+empirical Stieltjes transform, a pointwise dyadic upper bound on its
+imaginary part, and unfolded nearest-neighbour spacings refuse a stack.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "F_sc",
     "semicircle_quantile",
     "counting",
+    "im_stieltjes",
     "stieltjes",
     "DyadicBound",
     "dyadic_bound",
@@ -90,12 +92,33 @@ def _values(spec: Spectrum) -> np.ndarray:
     return spec.eigenvalues
 
 
-def counting(spec: Spectrum, a: float, b: float) -> int:
-    """Number of eigenvalues in the closed interval ``[a, b]``."""
-    if a > b:
+def counting(spec: Spectrum, a, b):
+    """Number of eigenvalues in the closed intervals ``[a, b]``.
+
+    ``a`` and ``b`` broadcast to the window shape ``P``; a spectrum stack of
+    batch shape ``S`` gives ``S + P`` counts.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if np.any(a > b):
         raise DomainError(f"interval is reversed: a={a} > b={b}")
-    mu = _values(spec)
-    return int(np.searchsorted(mu, b, side="right") - np.searchsorted(mu, a, side="left"))
+    # shape S + (1,) * a.ndim + (n,), against the windows' trailing axis
+    mu = np.expand_dims(spec.eigenvalues, tuple(range(-1 - a.ndim, -1)))
+    out = np.count_nonzero((mu >= a[..., None]) & (mu <= b[..., None]), axis=-1)
+    return out if out.ndim else int(out)
+
+
+def im_stieltjes(spec: Spectrum, E, eta):
+    """``Im m_N(E + i eta)``, the Poisson-kernel sum
+    ``(1/N) sum_a eta / ((mu_a - E)^2 + eta^2)``.
+
+    ``E`` and ``eta`` broadcast to the point shape ``P``; a spectrum stack
+    of batch shape ``S`` gives ``S + P`` values.
+    """
+    E, eta = np.broadcast_arrays(np.asarray(E, dtype=float), np.asarray(eta, dtype=float))
+    mu = np.expand_dims(spec.eigenvalues, tuple(range(-1 - E.ndim, -1)))
+    E, eta = E[..., None], eta[..., None]
+    out = np.sum(eta / ((mu - E) ** 2 + eta * eta), axis=-1) / spec.n
+    return out if out.ndim else float(out)
 
 
 def stieltjes(spec: Spectrum, z: complex) -> complex:
@@ -129,7 +152,7 @@ def dyadic_bound(spec: Spectrum, E: float, eps: float) -> DyadicBound:
         raise DomainError(f"eps must be positive, got {eps}")
     mu = _values(spec)
     n = spec.n
-    lhs = float(np.sum(eps / ((mu - E) ** 2 + eps * eps)) / n)
+    lhs = im_stieltjes(spec, E, eps)
     dist = np.abs(mu - E)
     head = float(np.sum(dist <= eps)) / (n * eps)
     far = float(dist.max(initial=0.0))
@@ -182,29 +205,16 @@ def gue_log_density(mu: Sequence[float], N: int) -> float:
     return float(2.0 * np.sum(np.log(gaps)) + quad_term)
 
 
-def gue_log_normalization(N: int, grid_points: int = 240, half_width: float = 8.0) -> float:
-    """Log of the GUE joint-density normalisation constant, for N <= 3.
+def gue_log_normalization(N: int) -> float:
+    """Log of the GUE joint-density normalisation constant.
 
-    Computed by tensor-product Gauss-Legendre quadrature of the
-    unnormalised density; beyond N = 3 the integral is out of scope.
+    The closed form ``Z_N = (2 pi)^{N/2} N^{-N^2/2} prod_{j<=N} j!`` of the
+    integral of :func:`gue_log_density`'s exponential, for every ``N >= 1``.
     """
-    if not 1 <= N <= 3:
-        raise DomainError(f"normalisation by quadrature only for N in 1..3, got {N}")
-    x, w = np.polynomial.legendre.leggauss(grid_points)
-    x = x * half_width
-    w = w * half_width
-    gauss = np.exp(-0.5 * N * x * x)
-    if N == 1:
-        return math.log(float(np.sum(w * gauss)))
-    if N == 2:
-        f = (x[:, None] - x[None, :]) ** 2
-        z = np.einsum("i,j,ij->", w * gauss, w * gauss, f)
-        return math.log(float(z))
-    d12 = (x[:, None, None] - x[None, :, None]) ** 2
-    d13 = (x[:, None, None] - x[None, None, :]) ** 2
-    d23 = (x[None, :, None] - x[None, None, :]) ** 2
-    z = np.einsum("i,j,k,ijk->", w * gauss, w * gauss, w * gauss, d12 * d13 * d23)
-    return math.log(float(z))
+    if N < 1:
+        raise DomainError(f"normalisation needs N >= 1, got {N}")
+    log_factorials = math.fsum(math.lgamma(j + 1) for j in range(1, N + 1))
+    return 0.5 * N * math.log(_TWO_PI) - 0.5 * N * N * math.log(N) + log_factorials
 
 
 @dataclass

@@ -99,6 +99,29 @@ def test_select_indices_matches_loop_reference_with_ties():
         assert sel.delta == expected[1]
 
 
+def test_stacked_good_event_and_selection_rows_equal_single_calls():
+    rng = np.random.default_rng(22)
+    good_rows = bad_rows = 0
+    for size in (8, 9, 12, 23):
+        # a 1/8 grid makes tied distances and distances exactly at eps
+        lam = rng.integers(-6, 7, (40, size)) / 8.0
+        for E, eps, N in ((0.0, 1.0, 8), (0.25, 0.5, 8), (-0.125, 0.75, 12)):
+            omega = good_event(lam, E, eps, N)
+            assert omega.shape == (40,)
+            assert list(omega) == [good_event(row, E, eps, N) for row in lam]
+            sel = select_indices(lam[omega], E, eps, N)
+            for row, beta, delta in zip(lam[omega], sel.beta, sel.delta):
+                single = select_indices(row, E, eps, N)
+                assert list(beta) == list(single.beta)
+                assert delta == single.delta
+            good_rows += int(omega.sum())
+            bad_rows += int((~omega).sum())
+            if not omega.all():
+                with pytest.raises(DomainError):
+                    select_indices(lam, E, eps, N)
+    assert good_rows > 100 and bad_rows > 20
+
+
 def test_coefficients_on_site():
     n, eps = 12, 0.25
     co = coefficients(np.array([0.7]), 0.7, eps, n)

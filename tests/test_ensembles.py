@@ -11,7 +11,6 @@ from wignerlab import (
     DomainError,
     HermitianMatrix,
     SeedSpec,
-    counting,
     dyadic_bound,
     eigvalsh,
     gaussian_diag,
@@ -194,7 +193,6 @@ def test_single_matrix_observables_refuse_a_stack():
     stack = sample_wigner(6, gaussian_off(), gaussian_diag(), [SeedSpec(2, k) for k in range(2)])
     spectra = eigvalsh(stack)
     for call in (
-        lambda: counting(spectra, -1.0, 1.0),
         lambda: stieltjes(spectra, 0.1j),
         lambda: dyadic_bound(spectra, 0.0, 0.1),
         lambda: unfolded_spacings(spectra, (-1.0, 1.0)),

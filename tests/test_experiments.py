@@ -21,9 +21,11 @@ from wignerlab import (
     eigvalsh,
     gaussian_diag,
     gaussian_off,
+    good_event,
     rows_from_csv,
     run_experiment,
     sample_gue,
+    select_indices,
     worker_count,
 )
 from wignerlab import eigensolver, experiments
@@ -604,6 +606,65 @@ def test_pool_runs_whole_chunks_off_the_calling_thread(monkeypatch, blas_threads
     assert sorted(n for n, _ in stat_threads) == [16] * 2 + [72] * 4
     assert main not in {c[1] for c in calls}
     assert main not in {t for _, t in stat_threads}
+
+
+def test_observables_are_called_through_module_names_once_per_chunk(monkeypatch):
+    # perfbench's tracer wraps these names in the experiments module
+    calls: dict = {}
+    lock = threading.Lock()
+    for name in ("counting", "good_event", "select_indices"):
+        def recording(*args, _name=name, _call=getattr(experiments, name)):
+            with lock:
+                calls[_name] = calls.get(_name, 0) + 1
+            return _call(*args)
+
+        monkeypatch.setattr(experiments, name, recording)
+    # N = 16 in 2 chunks of up to 32, N = 72 in 4 of 12
+    chunks = 6
+    for kind in ("dos", "wegner"):
+        calls.clear()
+        run_experiment(_chunk_spec(kind), workers=2)
+        assert calls == {"counting": chunks}
+    calls.clear()
+    # delta_moments samples each of its 2 energies in cells of its own
+    run_experiment(_chunk_spec("delta_moments"), workers=2)
+    assert calls == {"good_event": 2 * chunks, "select_indices": 2 * chunks}
+
+
+def _delta_moments_sample_stat(lam, n, E, eps, orders, deltas, part2_order):
+    """Per-sample delta_moments values from single-spectrum calls."""
+    dist = n * np.abs(lam - E)
+    omega = good_event(lam, E, eps, n)
+    delta_span = select_indices(lam, E, eps, n).delta if omega else 0.0
+    vals = [delta_span**k if omega else 0.0 for k in orders]
+    for d in deltas:
+        cnt = float(np.sum(dist <= d))
+        vals.append((delta_span**part2_order) * cnt * cnt if omega else 0.0)
+        vals.append(1.0 if dist.min() <= d else 0.0)
+    return vals
+
+
+@pytest.mark.parametrize("part2_order", [0, 1, 2, 3])
+def test_delta_moments_equal_a_per_sample_loop(part2_order):
+    # moment orders >= 3 catch a vectorised power that rounds unlike float ** int
+    orders, deltas, eps = [0, 1, 2, 3, 5], [0.5, 0.1, 2.0], 0.5
+    energy = [0.0, 0.8, -1.2]
+    spec = ExperimentSpec(
+        kind="delta_moments", n=[9, 24, 40], samples=30, energy=energy, seed=37,
+        extra={"eps": eps, "moment_orders": orders, "deltas": deltas,
+               "part2_order": part2_order},
+    )
+    got = [(row.mean, row.stderr) for row in run_experiment(spec, workers=1).rows]
+    expected = []
+    for ci, n in enumerate(spec.n):
+        for ei, E in enumerate(energy):
+            cell = ci * len(energy) + ei
+            seeds = [SeedSpec(spec.seed, cell * spec.samples + i) for i in range(spec.samples)]
+            spectra = experiments._spectra(n, *spec.dist, seeds, True)
+            table = [_delta_moments_sample_stat(lam, n, E, eps, orders, deltas, part2_order)
+                     for lam in spectra]
+            expected.extend(_mean_stderr(column) for column in zip(*table))
+    assert got == expected
 
 
 @pytest.mark.parametrize("drop_row", [False, True])

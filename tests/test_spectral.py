@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from wignerlab import (
     eigvalsh,
     gue_log_density,
     gue_log_normalization,
+    im_stieltjes,
     m_sc,
     rho_sc,
     sample_gue,
@@ -118,6 +120,27 @@ def test_counting_closed_interval():
         counting(sp, 1.0, 0.0)
 
 
+def test_stacked_counting_and_im_stieltjes_rows_equal_single_calls():
+    rng = np.random.default_rng(35)
+    # eigenvalues on a 1/8 grid sit on the window edges and tie; the wide
+    # spectra sum in more than one pairwise block
+    grid = Spectrum(20, np.sort(rng.integers(-12, 13, (6, 20)) / 8.0, axis=-1))
+    wide = Spectrum(300, np.sort(rng.uniform(-2.0, 2.0, (3, 300)), axis=-1))
+    E = np.array([0.0, 0.25, -0.5, 1.0, 0.3])
+    eta = np.array([0.5, 0.5, 1.0, 0.25, 0.07])
+    a, b = E - eta / 2.0, E + eta / 2.0
+    assert np.isin(np.concatenate((a, b)), grid.eigenvalues).sum() >= 4
+    for stack in (grid, wide):
+        counts, values = counting(stack, a, b), im_stieltjes(stack, E, eta)
+        assert counts.shape == values.shape == (len(stack.eigenvalues), 5)
+        for row, row_counts, row_values in zip(stack.eigenvalues, counts, values):
+            single = Spectrum(stack.n, row)
+            assert list(row_counts) == [counting(single, lo, hi) for lo, hi in zip(a, b)]
+            assert list(row_values) == [im_stieltjes(single, e, h) for e, h in zip(E, eta)]
+    with pytest.raises(DomainError):
+        counting(grid, a, a - 1.0)
+
+
 def test_stieltjes_exact_small_case():
     sp = _spectrum([-1.0, 1.0])
     z = 0.5j
@@ -135,6 +158,7 @@ def test_stieltjes_imaginary_part_is_poisson_sum():
     mu = sp.eigenvalues
     kernel = float(np.sum(eta / ((mu - e) ** 2 + eta**2))) / sp.n
     assert abs(stieltjes(sp, complex(e, eta)).imag - kernel) < 1e-13
+    assert abs(im_stieltjes(sp, e, eta) - kernel) < 1e-15
 
 
 def test_stieltjes_converges_to_m_sc():
@@ -202,11 +226,26 @@ def test_gue_log_density_basic():
 
 def test_gue_log_normalization_matches_closed_form():
     # Z_N = (2 pi)^{N/2} N^{-N^2/2} prod_{j<=N} j!
-    for n, fact in ((1, 1.0), (2, 2.0), (3, 12.0)):
+    for n in range(1, 9):
+        fact = math.prod(math.factorial(j) for j in range(1, n + 1))
         closed = 0.5 * n * math.log(2.0 * math.pi) - 0.5 * n * n * math.log(n) + math.log(fact)
         assert abs(gue_log_normalization(n) - closed) < 1e-10
     with pytest.raises(DomainError):
-        gue_log_normalization(4)
+        gue_log_normalization(0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gue_log_normalization_matches_gauss_hermite(n):
+    # x = y sqrt(2/N) turns exp(-(N/2) sum x^2) into the Hermite weight
+    # exp(-sum y^2) and scales |Delta|^2 dx by (2/N)^{N^2/2}; |Delta(y)|^2 has
+    # degree 2(N - 1) in each variable, so N nodes per axis integrate it exactly
+    nodes, weights = np.polynomial.hermite.hermgauss(n)
+    points = np.array(list(itertools.product(nodes, repeat=n)))
+    w = np.prod(np.array(list(itertools.product(weights, repeat=n))), axis=-1)
+    i, j = np.triu_indices(n, 1)
+    vandermonde_sq = np.prod((points[:, i] - points[:, j]) ** 2, axis=-1)
+    log_z = 0.5 * n * n * math.log(2.0 / n) + math.log(float(np.sum(w * vandermonde_sq)))
+    assert abs(log_z - gue_log_normalization(n)) < 1e-10
 
 
 def test_gue_density_integrates_to_normalization():
