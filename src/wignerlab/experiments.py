@@ -60,7 +60,7 @@ from .eigensolver import Spectrum, eigvalsh, minor, one_blas_thread
 from .ensembles import sample_wigner
 from .errors import ConfigurationError
 from .seeding import SeedSpec
-from .spectral import F_sc, counting, im_stieltjes, rho_sc, semicircle_quantile, unfolded_spacings, wigner_surmise_gue_cdf
+from .spectral import F_sc, counting, im_stieltjes, rho_sc, unfolded_spacings, wigner_surmise_gue_cdf
 from .version import __version__
 
 __all__ = [
@@ -659,6 +659,8 @@ def _derivative(spec: ExperimentSpec) -> _Step:
 
 
 def _delta_moments(spec: ExperimentSpec) -> _Step:
+    if any(n < 2 for n in spec.n):
+        raise ConfigurationError(f"delta_moments takes minors, so every size must be at least 2, got {spec.n}")
     eps = _real(spec.extra.get("eps", 1.0), "extra['eps']")
     if not 0.0 < eps <= 1.0:
         raise ConfigurationError(f"extra['eps'] must lie in (0, 1], got {eps}")
@@ -718,10 +720,17 @@ def _delta_moments(spec: ExperimentSpec) -> _Step:
     return step
 
 
+# the central half of the spectrum: the semicircle quartiles exactly as
+# ``(semicircle_quantile(0.25), semicircle_quantile(0.75))`` return them (the
+# root finder leaves them asymmetric in the last bits), written out so that a
+# spacing run does not load scipy
+_SPACING_WINDOW = (-0.8079455065990346, 0.8079455065990351)
+
+
 def _spacing(spec: ExperimentSpec) -> _Step:
     window = spec.extra.get("window")
     if window is None:
-        window = (semicircle_quantile(0.25), semicircle_quantile(0.75))
+        window = _SPACING_WINDOW
     try:
         lo, hi = window = tuple(float(w) for w in window)
     except (TypeError, ValueError):

@@ -4,14 +4,15 @@ The writer emits a self-contained SVG document with no external assets,
 so output files are byte-stable for identical inputs.  Series are drawn
 as polylines with optional error bars, an optional dashed horizontal
 reference line, and a legend.  The x axis switches to a log scale when
-the data span more than two decades.
+the data span more than two decades.  Text is escaped by a local
+``_escape``, so the module needs only ``math`` and ``dataclasses`` from the
+standard library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 from .errors import DomainError
 
@@ -70,6 +71,13 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks
+
+
+def _escape(text: str) -> str:
+    """XML text escaping as ``xml.sax.saxutils.escape`` does it (``&`` first,
+    then ``>`` and ``<``), without importing ``xml.sax``, whose ``saxutils``
+    loads ``urllib.request`` and with it the network stack."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt_tick(v: float) -> str:
@@ -137,18 +145,18 @@ def render_plot(
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.1f}" y="{_MARGIN_T - 14}" text-anchor="middle" '
-            f'{font} font-size="16">{escape(title)}</text>'
+            f'{font} font-size="16">{_escape(title)}</text>'
         )
     if x_label:
         parts.append(
             f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-            f'{font} font-size="13">{escape(x_label)}</text>'
+            f'{font} font-size="13">{_escape(x_label)}</text>'
         )
     if y_label:
         cx, cy = 18, _MARGIN_T + plot_h / 2
         parts.append(
             f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" {font} font-size="13" '
-            f'transform="rotate(-90 {cx} {cy:.1f})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 {cx} {cy:.1f})">{_escape(y_label)}</text>'
         )
 
     # axis ticks
@@ -165,7 +173,7 @@ def render_plot(
         )
         parts.append(
             f'<text x="{x:.1f}" y="{_MARGIN_T + plot_h + 20}" text-anchor="middle" '
-            f'{font} font-size="11">{escape(_fmt_tick(t))}</text>'
+            f'{font} font-size="11">{_escape(_fmt_tick(t))}</text>'
         )
     for t in _ticks(y_lo, y_hi):
         y = py(t)
@@ -174,7 +182,7 @@ def render_plot(
         )
         parts.append(
             f'<text x="{_MARGIN_L - 9}" y="{y + 4:.1f}" text-anchor="end" '
-            f'{font} font-size="11">{escape(_fmt_tick(t))}</text>'
+            f'{font} font-size="11">{_escape(_fmt_tick(t))}</text>'
         )
 
     if reference is not None and math.isfinite(reference):
@@ -220,7 +228,7 @@ def render_plot(
         )
         parts.append(
             f'<text x="{_MARGIN_L + plot_w - 120}" y="{ly + 4}" {font} '
-            f'font-size="12">{escape(s.label)}</text>'
+            f'font-size="12">{_escape(s.label)}</text>'
         )
         ly += 18
 

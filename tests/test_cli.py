@@ -13,8 +13,10 @@ import pytest
 
 from wignerlab import DomainError, NumericError, Series, render_plot, rows_from_csv
 from wignerlab.cli import main, run_check_suite
+from wignerlab.experiments import EXPERIMENT_KINDS
 
 import wignerlab.cli as cli_module
+import wignerlab.svgplot as svgplot
 
 
 def test_dos_writes_deterministic_csv(tmp_path):
@@ -284,13 +286,61 @@ def test_non_numeric_dist_parameters_exit_two(argv, capsys):
     assert "Traceback" not in err
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the functions that need it, not at start-up
-    code = "import sys, wignerlab.cli; print('scipy' in sys.modules)"
+# modules a sampling run must not load: scipy's root finder and special
+# functions, and the network stack that ``xml.sax.saxutils`` pulls in
+HEAVY_MODULES = ("scipy", "scipy.optimize", "scipy.special", "urllib.request", "http.client",
+                 "email", "ssl", "xml.sax")
+
+
+def _heavy_modules_after(code: str) -> list:
+    """The entries of ``HEAVY_MODULES`` in ``sys.modules`` after ``code`` runs
+    in a fresh interpreter."""
+    code += f"\nimport json, sys\nprint(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
                          text=True, check=True, timeout=120).stdout
-    assert out.strip() == "False"
+    return json.loads(out)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the functions that need it, not at start-up, and
+    # the SVG writer escapes text without xml.sax
+    assert _heavy_modules_after("import wignerlab.cli") == []
+
+
+def test_sampling_runs_leave_scipy_and_the_network_stack_unloaded(tmp_path):
+    # every kind at a tiny budget (spacing on its default window, the
+    # smoothed-uniform and mixture laws drawn), then two sampling commands
+    # through the CLI, one of them writing an SVG
+    smooth = {"off": {"kind": "smoothed_uniform", "params": [0.3], "role": "off_diagonal"},
+              "diag": {"kind": "smoothed_uniform", "params": [0.3], "role": "diagonal"}}
+    mixture = {"off": {"kind": "gaussian_mixture", "params": [0.5, -1.0, 0.5, 0.5, 1.0, 0.5],
+                       "role": "off_diagonal"},
+               "diag": {"kind": "gaussian", "role": "diagonal"}}
+    specs = [
+        dict(kind="dos", eta=[{"over_n": 2.0}]),
+        dict(kind="im_stieltjes", eta=[{"over_n": 0.1}]),
+        dict(kind="wegner", eta=[0.5]),
+        dict(kind="derivative", eta=[{"over_n": 0.5}], extra={"delta_e": {"over_n": 0.25}}),
+        dict(kind="scale_sweep", eta=[0.5, {"over_n32": 1.0}], dist=smooth),
+        dict(kind="delta_moments", dist=mixture, extra={"eps": 0.5}),
+        dict(kind="spacing"),
+    ]
+    assert sorted(spec["kind"] for spec in specs) == sorted(EXPERIMENT_KINDS)
+    dos_out, spacing_out = tmp_path / "dos.csv", tmp_path / "spacing.csv"
+    code = f"""
+from wignerlab import ExperimentSpec, run_experiment
+from wignerlab.cli import main
+for spec in {specs!r}:
+    run_experiment(ExperimentSpec.from_json(dict(spec, n=[16], samples=3, energy=[0.0], seed=5)))
+assert main(["dos", "--n", "16", "--samples", "3", "--energy", "0", "--eta-over-n", "2",
+             "--out", {str(dos_out)!r}, "--plot"]) == 0
+assert main(["spacing", "--n", "16", "--samples", "3", "--out", {str(spacing_out)!r},
+             "--format", "json"]) == 0
+"""
+    assert _heavy_modules_after(code) == []
+    assert dos_out.with_suffix(".svg").exists()
+    assert json.loads(spacing_out.read_text())["rows"][0]["ks_distance"] >= 0.0
 
 
 # -- SVG renderer ------------------------------------------------------------
@@ -308,6 +358,30 @@ def test_render_plot_is_well_formed_xml():
     assert doc.documentElement.getAttribute("xmlns") == "http://www.w3.org/2000/svg"
     assert "&lt;test&gt;" in svg
     assert "&amp;" in svg
+
+
+ESCAPE_CASES = ["plain", "a & b", "<tag>", "x > y < z", "&amp; &lt;", "\"quoted\" 'single'",
+                "ρ_sc(E) ≤ 1/π", "&<>&><"]
+
+
+@pytest.mark.parametrize("text", ESCAPE_CASES)
+def test_svg_escape_equals_saxutils(text):
+    from xml.sax.saxutils import escape
+
+    assert svgplot._escape(text) == escape(text)
+
+
+def test_render_plot_bytes_equal_saxutils_escaping(monkeypatch):
+    from xml.sax.saxutils import escape
+
+    def plot():
+        series = [Series(label, [1.0, 2.0], [0.5, float(k)]) for k, label in enumerate(ESCAPE_CASES)]
+        return render_plot(series, title="<a> & <b>", x_label="N & <n>", y_label="\"y\" > 0",
+                           reference=0.25)
+
+    ours = plot()
+    monkeypatch.setattr(svgplot, "_escape", escape)
+    assert plot() == ours
 
 
 def test_render_plot_log_axis_for_wide_span():

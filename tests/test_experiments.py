@@ -420,6 +420,13 @@ def test_spacing_rows():
     assert 0.5 < row.mean < 1.5
 
 
+def test_default_spacing_window_is_the_semicircle_quartiles():
+    # the constant stands in for the root finder, bit for bit
+    from wignerlab.spectral import semicircle_quantile
+
+    assert experiments._SPACING_WINDOW == (semicircle_quantile(0.25), semicircle_quantile(0.75))
+
+
 def test_spacing_window_validation():
     with pytest.raises(ConfigurationError):
         run_experiment(
@@ -436,7 +443,9 @@ def test_spacing_window_validation():
     dict(kind="delta_moments", n=[16], extra={"moment_orders": [1, -1]}),
     dict(kind="spacing", n=[16, 32], extra={"window": [0.5, 0.5]}),
     dict(kind="spacing", n=[16], extra={"window": [0.5]}),
-], ids=["derivative-eta", "derivative-step", "wegner", "eps", "orders", "window", "window-len"])
+    dict(kind="delta_moments", n=[16, 1]),
+], ids=["derivative-eta", "derivative-step", "wegner", "eps", "orders", "window", "window-len",
+        "minor-size"])
 def test_invalid_spec_samples_nothing(spec, monkeypatch):
     # every check runs for all sizes before the first matrix is drawn
     def refuse(*args, **kwargs):

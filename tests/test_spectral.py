@@ -299,6 +299,19 @@ def test_wigner_surmise_cdf_matches_quadrature():
         assert abs(wigner_surmise_gue_cdf(s) - val) < 1e-10
 
 
+def test_wigner_surmise_cdf_matches_the_scipy_erf_formula():
+    # math.erf and scipy's erf differ by at most one ulp, on some inputs
+    from scipy.special import erf
+
+    s = np.linspace(0.0, 5.0, 5001)
+    reference = erf(2.0 * s / math.sqrt(math.pi)) - (4.0 / math.pi) * s * np.exp(-4.0 * s * s / math.pi)
+    assert np.max(np.abs(wigner_surmise_gue_cdf(s) - reference)) <= 1e-15
+    assert wigner_surmise_gue_cdf(s.reshape(5001, 1)).shape == (5001, 1)
+    assert wigner_surmise_gue_cdf(np.empty((0, 3))).shape == (0, 3)
+    assert isinstance(wigner_surmise_gue_cdf(0.5), float)
+    assert wigner_surmise_gue_cdf(0.5) == wigner_surmise_gue_cdf(np.array([0.5]))[0]
+
+
 def test_wigner_surmise_mode():
     # density peaks at sqrt(pi)/2
     s0 = math.sqrt(math.pi) / 2.0
