@@ -15,7 +15,6 @@ or configuration error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -24,16 +23,11 @@ import sys
 import numpy as np
 
 from .diagnostics import coefficients, minor_diagnostics, schur_resolvent_residual, select_indices
-from .distributions import DistributionSpec, gaussian_diag, gaussian_off, regularity_integrals
+from .distributions import DistributionSpec, gaussian_off, regularity_integrals
 from .eigensolver import eigvalsh, minor
 from .ensembles import sample_gue, sample_wigner
 from .errors import ConfigurationError, DomainError, NumericError
-from .experiments import (
-    EtaSchedule,
-    ExperimentResult,
-    ExperimentSpec,
-    run_experiment,
-)
+from .experiments import ExperimentResult, ExperimentSpec, run_experiment
 from .seeding import SeedSpec
 from .spectral import m_sc, rho_sc
 from .svgplot import Series, render_plot
@@ -41,13 +35,22 @@ from .version import __version__
 
 __all__ = ["main", "emit_plot", "run_check_suite"]
 
-_KIND_BY_COMMAND = {
-    "dos": "dos",
-    "stieltjes": "im_stieltjes",
-    "wegner": "wegner",
-    "deriv": "derivative",
-    "sweep": "scale_sweep",
-    "spacing": "spacing",
+# experiment subcommand -> (experiment kind, help), in --help order
+_COMMANDS = {
+    "dos": ("dos", "averaged density of states over an energy/eta grid"),
+    "stieltjes": ("im_stieltjes", "imaginary part of the empirical Stieltjes transform"),
+    "wegner": ("wegner", "interval count moments for a decreasing eta schedule"),
+    "deriv": ("derivative", "common-random-number energy derivative of Im m_N"),
+    "sweep": ("scale_sweep", "density of states across eta schedules and sizes"),
+    "spacing": ("spacing", "unfolded nearest-neighbour spacings in a bulk window"),
+}
+
+# eta flag dest -> (schedule kind, help); schedules are listed in this order,
+# which sets the row order and the order wegner checks for a decrease
+_ETA_FLAGS = {
+    "eta": ("const", "constant resolution scale(s)"),
+    "eta_over_n": ("over_n", "resolution coefficient(s) K giving eta = K/N"),
+    "eta_over_n32": ("over_n32", "resolution coefficient(s) c giving eta = c/N^1.5"),
 }
 
 
@@ -69,9 +72,7 @@ def _parse_dist(text: str, roles: tuple = ("off_diagonal", "diagonal")) -> tuple
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"bad --dist JSON: {exc}") from None
     if len(roles) == 1:
-        if isinstance(obj, dict):
-            obj = {"role": roles[0], **obj}
-        return (DistributionSpec.from_json(obj),)
+        return (DistributionSpec.from_json(obj, roles[0]),)
     return DistributionSpec.pair_from_json(obj)
 
 
@@ -100,15 +101,8 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, nargs="+", help="matrix size(s)")
     sub.add_argument("--samples", type=int, help="Monte Carlo samples per parameter cell")
     sub.add_argument("--energy", type=float, nargs="+", help="bulk energy grid")
-    sub.add_argument("--eta", type=float, nargs="+", help="constant resolution scale(s)")
-    sub.add_argument(
-        "--eta-over-n", type=float, nargs="+", dest="eta_over_n",
-        help="resolution coefficient(s) K giving eta = K/N",
-    )
-    sub.add_argument(
-        "--eta-over-n32", type=float, nargs="+", dest="eta_over_n32",
-        help="resolution coefficient(s) c giving eta = c/N^1.5",
-    )
+    for dest, (_, blurb) in _ETA_FLAGS.items():
+        sub.add_argument("--" + dest.replace("_", "-"), type=float, nargs="+", help=blurb)
     sub.add_argument("--dist", help="entry law for both roles, e.g. gaussian or smoothed_uniform:0.4")
     sub.add_argument("--seed", type=int, help="master seed (default 42)")
     sub.add_argument("--kappa", type=float, help="bulk margin: energies stay in (-2+kappa, 2-kappa)")
@@ -129,22 +123,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for cmd, blurb in (
-        ("dos", "averaged density of states over an energy/eta grid"),
-        ("stieltjes", "imaginary part of the empirical Stieltjes transform"),
-        ("wegner", "interval count moments for a decreasing eta schedule"),
-        ("deriv", "common-random-number energy derivative of Im m_N"),
-        ("sweep", "density of states across eta schedules and sizes"),
-        ("spacing", "unfolded nearest-neighbour spacings in a bulk window"),
-    ):
+    for cmd, (_, blurb) in _COMMANDS.items():
         sub = subs.add_parser(cmd, help=blurb)
         _add_experiment_flags(sub)
         if cmd == "deriv":
-            sub.add_argument(
+            step = sub.add_mutually_exclusive_group()
+            step.add_argument(
                 "--delta-e", type=float, dest="delta_e",
                 help="constant finite-difference step",
             )
-            sub.add_argument(
+            step.add_argument(
                 "--delta-e-over-n", type=float, dest="delta_e_over_n",
                 help="finite-difference coefficient K giving a step K/N (default 0.25)",
             )
@@ -159,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--j", type=int, default=0, help="row/column to remove (default 0)")
     diag.add_argument("--energy", type=float, default=0.0, help="reference energy")
     diag.add_argument("--eps", type=float, default=0.5, help="rescaled distance cutoff in (0, 1]")
-    diag.add_argument("--dist", help="entry law for both roles (default gaussian)")
+    diag.add_argument("--dist", default="gaussian", help="entry law for both roles (default gaussian)")
     diag.add_argument("--seed", type=int, default=42, help="master seed")
     diag.add_argument("--out", help="output path (default stdout)")
 
@@ -175,66 +163,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _schedules_from_args(args) -> tuple:
-    etas = []
-    if args.eta:
-        etas.extend(EtaSchedule("const", v) for v in args.eta)
-    if args.eta_over_n:
-        etas.extend(EtaSchedule("over_n", v) for v in args.eta_over_n)
-    if getattr(args, "eta_over_n32", None):
-        etas.extend(EtaSchedule("over_n32", v) for v in args.eta_over_n32)
-    return tuple(etas)
-
-
 def _build_spec(args) -> ExperimentSpec:
-    kind = _KIND_BY_COMMAND[args.command]
-    base = None
-    if args.spec:
-        obj = _load_spec_json(args.spec)
-        obj.setdefault("kind", kind)
-        base = ExperimentSpec.from_json(obj)
-        if base.kind != kind:
-            raise ConfigurationError(
-                f"spec kind {base.kind!r} does not match subcommand {args.command!r}"
-            )
-
-    overrides = {}
-    if args.n is not None:
-        overrides["n"] = tuple(args.n)
-    if args.samples is not None:
-        overrides["samples"] = args.samples
-    if args.energy is not None:
-        overrides["energy"] = tuple(args.energy)
-    schedules = _schedules_from_args(args)
-    if schedules:
-        overrides["eta"] = schedules
+    """The spec of an experiment subcommand: the ``--spec`` object (or an
+    empty one) with each given flag written over its field, checked once."""
+    kind = _COMMANDS[args.command][0]
+    obj = _load_spec_json(args.spec) if args.spec else {}
+    if obj.setdefault("kind", kind) != kind:
+        raise ConfigurationError(f"spec kind {obj['kind']!r} does not match subcommand {args.command!r}")
+    for key in ("n", "samples", "energy", "seed", "kappa"):
+        if getattr(args, key) is not None:
+            obj[key] = getattr(args, key)
+    etas = [
+        {"kind": sched, "coef": coef}
+        for dest, (sched, _) in _ETA_FLAGS.items()
+        for coef in getattr(args, dest) or ()
+    ]
+    if etas:
+        obj["eta"] = etas
     if args.dist is not None:
-        overrides["dist"] = _parse_dist(args.dist)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.kappa is not None:
-        overrides["kappa"] = args.kappa
-
-    extra = dict(base.extra) if base is not None else {}
-    if kind == "derivative":
-        if getattr(args, "delta_e", None) is not None:
-            extra["delta_e"] = {"kind": "const", "coef": args.delta_e}
-        elif getattr(args, "delta_e_over_n", None) is not None:
-            extra["delta_e"] = {"kind": "over_n", "coef": args.delta_e_over_n}
-        elif "delta_e" not in extra:
-            extra["delta_e"] = {"kind": "over_n", "coef": 0.25}
-    if kind == "spacing" and getattr(args, "window", None) is not None:
-        extra["window"] = list(args.window)
-    if extra or base is not None:
-        overrides["extra"] = extra
-
-    if base is not None:
-        return dataclasses.replace(base, **overrides)
-
-    for req in ("n", "samples"):
-        if req not in overrides:
-            raise ConfigurationError(f"--{req} is required when no --spec is given")
-    return ExperimentSpec(kind=kind, **overrides)
+        off, diag = _parse_dist(args.dist)
+        obj["dist"] = {"off": off.to_json(), "diag": diag.to_json()}
+    extra = obj.setdefault("extra", {})
+    if isinstance(extra, dict):  # anything else is refused by ExperimentSpec
+        if kind == "derivative":
+            if args.delta_e is not None:
+                extra["delta_e"] = {"kind": "const", "coef": args.delta_e}
+            elif args.delta_e_over_n is not None:
+                extra["delta_e"] = {"kind": "over_n", "coef": args.delta_e_over_n}
+            extra.setdefault("delta_e", {"kind": "over_n", "coef": 0.25})
+        if kind == "spacing" and args.window is not None:
+            extra["window"] = args.window
+    if not args.spec:
+        for req in ("n", "samples"):
+            if req not in obj:
+                raise ConfigurationError(f"--{req} is required when no --spec is given")
+    return ExperimentSpec.from_json(obj)
 
 
 def _sweep_axis(rows) -> tuple[str, list]:
@@ -332,10 +295,7 @@ def _run_experiment_command(args) -> int:
 
 def _run_diagnostics_command(args) -> int:
     _check_out(args.out)
-    if args.dist is not None:
-        off, diag = _parse_dist(args.dist)
-    else:
-        off, diag = gaussian_off(), gaussian_diag()
+    off, diag = _parse_dist(args.dist)
     matrix = sample_wigner(args.n, off, diag, SeedSpec(args.seed))
     record = minor_diagnostics(matrix, args.j, args.energy, args.eps)
     _write(json.dumps(record.to_json(), indent=2, allow_nan=False) + "\n", args.out)

@@ -59,7 +59,8 @@ class DistributionSpec:
     * ``gaussian`` -- no parameters.
     * ``gaussian_mixture`` -- flat triples ``(weight, mean, scale)`` per
       component; weights must be positive (they are renormalised to sum
-      to 1), scales must be positive.
+      to 1), scales must be positive, every parameter finite, and the
+      mixture's variance finite and positive in double precision.
     * ``smoothed_uniform`` -- a single smoothing width ``w``: the law of a
       uniform variable convolved with a centred Gaussian of standard
       deviation ``w``.  Requires ``w**2`` below the role variance so the
@@ -121,7 +122,8 @@ class DistributionSpec:
         return {"kind": self.kind, "params": list(self.params), "role": self.role}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "DistributionSpec":
+    def from_json(cls, obj: dict, role: str = "off_diagonal") -> "DistributionSpec":
+        """The law of a JSON object; it takes ``role`` unless it names its own."""
         if not isinstance(obj, dict):
             raise ConfigurationError(f"distribution spec must be a JSON object, got {type(obj).__name__}")
         unknown = set(obj) - {"kind", "params", "role"}
@@ -131,14 +133,15 @@ class DistributionSpec:
             kind = obj["kind"]
         except KeyError:
             raise ConfigurationError("distribution spec needs a 'kind' field") from None
-        return cls(kind=kind, params=tuple(obj.get("params", ())), role=obj.get("role", "off_diagonal"))
+        return cls(kind=kind, params=tuple(obj.get("params", ())), role=obj.get("role", role))
 
     @classmethod
     def pair_from_json(cls, obj: dict) -> tuple["DistributionSpec", "DistributionSpec"]:
-        """The ``(off, diag)`` laws of a ``{"off": law, "diag": law}`` object."""
+        """The ``(off, diag)`` laws of a ``{"off": law, "diag": law}`` object;
+        each law takes its key's role unless it names its own."""
         if not isinstance(obj, dict) or set(obj) != {"off", "diag"}:
             raise ConfigurationError("dist must be an object with exactly the keys 'off' and 'diag'")
-        return cls.from_json(obj["off"]), cls.from_json(obj["diag"])
+        return cls.from_json(obj["off"], "off_diagonal"), cls.from_json(obj["diag"], "diagonal")
 
     # -- density and derivatives ------------------------------------------
 
@@ -221,20 +224,28 @@ def _normalise_mixture(
             "gaussian_mixture parameters must be flat (weight, mean, scale) triples"
         )
     raw = np.asarray(params, dtype=float).reshape(-1, 3)
+    if not np.all(np.isfinite(raw)):
+        raise ConfigurationError(f"gaussian_mixture parameters must be finite, got {tuple(params)}")
     wts, mus, sds = raw[:, 0], raw[:, 1], raw[:, 2]
     if np.any(wts <= 0.0):
         raise ConfigurationError("mixture weights must be positive")
     if np.any(sds <= 0.0):
         raise ConfigurationError("mixture component scales must be positive")
-    wts = wts / wts.sum()
     if len(wts) == 1:
         # mathematically the rescaled one-component mixture is exactly the
         # role gaussian; write it down exactly so the sampled stream matches
         return (np.array([1.0]), np.array([0.0]), np.array([math.sqrt(target)]))
-    mean = float(np.dot(wts, mus))
-    var = float(np.dot(wts, sds * sds + mus * mus) - mean * mean)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        wts = wts / wts.sum()
+        mean = float(np.dot(wts, mus))
+        var = float(np.dot(wts, sds * sds + mus * mus) - mean * mean)
+    if not 0.0 < var < math.inf:
+        raise ConfigurationError(f"gaussian_mixture variance must be finite and positive, got {var}")
     r = math.sqrt(target / var)
-    return (wts, (mus - mean) * r, sds * r)
+    scales = sds * r
+    if not (math.isfinite(r) and np.all(scales > 0.0)):
+        raise ConfigurationError("gaussian_mixture scales cannot be rescaled to the role variance")
+    return (wts, (mus - mean) * r, scales)
 
 
 def gaussian_off() -> DistributionSpec:

@@ -26,7 +26,7 @@ from .distributions import DistributionSpec, gaussian_diag, gaussian_off
 from .errors import ConfigurationError, DomainError
 from .seeding import SeedSpec
 
-__all__ = ["HermitianMatrix", "sample_entry", "sample_wigner", "sample_gue"]
+__all__ = ["HermitianMatrix", "sample_wigner", "sample_gue"]
 
 
 @lru_cache(maxsize=16)
@@ -113,13 +113,6 @@ class HermitianMatrix:
         """Frobenius norm; an array over ``batch_shape`` for a stack."""
         sq = np.sum(self.diagonal**2, axis=-1) + 2.0 * np.sum(np.abs(self.upper) ** 2, axis=-1)
         return math.sqrt(float(sq)) if sq.ndim == 0 else np.sqrt(sq)
-
-
-def sample_entry(dist: DistributionSpec, seed: SeedSpec, size: int) -> np.ndarray:
-    """Draw ``size`` values of an entry law from the given stream."""
-    if size < 0:
-        raise DomainError(f"size must be non-negative, got {size}")
-    return dist.sample(seed.generator(), size)
 
 
 def sample_wigner(

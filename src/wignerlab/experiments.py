@@ -74,16 +74,6 @@ __all__ = [
     "worker_count",
 ]
 
-EXPERIMENT_KINDS = (
-    "dos",
-    "im_stieltjes",
-    "wegner",
-    "derivative",
-    "scale_sweep",
-    "delta_moments",
-    "spacing",
-)
-
 # eta schedule kind -> (power of n it divides the coefficient by, label suffix)
 _ETA_KINDS = {"const": (0, ""), "over_n": (1, "/N"), "over_n32": (1.5, "/N^1.5")}
 
@@ -781,3 +771,5 @@ _KINDS: dict = {
     "delta_moments": _delta_moments,
     "spacing": _spacing,
 }
+
+EXPERIMENT_KINDS = tuple(_KINDS)

@@ -166,7 +166,7 @@ def render_plot(
     else:
         x_ticks = _ticks(x_lo, x_hi)
     for t in x_ticks:
-        x = px(t) if log_x else _MARGIN_L + (t - x_lo) / (x_hi - x_lo) * plot_w
+        x = px(t)
         parts.append(
             f'<line x1="{x:.1f}" y1="{_MARGIN_T + plot_h}" x2="{x:.1f}" '
             f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333"/>'

@@ -13,7 +13,8 @@ import pytest
 
 from wignerlab import DomainError, NumericError, Series, render_plot, rows_from_csv
 from wignerlab.cli import main, run_check_suite
-from wignerlab.experiments import EXPERIMENT_KINDS
+from wignerlab.distributions import DistributionSpec
+from wignerlab.experiments import EXPERIMENT_KINDS, EtaSchedule, ExperimentResult, ExperimentSpec
 
 import wignerlab.cli as cli_module
 import wignerlab.svgplot as svgplot
@@ -101,6 +102,144 @@ def test_spec_file_with_flag_overrides(tmp_path):
     rows = rows_from_csv(out.read_text())
     assert rows[0].samples == 6  # inline flag wins
     assert rows[0].n == 16      # spec file field survives
+
+
+def _built_spec(argv, monkeypatch):
+    """The :class:`ExperimentSpec` that ``main(argv)`` hands to the runner."""
+    built = []
+
+    def capture(spec, workers=None):
+        built.append(spec)
+        return ExperimentResult(spec, [], 0.0)
+
+    monkeypatch.setattr(cli_module, "run_experiment", capture)
+    assert main(argv) == 0
+    (spec,) = built
+    return spec
+
+
+SPEC_FILE = {"kind": "dos", "n": [16], "samples": 2, "energy": [0.0],
+             "eta": [{"kind": "over_n", "coef": 2}], "seed": 5}
+SMOOTH = DistributionSpec("smoothed_uniform", (0.3,), "off_diagonal")
+GAUSS_DIAG = DistributionSpec("gaussian", (), "diagonal")
+SPEC_EQUIVALENCE = [
+    # flags only
+    (["dos", "--n", "16", "32", "--samples", "4", "--energy", "0", "0.5", "--eta", "0.25",
+      "--seed", "3", "--kappa", "0.4"],
+     ExperimentSpec(kind="dos", n=(16, 32), samples=4, energy=(0.0, 0.5),
+                    eta=(EtaSchedule("const", 0.25),), seed=3, kappa=0.4)),
+    # a spec file plus overrides: flags win, the file's other fields survive
+    (["dos", "--spec", "SPEC_FILE", "--samples", "6", "--energy", "0.25", "--eta", "0.5"],
+     ExperimentSpec(kind="dos", n=(16,), samples=6, energy=(0.25,),
+                    eta=(EtaSchedule("const", 0.5),), seed=5)),
+    (["dos", "--spec", "SPEC_FILE"],
+     ExperimentSpec(kind="dos", n=(16,), samples=2, energy=(0.0,),
+                    eta=(EtaSchedule("over_n", 2.0),), seed=5)),
+    # an inline spec takes its kind from the subcommand
+    (["wegner", "--spec", json.dumps({"n": [8], "samples": 2, "eta": [0.5, {"over_n": 1}]})],
+     ExperimentSpec(kind="wegner", n=(8,), samples=2,
+                    eta=(EtaSchedule("const", 0.5), EtaSchedule("over_n", 1.0)))),
+    # the three eta flags give const, over_n, over_n32 rows in that order
+    (["sweep", "--n", "8", "--samples", "2", "--eta-over-n32", "1", "--eta", "0.5", "0.25",
+      "--eta-over-n", "2"],
+     ExperimentSpec(kind="scale_sweep", n=(8,), samples=2,
+                    eta=(EtaSchedule("const", 0.5), EtaSchedule("const", 0.25),
+                         EtaSchedule("over_n", 2.0), EtaSchedule("over_n32", 1.0)))),
+    # deriv: the default step, a constant one and an over_n one
+    (["deriv", "--n", "8", "--samples", "2", "--eta-over-n", "0.5"],
+     ExperimentSpec(kind="derivative", n=(8,), samples=2, eta=(EtaSchedule("over_n", 0.5),),
+                    extra={"delta_e": {"kind": "over_n", "coef": 0.25}})),
+    (["deriv", "--n", "8", "--samples", "2", "--eta-over-n", "0.5", "--delta-e", "0.01"],
+     ExperimentSpec(kind="derivative", n=(8,), samples=2, eta=(EtaSchedule("over_n", 0.5),),
+                    extra={"delta_e": {"kind": "const", "coef": 0.01}})),
+    (["deriv", "--n", "8", "--samples", "2", "--eta-over-n", "0.5", "--delta-e-over-n", "0.5"],
+     ExperimentSpec(kind="derivative", n=(8,), samples=2, eta=(EtaSchedule("over_n", 0.5),),
+                    extra={"delta_e": {"kind": "over_n", "coef": 0.5}})),
+    # a step in the spec is kept unless a flag replaces it
+    (["deriv", "--spec", json.dumps({"n": [8], "samples": 2, "eta": [0.1],
+                                     "extra": {"delta_e": 0.02, "note": 1}})],
+     ExperimentSpec(kind="derivative", n=(8,), samples=2, eta=(EtaSchedule("const", 0.1),),
+                    extra={"delta_e": 0.02, "note": 1})),
+    (["spacing", "--n", "16", "--samples", "2", "--window", "-0.5", "0.5"],
+     ExperimentSpec(kind="spacing", n=(16,), samples=2, extra={"window": [-0.5, 0.5]})),
+    # --dist as text and as JSON
+    (["dos", "--n", "8", "--samples", "2", "--eta", "0.5", "--dist", "smoothed_uniform:0.3"],
+     ExperimentSpec(kind="dos", n=(8,), samples=2, eta=(EtaSchedule("const", 0.5),),
+                    dist=(SMOOTH, DistributionSpec("smoothed_uniform", (0.3,), "diagonal")))),
+    (["dos", "--n", "8", "--samples", "2", "--eta", "0.5", "--dist", json.dumps({
+        "off": {"kind": "smoothed_uniform", "params": [0.3], "role": "off_diagonal"},
+        "diag": {"kind": "gaussian", "role": "diagonal"}})],
+     ExperimentSpec(kind="dos", n=(8,), samples=2, eta=(EtaSchedule("const", 0.5),),
+                    dist=(SMOOTH, GAUSS_DIAG))),
+    (["dos", "--spec", json.dumps({"n": [8], "samples": 2, "eta": [0.5], "dist": {
+        "off": {"kind": "smoothed_uniform", "params": [0.3], "role": "off_diagonal"},
+        "diag": {"kind": "smoothed_uniform", "params": [0.3], "role": "diagonal"}}}),
+      "--dist", "gaussian"],
+     ExperimentSpec(kind="dos", n=(8,), samples=2, eta=(EtaSchedule("const", 0.5),))),
+]
+
+
+@pytest.mark.parametrize("argv,expected", SPEC_EQUIVALENCE)
+def test_argv_builds_the_expected_spec(argv, expected, tmp_path, monkeypatch):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC_FILE))
+    argv = [str(spec_path) if a == "SPEC_FILE" else a for a in argv]
+    assert _built_spec(argv, monkeypatch) == expected
+
+
+@pytest.mark.parametrize("argv,expected", [
+    # flags fill in fields the spec leaves out, and replace invalid ones
+    (["dos", "--spec", json.dumps({"samples": 2, "eta": [0.5]}), "--n", "8"],
+     ExperimentSpec(kind="dos", n=(8,), samples=2, eta=(EtaSchedule("const", 0.5),))),
+    (["dos", "--spec", json.dumps({"n": [8], "samples": 2}), "--eta", "0.5"],
+     ExperimentSpec(kind="dos", n=(8,), samples=2, eta=(EtaSchedule("const", 0.5),))),
+    (["dos", "--spec", json.dumps({"n": [0], "samples": 2, "eta": [0.5]}), "--n", "8"],
+     ExperimentSpec(kind="dos", n=(8,), samples=2, eta=(EtaSchedule("const", 0.5),))),
+])
+def test_flags_complete_a_partial_spec(argv, expected, monkeypatch):
+    assert _built_spec(argv, monkeypatch) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["dos"],
+    ["deriv", "--eta", "0.05"],
+    ["spacing", "--window", "-0.5", "0.5"],
+])
+def test_spec_extra_must_be_a_dict(argv, capsys):
+    spec = json.dumps({"n": [8], "samples": 2, "eta": [0.05], "extra": []})
+    assert main(argv[:1] + ["--spec", spec] + argv[1:]) == 2
+    assert capsys.readouterr().err == "error: extra must be a dict, got list\n"
+
+
+def test_delta_e_flags_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["deriv", "--n", "8", "--samples", "2", "--eta", "0.05",
+              "--delta-e", "0.01", "--delta-e-over-n", "0.5"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_dist_pair_takes_roles_from_keys(monkeypatch, capsys):
+    base = ["dos", "--n", "8", "--samples", "2", "--eta", "0.5", "--dist"]
+    pair = json.dumps({"off": {"kind": "gaussian"}, "diag": {"kind": "smoothed_uniform", "params": [0.3]}})
+    spec = _built_spec(base + [pair], monkeypatch)
+    assert spec.dist == (DistributionSpec("gaussian", (), "off_diagonal"),
+                         DistributionSpec("smoothed_uniform", (0.3,), "diagonal"))
+    # a law whose own role contradicts its key is refused
+    pair = json.dumps({"off": {"kind": "gaussian", "role": "diagonal"}, "diag": {"kind": "gaussian"}})
+    assert main(base + [pair]) == 2
+    assert capsys.readouterr().err.startswith("error: dist must pair an off_diagonal law")
+    assert main(["diagnostics", "--n", "8", "--dist", pair]) == 2
+    assert capsys.readouterr().err.startswith("error: off-diagonal law must have role")
+
+
+def test_mixture_that_cannot_be_normalised_exits_two(capsys):
+    assert main(["dos", "--n", "8", "--samples", "2", "--eta", "0.5",
+                 "--dist", "gaussian_mixture:1,1e200,1,1,-1e200,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: gaussian_mixture variance must be finite and positive")
+    assert "Traceback" not in captured.err
 
 
 def test_spec_kind_mismatch_rejected(tmp_path):

@@ -118,6 +118,32 @@ def test_from_json_rejects_unknown_fields():
         DistributionSpec.from_json(obj)
 
 
+@pytest.mark.parametrize("params", [
+    (1.0, 0.0, math.nan, 1.0, 0.0, 1.0),
+    (1.0, 0.0, math.inf, 1.0, 0.0, 1.0),
+    (math.inf, 0.0, 1.0, 1.0, 0.0, 1.0),
+    (1.0, -math.inf, 1.0, 1.0, 0.0, 1.0),
+    (math.nan, 0.0, 1.0),  # one component, once taken as the role gaussian
+    (1.0, 0.0, 1e-300, 1.0, 0.0, 1e-300),  # variance underflows to 0
+    (1.0, 1e200, 1.0, 1.0, -1e200, 1.0),  # variance overflows to inf
+    (1.0, 0.0, 1e-200, 1.0, 0.0, 1e150),  # the narrow scale would flush to 0
+])
+@pytest.mark.parametrize("role", ["off_diagonal", "diagonal"])
+def test_mixture_that_cannot_be_normalised_rejected(params, role):
+    with pytest.raises(ConfigurationError):
+        DistributionSpec("gaussian_mixture", params, role)
+
+
+def test_pair_from_json_takes_roles_from_keys():
+    off, diag = DistributionSpec.pair_from_json({"off": {"kind": "gaussian"}, "diag": {"kind": "gaussian"}})
+    assert (off, diag) == (gaussian_off(), gaussian_diag())
+    # a law that names its own role keeps it
+    off, diag = DistributionSpec.pair_from_json(
+        {"off": {"kind": "gaussian", "role": "diagonal"}, "diag": {"kind": "gaussian"}}
+    )
+    assert off == gaussian_diag()
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(ConfigurationError):
         DistributionSpec("lorentzian", (), "off_diagonal")
