@@ -65,7 +65,10 @@ def _parse_dist(text: str, roles: tuple = ("off_diagonal", "diagonal")) -> tuple
     text = text.strip()
     if not text.startswith("{"):
         name, _, rest = text.partition(":")
-        params = tuple(p for p in rest.split(",") if p.strip())
+        try:
+            params = tuple(float(p) for p in rest.split(",") if p.strip())
+        except ValueError:
+            raise ConfigurationError(f"distribution parameters must be numbers, got {rest!r}") from None
         return tuple(DistributionSpec(name, params, role) for role in roles)
     try:
         obj = json.loads(text)

@@ -30,6 +30,7 @@ from .ensembles import HermitianMatrix
 from .errors import DomainError, NumericError
 
 __all__ = [
+    "GOOD_EVENT_COUNT",
     "OverlapData",
     "overlaps",
     "schur_resolvent_residual",

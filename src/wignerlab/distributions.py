@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, _real
 
 __all__ = [
     "DistributionSpec",
@@ -80,8 +80,8 @@ class DistributionSpec:
 
     def __post_init__(self) -> None:
         try:
-            params = tuple(float(p) for p in self.params)
-        except (TypeError, ValueError):
+            params = tuple(_real(p, "a distribution parameter") for p in self.params)
+        except (TypeError, ConfigurationError):
             raise ConfigurationError(f"distribution parameters must be numbers, got {self.params!r}") from None
         object.__setattr__(self, "params", params)
         if self.kind not in _KINDS:
@@ -133,7 +133,7 @@ class DistributionSpec:
             kind = obj["kind"]
         except KeyError:
             raise ConfigurationError("distribution spec needs a 'kind' field") from None
-        return cls(kind=kind, params=tuple(obj.get("params", ())), role=obj.get("role", role))
+        return cls(kind=kind, params=obj.get("params", ()), role=obj.get("role", role))
 
     @classmethod
     def pair_from_json(cls, obj: dict) -> tuple["DistributionSpec", "DistributionSpec"]:

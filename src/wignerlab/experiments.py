@@ -33,11 +33,12 @@ serially.  The bytes do not depend on the worker count either.
 
 Kinds and core: :func:`run_experiment` holds the one loop over sizes.  A
 kind checks the whole spec, for every size, before anything is sampled and
-returns the step that samples one size and builds its rows.  The grid kinds
-(``dos``, ``scale_sweep``, ``im_stieltjes``, ``derivative``, ``wegner``)
-share :func:`_grid_step`: a chunk statistic over the energy-major
-(energy, eta) grid plus a row builder per point, one shared by the mean
-kinds (:func:`_mean_kind`).  ``delta_moments`` loops over energies, one cell
+returns the step that samples one size and builds its rows; it reads
+``spec.extra`` through :func:`_extra`, which refuses keys it does not read.
+The grid kinds (``dos``, ``scale_sweep``, ``im_stieltjes``, ``derivative``,
+``wegner``) share :func:`_grid_step`: a chunk statistic over the
+energy-major (energy, eta) grid plus a row builder per point, one shared by
+the mean kinds (:func:`_mean_kind`).  ``delta_moments`` loops over energies, one cell
 each; ``spacing`` pools ragged spacings.  The statistics call the stacked
 observables of :mod:`~wignerlab.spectral` and :mod:`~wignerlab.diagnostics`
 once per chunk, through their names in this module.
@@ -50,7 +51,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .diagnostics import good_event, select_indices
 from .distributions import DistributionSpec, gaussian_diag, gaussian_off
 from .eigensolver import Spectrum, eigvalsh, minor, one_blas_thread
 from .ensembles import sample_wigner
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer, _real
 from .seeding import SeedSpec
 from .spectral import F_sc, counting, im_stieltjes, rho_sc, unfolded_spacings, wigner_surmise_gue_cdf
 from .version import __version__
@@ -95,11 +96,16 @@ _ONE_BLAS_THREAD_MAX_N = 128
 # numpy's stacked ``eigvalsh`` releases the GIL only when B * N exceeds this,
 # so smaller chunks would serialise on the GIL and the pool would only add
 # overhead: on two cores two threads ran 0.8-0.9x as fast as one at N = 64,
-# B = 7 and 1.5-2.1x at B = 8.  The stack budget above gives
-# B * N = 2**16 / N >= 512 for 16 <= N <= 128.
+# B = 7 and 1.5-2.1x at B = 8.  For matrices of 16 to 128 rows the stack
+# budget above gives B * N > 500 except at N = 115-125 (B = 4, B * N =
+# 460-500), so up to ``_ONE_BLAS_THREAD_MAX_N`` the depth is raised to the
+# smallest B with B * size > 500, size being that of the diagonalised
+# matrices: 5 at N = 115-125 and for the minors of N = 115-126, 4 for the
+# minors of N = 129; N = 64, 127 and 128 keep theirs.  At N = 120 that took
+# dos from 302 to 632 matrices/s on two cores.  Below 16 rows the floor would
+# pass ``_MAX_CHUNK``: pooled chunks of 34-501 matrices ran dos at N = 2 and 8
+# at 0.5-0.7x the serial speed, so those sizes stay serial.
 _GIL_FREE_SIZE = 500
-
-CSV_HEADER = "n,energy,eta,mean,stderr,samples,reference,ratio"
 
 SUBMICRO_THRESHOLD = 0.05
 
@@ -145,20 +151,6 @@ class EtaSchedule:
                 if kind in obj and len(obj) == 1:
                     return cls(kind, obj[kind])
         raise ConfigurationError(f"cannot parse eta schedule from {obj!r}")
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an ``int``; bools and non-integers raise."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value, what: str) -> float:
-    """``value`` as a ``float``; bools and non-numbers raise."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigurationError(f"{what} must be a real number, got {value!r}")
-    return float(value)
 
 
 def _items(value) -> list:
@@ -270,9 +262,22 @@ class ResultRow:
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extras"}
+        out = {name: getattr(self, name) for name, _ in _CSV_COLUMNS}
         out.update(self.extras)
         return out
+
+
+# the CSV columns are the fields of ResultRow without ``extras``, in order,
+# each with its type: ``int`` cells are written as integers, the rest as the
+# shortest decimal that round-trips the double
+_CSV_COLUMNS = tuple(
+    (f.name, get_type_hints(ResultRow)[f.name]) for f in fields(ResultRow) if f.name != "extras"
+)
+CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
+
+
+def _cell(value, cast: type) -> str:
+    return str(int(value)) if cast is int else repr(float(value))
 
 
 @dataclass
@@ -288,20 +293,7 @@ class ExperimentResult:
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for row in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        str(int(row.n)),
-                        _fmt(row.energy),
-                        _fmt(row.eta),
-                        _fmt(row.mean),
-                        _fmt(row.stderr),
-                        str(int(row.samples)),
-                        _fmt(row.reference),
-                        _fmt(row.ratio),
-                    )
-                )
-            )
+            lines.append(",".join(_cell(getattr(row, name), cast) for name, cast in _CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
@@ -326,11 +318,6 @@ def _finite_or_none(value):
     return value
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips the double exactly."""
-    return repr(float(x))
-
-
 def rows_from_csv(text: str) -> list:
     """Parse the canonical CSV columns back into result rows."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -339,10 +326,10 @@ def rows_from_csv(text: str) -> list:
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 8:
-            raise ConfigurationError(f"malformed CSV row: {ln!r}")
-        n, *floats, samples, reference, ratio = parts
-        rows.append(ResultRow(int(n), *map(float, floats), int(samples), float(reference), float(ratio)))
+        try:
+            rows.append(ResultRow(*(cast(p) for p, (_, cast) in zip(parts, _CSV_COLUMNS, strict=True))))
+        except ValueError:  # a missing or extra cell, or one that is not its column's number
+            raise ConfigurationError(f"malformed CSV row: {ln!r}") from None
     return rows
 
 
@@ -359,6 +346,7 @@ def worker_count(requested: Optional[int] = None) -> int:
     if requested is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         requested = min(8, cpus or 1)
+    requested = _integer(requested, "worker count")
     if requested < 1:
         raise ConfigurationError(f"worker count must be at least 1, got {requested}")
     env = os.environ.get("WIGNERLAB_THREADS")
@@ -383,10 +371,17 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / m)
 
 
-def _chunk_depth(n: int) -> int:
+def _chunk_depth(n: int, size: Optional[int] = None) -> int:
     """Matrices per chunk at size ``n``: as many ``16 n^2``-byte dense
-    matrices as fit in ``_STACK_BYTES``, between 1 and ``_MAX_CHUNK``."""
-    return max(1, min(_MAX_CHUNK, _STACK_BYTES // (16 * n * n)))
+    matrices as fit in ``_STACK_BYTES``, between 1 and ``_MAX_CHUNK``.  Where
+    the diagonalised matrices (``size``, by default ``n``; ``n - 1`` for
+    minors) have at most ``_ONE_BLAS_THREAD_MAX_N`` rows, at least as many
+    as make ``B * size`` exceed ``_GIL_FREE_SIZE``, up to ``_MAX_CHUNK``."""
+    depth = max(1, min(_MAX_CHUNK, _STACK_BYTES // (16 * n * n)))
+    size = n if size is None else size
+    if size <= _ONE_BLAS_THREAD_MAX_N:
+        depth = max(depth, min(_MAX_CHUNK, _GIL_FREE_SIZE // size + 1))
+    return depth
 
 
 def _spectra(
@@ -424,10 +419,10 @@ def _chunk_stats(
     """
     off, diag = spec.dist
     m = spec.samples
-    depth = _chunk_depth(n)
+    size = n - 1 if drop_row else n
+    depth = _chunk_depth(n, size)
     chunks = [[SeedSpec(spec.seed, cell * m + i) for i in range(lo, min(lo + depth, m))]
               for lo in range(0, m, depth)]
-    size = n - 1 if drop_row else n
 
     def task(seeds: list) -> object:
         return stat(_spectra(n, off, diag, seeds, drop_row))
@@ -504,6 +499,18 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Exper
 # -- experiment kinds: each checks the spec and returns the per-size step --
 
 
+def _extra(spec: ExperimentSpec, **defaults) -> dict:
+    """``spec.extra`` over the kind's keys and their ``defaults``; a key the
+    kind does not read raises."""
+    unknown = sorted(set(spec.extra) - set(defaults), key=str)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown extra keys {unknown} for experiment kind {spec.kind!r}; "
+            f"it reads {sorted(defaults) or 'none'}"
+        )
+    return {**defaults, **spec.extra}
+
+
 def _grid_step(
     spec: ExperimentSpec,
     stat: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
@@ -536,6 +543,7 @@ def _mean_kind(
     """Grid kind with one row per point: the sample mean of ``stat`` against
     ``reference(E, eta)``; ``head(n, E, sch, eta, ref, warnings)`` gives the
     extras that come before the sub-microscopic ones."""
+    _extra(spec)
 
     def row(n, E, sch, eta, values, warnings):
         mean, se = _mean_stderr(values)
@@ -583,6 +591,7 @@ def _im_stieltjes_kind(spec: ExperimentSpec) -> _Step:
 
 
 def _wegner(spec: ExperimentSpec) -> _Step:
+    _extra(spec)
     for n in spec.n:
         resolved = [sch.resolve(n) for sch in spec.eta]
         if any(b >= a for a, b in zip(resolved, resolved[1:])):
@@ -615,9 +624,10 @@ def _wegner(spec: ExperimentSpec) -> _Step:
 
 
 def _derivative(spec: ExperimentSpec) -> _Step:
-    if "delta_e" not in spec.extra:
+    delta_e = _extra(spec, delta_e=None)["delta_e"]
+    if delta_e is None:
         raise ConfigurationError("derivative experiments need extra['delta_e']")
-    delta_sched = EtaSchedule.from_json(spec.extra["delta_e"])
+    delta_sched = EtaSchedule.from_json(delta_e)
     steps = {}
     for n in spec.n:
         steps[n] = delta_sched.resolve(n)
@@ -651,16 +661,17 @@ def _derivative(spec: ExperimentSpec) -> _Step:
 def _delta_moments(spec: ExperimentSpec) -> _Step:
     if any(n < 2 for n in spec.n):
         raise ConfigurationError(f"delta_moments takes minors, so every size must be at least 2, got {spec.n}")
-    eps = _real(spec.extra.get("eps", 1.0), "extra['eps']")
+    extra = _extra(spec, eps=1.0, moment_orders=(0, 1, 2), deltas=(0.5, 0.1, 0.02), part2_order=0)
+    eps = _real(extra["eps"], "extra['eps']")
     if not 0.0 < eps <= 1.0:
         raise ConfigurationError(f"extra['eps'] must lie in (0, 1], got {eps}")
-    orders = [_integer(k, "a moment order") for k in _items(spec.extra.get("moment_orders", (0, 1, 2)))]
+    orders = [_integer(k, "a moment order") for k in _items(extra["moment_orders"])]
     if any(k < 0 for k in orders):
         raise ConfigurationError(f"moment orders must be non-negative, got {orders}")
-    deltas = [_real(d, "a delta") for d in _items(spec.extra.get("deltas", (0.5, 0.1, 0.02)))]
+    deltas = [_real(d, "a delta") for d in _items(extra["deltas"])]
     if not all(0.0 < d < math.inf for d in deltas):
         raise ConfigurationError(f"deltas must be positive and finite, got {deltas}")
-    part2_order = _integer(spec.extra.get("part2_order", 0), "extra['part2_order']")
+    part2_order = _integer(extra["part2_order"], "extra['part2_order']")
     if part2_order < 0:
         raise ConfigurationError(f"extra['part2_order'] must be non-negative, got {part2_order}")
 
@@ -718,13 +729,10 @@ _SPACING_WINDOW = (-0.8079455065990346, 0.8079455065990351)
 
 
 def _spacing(spec: ExperimentSpec) -> _Step:
-    window = spec.extra.get("window")
-    if window is None:
-        window = _SPACING_WINDOW
-    try:
-        lo, hi = window = tuple(float(w) for w in window)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"spacing window must be two numbers, got {window!r}") from None
+    bounds = _items(_extra(spec, window=_SPACING_WINDOW)["window"])
+    if len(bounds) != 2:
+        raise ConfigurationError(f"spacing window must be two numbers, got {bounds}")
+    lo, hi = window = tuple(_real(w, "a spacing window bound") for w in bounds)
     if not (-2.0 < lo < hi < 2.0):
         raise ConfigurationError(f"spacing window must satisfy -2 < lo < hi < 2, got {window}")
 

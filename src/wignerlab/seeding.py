@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 
 __all__ = ["SeedSpec"]
 
@@ -26,14 +26,11 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.master_seed, (int, np.integer)):
-            raise ConfigurationError(f"master_seed must be an integer, got {self.master_seed!r}")
-        if not isinstance(self.stream_index, (int, np.integer)):
-            raise ConfigurationError(f"stream_index must be an integer, got {self.stream_index!r}")
-        if self.master_seed < 0:
-            raise ConfigurationError(f"master_seed must be non-negative, got {self.master_seed}")
-        if self.stream_index < 0:
-            raise ConfigurationError(f"stream_index must be non-negative, got {self.stream_index}")
+        seed, index = _integer(self.master_seed, "master_seed"), _integer(self.stream_index, "stream_index")
+        if seed < 0 or index < 0:
+            raise ConfigurationError(f"master_seed and stream_index must be non-negative, got {seed}, {index}")
+        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "stream_index", index)
 
     def child(self, stream_index: int) -> "SeedSpec":
         """Stream with the same master seed and a different index."""

@@ -211,6 +211,19 @@ def test_spec_extra_must_be_a_dict(argv, capsys):
     assert capsys.readouterr().err == "error: extra must be a dict, got list\n"
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["dos", "--eta", "0.5"], "window"),
+    (["deriv", "--eta", "0.05"], "delta"),
+    (["spacing", "--window", "-0.5", "0.5"], "windw"),
+])
+def test_unknown_extra_key_exits_two(argv, key, capsys):
+    spec = json.dumps({"n": [8], "samples": 2, "extra": {key: 0.5}})
+    assert main(argv[:1] + ["--spec", spec] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown extra keys ['{key}']")
+    assert "Traceback" not in err
+
+
 def test_delta_e_flags_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["deriv", "--n", "8", "--samples", "2", "--eta", "0.05",

@@ -164,6 +164,21 @@ def test_invalid_specs_rejected():
         DistributionSpec("smoothed_uniform", (1.0,), "off_diagonal")
 
 
+@pytest.mark.parametrize("params", [
+    [True, 0, 1, True, 1, 1],
+    ["1", "0", "1", "1", "1", "1"],
+    [np.bool_(True), 0.0, 1.0],
+    "101",
+    5,
+])
+def test_parameters_follow_the_number_rule(params):
+    # bools, strings and lone values are refused, from JSON as from the API
+    with pytest.raises(ConfigurationError, match="distribution parameters must be numbers"):
+        DistributionSpec.from_json({"kind": "gaussian_mixture", "params": params})
+    law = DistributionSpec.from_json({"kind": "gaussian_mixture", "params": [1, np.int64(0), np.float32(1)]})
+    assert law.params == (1.0, 0.0, 1.0) and all(type(p) is float for p in law.params)
+
+
 def test_gaussian_regularity_integrals():
     values = regularity_integrals(gaussian_off())
     assert set(values) == {"I6", "I4", "I2pp"}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -14,8 +15,10 @@ from wignerlab import (
     CSV_HEADER,
     ConfigurationError,
     EtaSchedule,
+    ExperimentResult,
     ExperimentSpec,
     NumericError,
+    ResultRow,
     SeedSpec,
     counting,
     eigvalsh,
@@ -177,8 +180,10 @@ def test_worker_count_env_cap(monkeypatch):
 
 
 def test_worker_count_rejects_bad_request():
-    with pytest.raises(ConfigurationError):
-        worker_count(0)
+    for bad in (0, 2.5, "3", True):
+        with pytest.raises(ConfigurationError):
+            worker_count(bad)
+    assert worker_count(np.int64(1)) == 1
 
 
 def test_worker_count_follows_cpu_affinity(monkeypatch):
@@ -444,8 +449,18 @@ def test_spacing_window_validation():
     dict(kind="spacing", n=[16, 32], extra={"window": [0.5, 0.5]}),
     dict(kind="spacing", n=[16], extra={"window": [0.5]}),
     dict(kind="delta_moments", n=[16, 1]),
+    dict(kind="spacing", n=[16], extra={"window": [-0.5, True]}),
+    # every kind refuses an extra key it does not read
+    dict(kind="dos", n=[16], eta=[0.5], extra={"delta_e": 0.01}),
+    dict(kind="im_stieltjes", n=[16], eta=[0.5], extra={"eps": 0.5}),
+    dict(kind="wegner", n=[16], eta=[0.5], extra={"deltas": [0.5]}),
+    dict(kind="derivative", n=[16], eta=[0.05], extra={"delta_e": 0.01, "delta": 0.01}),
+    dict(kind="scale_sweep", n=[16], eta=[0.5], extra={"window": [-0.5, 0.5]}),
+    dict(kind="delta_moments", n=[16], extra={"delta": [0.3]}),
+    dict(kind="spacing", n=[16], extra={"windw": [-0.5, 0.5]}),
 ], ids=["derivative-eta", "derivative-step", "wegner", "eps", "orders", "window", "window-len",
-        "minor-size"])
+        "minor-size", "window-bool", "dos-key", "im_stieltjes-key", "wegner-key", "derivative-key",
+        "scale_sweep-key", "delta_moments-key", "spacing-key"])
 def test_invalid_spec_samples_nothing(spec, monkeypatch):
     # every check runs for all sizes before the first matrix is drawn
     def refuse(*args, **kwargs):
@@ -476,21 +491,35 @@ CHUNK_SPECS = {
 @pytest.mark.parametrize("kind", sorted(CHUNK_SPECS))
 def test_csv_bytes_do_not_depend_on_chunk_depth(kind, monkeypatch):
     # 37 samples at N = 16 and 72: the default chunks hold 32 and 12 matrices,
-    # so chunk boundaries fall mid-cell; a one-byte budget gives one matrix
-    # per chunk
+    # so chunk boundaries fall mid-cell; a one-byte budget with no GIL-free
+    # floor gives one matrix per chunk
     spec = ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[16, 72], samples=37,
                                          seed=23))
     assert [experiments._chunk_depth(n) for n in spec.n] == [32, 12]
     default = run_experiment(spec).to_csv()
     monkeypatch.setattr(experiments, "_STACK_BYTES", 1)
+    monkeypatch.setattr(experiments, "_GIL_FREE_SIZE", 0)
     assert [experiments._chunk_depth(n) for n in spec.n] == [1, 1]
     assert run_experiment(spec).to_csv() == default
 
 
+def test_chunk_depth_releases_the_gil_up_to_n_128():
+    # the 1 MiB budget alone gives B = 4 at N = 115-125, B * N <= 500
+    depth = experiments._chunk_depth
+    assert [depth(n) for n in (16, 64, 114, 115, 120, 125, 126, 127, 128)] == [
+        32, 16, 5, 5, 5, 5, 4, 4, 4]
+    assert [depth(n) for n in (129, 160, 256, 512)] == [3, 2, 1, 1]
+    assert [depth(n, n - 1) for n in (116, 126, 127, 128)] == [5, 5, 4, 4]
+    for n in range(16, experiments._ONE_BLAS_THREAD_MAX_N + 1):
+        assert depth(n) * n > experiments._GIL_FREE_SIZE
+        assert depth(n + 1, n) * n > experiments._GIL_FREE_SIZE
+    # below N = 16 the floor would pass _MAX_CHUNK, and those sizes stay serial
+    assert depth(8) == depth(8, 7) == experiments._MAX_CHUNK
+
+
 def _chunk_spec(kind):
-    # 37 samples at N = 16 and 72: chunks of 32 and 12 matrices, B * N above
-    # the size at which the pool is used (the delta_moments minors at N = 16
-    # stay below it and run serially)
+    # 37 samples at N = 16 and 72: chunks of 32 and 12 matrices (34 and 12 for
+    # the delta_moments minors), B * N above the size at which the pool is used
     return ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[16, 72], samples=37,
                                          seed=29))
 
@@ -557,6 +586,21 @@ def test_pool_runs_small_sizes_on_one_blas_thread(monkeypatch, blas_threads):
     assert any(c[1] != threading.get_ident() for c in small)
     assert {c[2] for c in large} == {before}
     assert {c[1] for c in large} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("kind, n", [("dos", 120), ("delta_moments", 121)])
+def test_pool_runs_n_120_chunks_off_the_calling_thread(kind, n, monkeypatch, blas_threads):
+    calls: list = []
+    monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(calls))
+    spec = ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[n], samples=20, seed=5,
+                                         energy=[0.0]))
+    serial = run_experiment(spec, workers=1).to_csv()
+    calls.clear()
+    assert run_experiment(spec, workers=2).to_csv() == serial
+    assert len(calls) == 4  # chunks of 5 matrices of size 120
+    assert {c[0] for c in calls} == {120}
+    assert {c[2] for c in calls} == {1}
+    assert threading.get_ident() not in {c[1] for c in calls}
 
 
 def test_blas_threads_restored_when_a_chunk_fails(monkeypatch, blas_threads):
@@ -739,8 +783,20 @@ def test_csv_round_trip_with_nan_fields():
 def test_rows_from_csv_validation():
     with pytest.raises(ConfigurationError):
         rows_from_csv("who,what\n1,2\n")
-    with pytest.raises(ConfigurationError):
-        rows_from_csv(CSV_HEADER + "\n1,2,3\n")
+    for row in ("1,2,3", "8,0,1,1,1,2,1,1,1", "x,0,1,1,1,1,1,1", "8,0,1,1,1,2.5,1,1", "8,0,y,1,1,2,1,1"):
+        with pytest.raises(ConfigurationError, match="malformed CSV row"):
+            rows_from_csv(CSV_HEADER + "\n" + row + "\n")
+
+
+def test_csv_columns_are_the_result_row_fields():
+    names = [f.name for f in dataclasses.fields(ResultRow) if f.name != "extras"]
+    assert CSV_HEADER == ",".join(names)
+    assert CSV_HEADER == "n,energy,eta,mean,stderr,samples,reference,ratio"
+    row = ResultRow(8, 0.0, 0.25, 1.0 / 3.0, float("nan"), 16, 0.5, 2.0 / 3.0, {"x": 1})
+    text = ExperimentResult(None, [row], 0.0).to_csv()
+    assert text == CSV_HEADER + "\n8,0.0,0.25,0.3333333333333333,nan,16,0.5,0.6666666666666666\n"
+    (back,) = rows_from_csv(text)
+    assert (back.n, back.samples) == (8, 16) and type(back.n) is int and type(back.eta) is float
 
 
 @pytest.mark.parametrize("spec, null", [

@@ -1,0 +1,51 @@
+from __future__ import annotations
+
+import wignerlab
+from wignerlab import (
+    diagnostics,
+    distributions,
+    eigensolver,
+    ensembles,
+    errors,
+    experiments,
+    seeding,
+    spectral,
+    svgplot,
+)
+
+MODULES = (diagnostics, distributions, eigensolver, ensembles, errors, experiments, seeding,
+           spectral, svgplot)
+
+# the names the package exported before its surface was read from the modules
+EARLIER_NAMES = (
+    "__version__", "WignerLabError", "ConfigurationError", "DomainError", "NumericError",
+    "SeedSpec", "DistributionSpec", "OFF_DIAGONAL_VARIANCE", "DIAGONAL_VARIANCE", "gaussian_off",
+    "gaussian_diag", "regularity_integrals", "HermitianMatrix", "sample_wigner", "sample_gue",
+    "Spectrum", "eigh", "eigvalsh", "minor", "rho_sc", "m_sc", "F_sc", "semicircle_quantile",
+    "counting", "im_stieltjes", "stieltjes", "DyadicBound", "dyadic_bound", "sine_kernel_det",
+    "gue_log_density", "gue_log_normalization", "SpacingSample", "unfolded_spacings",
+    "wigner_surmise_gue", "wigner_surmise_gue_cdf", "GOOD_EVENT_COUNT", "OverlapData", "overlaps",
+    "schur_resolvent_residual", "Coefficients", "coefficients", "good_event", "Selection",
+    "select_indices", "MinorDiagnostics", "minor_diagnostics", "EtaSchedule", "ExperimentSpec",
+    "ResultRow", "ExperimentResult", "run_experiment", "rows_from_csv", "worker_count", "CSV_HEADER",
+    "Series", "render_plot",
+)
+
+
+def test_package_exports_exactly_the_modules_all():
+    names = wignerlab.__all__
+    assert len(names) == len(set(names))
+    assert names == ["__version__"] + [name for module in MODULES for name in module.__all__]
+
+
+def test_every_exported_name_resolves_to_its_module_object():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(wignerlab, name) is getattr(module, name)
+    assert wignerlab.__version__ == experiments.__version__
+
+
+def test_package_keeps_its_earlier_names():
+    assert len(EARLIER_NAMES) == len(set(EARLIER_NAMES)) == 56
+    assert set(EARLIER_NAMES) <= set(wignerlab.__all__)
+    assert "one_blas_thread" in wignerlab.__all__

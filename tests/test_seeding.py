@@ -39,3 +39,16 @@ def test_negative_values_rejected(bad):
 def test_non_integer_rejected():
     with pytest.raises(ConfigurationError):
         SeedSpec(1.5)
+
+
+@pytest.mark.parametrize("bad", [(True, False), (1, True), ("3",), (np.bool_(True),)])
+def test_bools_and_strings_rejected(bad):
+    # the spec fields' number rule: bools are not integers
+    with pytest.raises(ConfigurationError):
+        SeedSpec(*bad)
+
+
+def test_numpy_integers_become_ints():
+    spec = SeedSpec(np.uint32(7), np.int64(3))
+    assert spec == SeedSpec(7, 3)
+    assert type(spec.master_seed) is int and type(spec.stream_index) is int
