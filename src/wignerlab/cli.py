@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .diagnostics import coefficients, minor_diagnostics, schur_resolvent_residual, select_indices
-from .distributions import DistributionSpec, gaussian_off, regularity_integrals
+from .distributions import DistributionSpec, _integrate, gaussian_off, regularity_integrals
 from .eigensolver import eigvalsh, minor
 from .ensembles import sample_gue, sample_wigner
 from .errors import ConfigurationError, DomainError, NumericError
@@ -317,13 +317,12 @@ def _run_regularity_command(args) -> int:
 
 
 def _check_semicircle() -> tuple[float, float]:
-    from scipy import integrate
-
     grid = np.linspace(-1.9, 1.9, 381)
     resid = max(
         abs(math.pi * rho_sc(E) - m_sc(complex(E, 1e-9)).imag) for E in grid
     )
-    total, _ = integrate.quad(rho_sc, -2.0, 2.0, epsabs=1e-12, epsrel=1e-12, limit=200)
+    # x = 2 sin(t) turns the square-root edges into the smooth 2 cos(t)**2 / pi
+    total = _integrate(lambda t: rho_sc(2.0 * np.sin(t)) * 2.0 * np.cos(t), -math.pi / 2, math.pi / 2)
     return resid, abs(total - 1.0)
 
 

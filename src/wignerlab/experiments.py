@@ -327,9 +327,14 @@ def rows_from_csv(text: str) -> list:
     for ln in lines[1:]:
         parts = ln.split(",")
         try:
-            rows.append(ResultRow(*(cast(p) for p, (_, cast) in zip(parts, _CSV_COLUMNS, strict=True))))
+            values = [cast(p) for p, (_, cast) in zip(parts, _CSV_COLUMNS, strict=True)]
         except ValueError:  # a missing or extra cell, or one that is not its column's number
-            raise ConfigurationError(f"malformed CSV row: {ln!r}") from None
+            values = None
+        # a cell must be exactly what ``to_csv`` writes for its value, which
+        # refuses the blanks, underscores and spellings ``int``/``float`` accept
+        if values is None or any(_cell(v, cast) != p for v, p, (_, cast) in zip(values, parts, _CSV_COLUMNS)):
+            raise ConfigurationError(f"malformed CSV row: {ln!r}")
+        rows.append(ResultRow(*values))
     return rows
 
 
@@ -721,10 +726,10 @@ def _delta_moments(spec: ExperimentSpec) -> _Step:
     return step
 
 
-# the central half of the spectrum: the semicircle quartiles exactly as
-# ``(semicircle_quantile(0.25), semicircle_quantile(0.75))`` return them (the
-# root finder leaves them asymmetric in the last bits), written out so that a
-# spacing run does not load scipy
+# the central half of the spectrum: the semicircle quartiles as scipy's
+# ``brentq(lambda x: F_sc(x) - p, -2, 2, xtol=1e-14)`` finds them (asymmetric
+# in the last bits).  The CSV writes the window, and ``semicircle_quantile``'s
+# bisection lands on other last bits, so the doubles are pinned here.
 _SPACING_WINDOW = (-0.8079455065990346, 0.8079455065990351)
 
 

@@ -32,10 +32,6 @@ class SeedSpec:
         object.__setattr__(self, "master_seed", seed)
         object.__setattr__(self, "stream_index", index)
 
-    def child(self, stream_index: int) -> "SeedSpec":
-        """Stream with the same master seed and a different index."""
-        return SeedSpec(self.master_seed, stream_index)
-
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream.
 

@@ -20,6 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .distributions import _elementwise
 from .eigensolver import Spectrum
 from .errors import DomainError
 
@@ -80,9 +81,11 @@ def semicircle_quantile(p: float) -> float:
     """Inverse of :func:`F_sc` on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile level must lie in (0, 1), got {p}")
-    from scipy.optimize import brentq
-
-    return brentq(lambda x: F_sc(x) - p, -2.0, 2.0, xtol=1e-14)
+    lo, hi = -2.0, 2.0
+    # bisect until the bracket is two adjacent doubles
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        lo, hi = (mid, hi) if F_sc(mid) < p else (lo, mid)
+    return hi
 
 
 def _values(spec: Spectrum) -> np.ndarray:
@@ -258,13 +261,12 @@ def wigner_surmise_gue_cdf(s):
     """Cumulative form ``erf(2 s/sqrt(pi)) - (4/pi) s exp(-4 s^2/pi)`` of the
     GUE Wigner surmise.
 
-    ``erf`` is :func:`math.erf` taken element by element, so the function
-    needs numpy alone; it agrees with ``scipy.special.erf`` to within one ulp.
+    ``erf`` is :func:`math.erf` taken element by element; it agrees with
+    ``scipy.special.erf`` to within one ulp.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise DomainError("spacings must be non-negative")
     x = 2.0 * s / math.sqrt(math.pi)
-    erf = np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    out = erf - (4.0 / math.pi) * s * np.exp(-4.0 * s * s / math.pi)
+    out = _elementwise(math.erf, x) - (4.0 / math.pi) * s * np.exp(-4.0 * s * s / math.pi)
     return out if out.ndim else float(out)

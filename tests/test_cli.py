@@ -444,26 +444,39 @@ HEAVY_MODULES = ("scipy", "scipy.optimize", "scipy.special", "urllib.request", "
                  "email", "ssl", "xml.sax")
 
 
+# a finder ahead of every other one that refuses any scipy import
+_BLOCK_SCIPY = """
+import sys
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, _NoScipy())
+"""
+
+
 def _heavy_modules_after(code: str) -> list:
     """The entries of ``HEAVY_MODULES`` in ``sys.modules`` after ``code`` runs
-    in a fresh interpreter."""
+    in a fresh interpreter that cannot import scipy."""
+    code = _BLOCK_SCIPY + code
     code += f"\nimport json, sys\nprint(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
                          text=True, check=True, timeout=120).stdout
-    return json.loads(out)
+    return json.loads(out.splitlines()[-1])
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the functions that need it, not at start-up, and
-    # the SVG writer escapes text without xml.sax
+    # the package needs numpy alone, and the SVG writer escapes text
+    # without xml.sax
     assert _heavy_modules_after("import wignerlab.cli") == []
 
 
 def test_sampling_runs_leave_scipy_and_the_network_stack_unloaded(tmp_path):
     # every kind at a tiny budget (spacing on its default window, the
     # smoothed-uniform and mixture laws drawn), then two sampling commands
-    # through the CLI, one of them writing an SVG
+    # through the CLI, one of them writing an SVG, the regularity integrals
+    # of three kinds of law and the check suite, all with scipy blocked
     smooth = {"off": {"kind": "smoothed_uniform", "params": [0.3], "role": "off_diagonal"},
               "diag": {"kind": "smoothed_uniform", "params": [0.3], "role": "diagonal"}}
     mixture = {"off": {"kind": "gaussian_mixture", "params": [0.5, -1.0, 0.5, 0.5, 1.0, 0.5],
@@ -489,6 +502,9 @@ assert main(["dos", "--n", "16", "--samples", "3", "--energy", "0", "--eta-over-
              "--out", {str(dos_out)!r}, "--plot"]) == 0
 assert main(["spacing", "--n", "16", "--samples", "3", "--out", {str(spacing_out)!r},
              "--format", "json"]) == 0
+for law in ("gaussian", "gaussian_mixture:0.5,-1,0.5,0.5,1,0.5", "smoothed_uniform:0.3"):
+    assert main(["regularity", "--dist", law]) == 0
+assert main(["check"]) == 0
 """
     assert _heavy_modules_after(code) == []
     assert dos_out.with_suffix(".svg").exists()

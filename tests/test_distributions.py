@@ -5,25 +5,31 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 
 from wignerlab import (
     DIAGONAL_VARIANCE,
     OFF_DIAGONAL_VARIANCE,
     ConfigurationError,
     DistributionSpec,
+    NumericError,
     SeedSpec,
     gaussian_diag,
     gaussian_off,
     regularity_integrals,
 )
+from wignerlab.distributions import _integrate
 
 LAWS = [
     gaussian_off(),
     gaussian_diag(),
     DistributionSpec("gaussian_mixture", (0.3, -1.0, 0.5, 0.7, 0.4, 0.8), "off_diagonal"),
     DistributionSpec("gaussian_mixture", (1.0, 2.0, 1.5), "diagonal"),
+    # a component 30 times wider than the other: the narrow peak needs fine panels
+    DistributionSpec("gaussian_mixture", (0.5, -1.0, 1.0, 0.5, 2.0, 30.0), "diagonal"),
     DistributionSpec("smoothed_uniform", (0.4,), "off_diagonal"),
     DistributionSpec("smoothed_uniform", (0.25,), "diagonal"),
+    DistributionSpec("smoothed_uniform", (0.05,), "off_diagonal"),
 ]
 
 
@@ -192,6 +198,41 @@ def test_smoothed_uniform_regularity_integrals_finite():
     for key in ("I6", "I4", "I2pp"):
         assert math.isfinite(values[key])
         assert values[key] > 0.0
+
+
+@pytest.mark.parametrize("dist", LAWS)
+def test_regularity_integrals_match_scipy_quad(dist):
+    L = dist._support_bound()
+
+    def ratio_pow(deriv, p):
+        def fn(x):
+            h = float(dist.density(x))
+            return 0.0 if h <= 0.0 else abs(float(deriv(x)) / h) ** p * h
+        return fn
+
+    values = regularity_integrals(dist)
+    for key, fn in (("I6", ratio_pow(dist.density_d1, 6)), ("I4", ratio_pow(dist.density_d1, 4)),
+                    ("I2pp", ratio_pow(dist.density_d2, 2))):
+        want, _ = integrate.quad(fn, -L, L, epsabs=0.0, epsrel=1e-11, limit=500)
+        assert abs(values[key] - want) <= 1e-9 * want, key
+
+
+@pytest.mark.parametrize("dist", [d for d in LAWS if d.kind == "smoothed_uniform"])
+def test_smoothed_uniform_density_matches_the_scipy_ndtr_formula(dist):
+    a, w = dist._half_width, dist._smooth_w
+    x = np.linspace(-dist._support_bound() - 2.0, dist._support_bound() + 2.0, 20001)
+    t = np.abs(x)
+    reference = (ndtr((a - t) / w) - ndtr(-(t + a) / w)) / (2.0 * a)
+    got = dist.density(x)
+    keep = reference > 1e-300
+    assert keep.sum() > 10000
+    np.testing.assert_allclose(got[keep], reference[keep], rtol=1e-12, atol=0.0)
+
+
+def test_integrate_refuses_an_integrand_it_cannot_resolve():
+    assert abs(_integrate(lambda x: np.cos(x), 0.0, 1.0) - math.sin(1.0)) < 1e-15
+    with pytest.raises(NumericError, match="did not reach relative tolerance"):
+        _integrate(lambda x: np.sign(x - 0.1234), -1.0, 1.0)
 
 
 def test_variance_one_gaussian_regularity_scales():

@@ -426,10 +426,13 @@ def test_spacing_rows():
 
 
 def test_default_spacing_window_is_the_semicircle_quartiles():
-    # the constant stands in for the root finder, bit for bit
-    from wignerlab.spectral import semicircle_quantile
+    # the constant is the root finder's quartiles, bit for bit
+    from scipy.optimize import brentq
 
-    assert experiments._SPACING_WINDOW == (semicircle_quantile(0.25), semicircle_quantile(0.75))
+    from wignerlab.spectral import F_sc
+
+    quartiles = tuple(brentq(lambda x: F_sc(x) - p, -2, 2, xtol=1e-14) for p in (0.25, 0.75))
+    assert experiments._SPACING_WINDOW == quartiles
 
 
 def test_spacing_window_validation():
@@ -783,7 +786,11 @@ def test_csv_round_trip_with_nan_fields():
 def test_rows_from_csv_validation():
     with pytest.raises(ConfigurationError):
         rows_from_csv("who,what\n1,2\n")
-    for row in ("1,2,3", "8,0,1,1,1,2,1,1,1", "x,0,1,1,1,1,1,1", "8,0,1,1,1,2.5,1,1", "8,0,y,1,1,2,1,1"):
+    for row in ("1,2,3", "8,0,1,1,1,2,1,1,1", "x,0,1,1,1,1,1,1", "8,0,1,1,1,2.5,1,1", "8,0,y,1,1,2,1,1",
+                # cells int and float accept but to_csv never writes
+                "1_6,0.0,1.0,1.0,1.0,2,1.0,1.0", " 8,0.0,1.0,1.0,1.0,2,1.0,1.0",
+                "8, 0.5,1.0,1.0,1.0,2,1.0,1.0", "8,0.0,1.0,1.0,1.0,2,1.0,infinity",
+                "+1,0.0,1.0,1.0,1.0,2,1.0,1.0", "8,1e0,1.0,1.0,1.0,2,1.0,1.0"):
         with pytest.raises(ConfigurationError, match="malformed CSV row"):
             rows_from_csv(CSV_HEADER + "\n" + row + "\n")
 

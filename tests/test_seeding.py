@@ -13,8 +13,7 @@ def test_same_stream_reproduces_draws():
 
 
 def test_distinct_streams_differ():
-    base = SeedSpec(123)
-    draws = [base.child(k).generator().standard_normal(8) for k in range(6)]
+    draws = [SeedSpec(123, k).generator().standard_normal(8) for k in range(6)]
     for i in range(len(draws)):
         for k in range(i + 1, len(draws)):
             assert not np.array_equal(draws[i], draws[k])
@@ -24,10 +23,6 @@ def test_distinct_master_seeds_differ():
     a = SeedSpec(1, 0).generator().standard_normal(8)
     b = SeedSpec(2, 0).generator().standard_normal(8)
     assert not np.array_equal(a, b)
-
-
-def test_child_equals_direct_construction():
-    assert SeedSpec(9).child(7) == SeedSpec(9, 7)
 
 
 @pytest.mark.parametrize("bad", [(-1, 0), (0, -2)])
