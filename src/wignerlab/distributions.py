@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -149,6 +149,18 @@ class DistributionSpec:
         """Variance the role prescribes (1/2 off-diagonal, 1 diagonal)."""
         return _ROLE_VARIANCE[self.role]
 
+    @property
+    def normal_scale(self) -> Optional[float]:
+        """``sd`` when a draw is ``sd * rng.standard_normal(size)``, else ``None``.
+
+        That is the gaussian and the one-component mixture, which
+        normalises to exactly the role gaussian, so the two consume a
+        stream identically.
+        """
+        if self.kind == "smoothed_uniform" or len(self._mix[0]) != 1:
+            return None
+        return self._mix[2][0]
+
     # -- serialisation ----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -222,11 +234,10 @@ class DistributionSpec:
         if self.kind == "smoothed_uniform":
             a, w = self._half_width, self._smooth_w
             return rng.uniform(-a, a, size) + w * rng.standard_normal(size)
+        sd = self.normal_scale
+        if sd is not None:
+            return sd * rng.standard_normal(size)
         wts, mus, sds = self._mix
-        if len(wts) == 1:
-            # degenerate mixture and plain gaussian share this exact path,
-            # so they consume the stream identically
-            return sds[0] * rng.standard_normal(size)
         # the component draw of ``rng.choice(len(wts), size, p=wts)``, which
         # consumes the stream identically: one uniform per value, and the
         # component is the number of inner cdf boundaries at or below it
@@ -268,10 +279,16 @@ def _normalise_mixture(
         # mathematically the rescaled one-component mixture is exactly the
         # role gaussian; write it down exactly so the sampled stream matches
         return (np.array([1.0]), np.array([0.0]), np.array([math.sqrt(target)]))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        wts = wts / wts.sum()
-        mean = float(np.dot(wts, mus))
-        var = float(np.dot(wts, sds * sds + mus * mus) - mean * mean)
+    # bring the largest weight, and the largest mean or scale, into [0.5, 1)
+    # by powers of two: exact, so the normalised parameters are those of the
+    # unscaled arithmetic, but its sums and squares can no longer overflow,
+    # nor a square of a tiny scale underflow to a zero variance
+    wts = np.ldexp(wts, -math.frexp(wts.max())[1])
+    shift = -math.frexp(max(np.abs(mus).max(), sds.max()))[1]
+    mus, sds = np.ldexp(mus, shift), np.ldexp(sds, shift)
+    wts = wts / wts.sum()
+    mean = float(np.dot(wts, mus))
+    var = float(np.dot(wts, sds * sds + mus * mus) - mean * mean)
     if not 0.0 < var < math.inf:
         raise ConfigurationError(f"gaussian_mixture variance must be finite and positive, got {var}")
     r = math.sqrt(target / var)

@@ -11,6 +11,10 @@ matrix is Hermitian by construction and its spectrum concentrates on
 A :class:`HermitianMatrix` may carry leading batch axes: a stack of ``B``
 matrices of one size is sampled, unpacked and diagonalised in one call each,
 with every matrix drawn from its own stream exactly as if sampled alone.
+:func:`sample_wigner` draws a stack into one raw buffer, a row per stream in
+its consumption order, and assembles it with stack-wide operations; with
+Gaussian laws a stream is a single generator call, which in a thread pool
+means a single GIL hand-off.
 """
 
 from __future__ import annotations
@@ -124,8 +128,13 @@ def sample_wigner(
     """Sample one Hermitian Wigner matrix, or a stack with one per stream.
 
     Each stream is consumed in a fixed order: all upper-triangle real parts,
-    then all upper-triangle imaginary parts, then the diagonal, each as one
-    vectorised draw.  That makes a matrix a pure function of
+    then all upper-triangle imaginary parts, then the diagonal.  When both
+    laws are a scaled standard normal (see
+    :attr:`DistributionSpec.normal_scale`) the whole stream is one
+    ``standard_normal`` call, which yields the same values as one call per
+    part; any other law draws each part with its own ``sample`` call.  Each
+    value is scaled by its law's factor first and by ``1/sqrt(n)`` after.
+    That makes a matrix a pure function of
     ``(n, off_dist, diag_dist, seed)``.  Given a sequence of seeds, matrix
     ``b`` of the returned ``(len(seed),)`` stack is drawn from ``seed[b]``
     and equals the single-seed sample bit for bit.
@@ -145,15 +154,31 @@ def sample_wigner(
     if not all(isinstance(s, SeedSpec) for s in seeds):
         raise ConfigurationError("seed must be a SeedSpec or a sequence of SeedSpecs")
     m = n * (n - 1) // 2
-    diagonal = np.empty((len(seeds), n))
+    # ``upper`` first: the raw buffer, freed on return, is then the newest
+    # block, whose memory the next large allocation (the dense stack) can
+    # reuse; in the other order grid-n64 peak RSS rose 0.8 MB
     upper = np.empty((len(seeds), m), dtype=np.complex128)
-    for s, dg, up in zip(seeds, diagonal, upper):
-        rng = s.generator()
-        up.real = off_dist.sample(rng, m)
-        up.imag = off_dist.sample(rng, m)
-        dg[:] = diag_dist.sample(rng, n)
+    # one row per stream, in its consumption order: real parts, imaginary
+    # parts, diagonal
+    raw = np.empty((len(seeds), 2 * m + n))
+    off_sd, diag_sd = off_dist.normal_scale, diag_dist.normal_scale
+    if off_sd is not None and diag_sd is not None:
+        # numpy's ziggurat takes the stream one value at a time, so one call
+        # draws what three would; in a thread pool each call is a GIL hand-off
+        for s, row in zip(seeds, raw):
+            s.generator().standard_normal(out=row)
+        raw[:, : 2 * m] *= off_sd
+        raw[:, 2 * m :] *= diag_sd
+    else:
+        for s, row in zip(seeds, raw):
+            rng = s.generator()
+            row[:m] = off_dist.sample(rng, m)
+            row[m : 2 * m] = off_dist.sample(rng, m)
+            row[2 * m :] = diag_dist.sample(rng, n)
+    upper.real = raw[:, :m]
+    upper.imag = raw[:, m : 2 * m]
     scale = 1.0 / math.sqrt(n)
-    diagonal *= scale
+    diagonal = raw[:, 2 * m :] * scale
     upper *= scale
     if single:
         return HermitianMatrix(n=n, diagonal=diagonal[0], upper=upper[0])

@@ -248,11 +248,14 @@ def test_dist_pair_takes_roles_from_keys(monkeypatch, capsys):
 
 def test_mixture_that_cannot_be_normalised_exits_two(capsys):
     assert main(["dos", "--n", "8", "--samples", "2", "--eta", "0.5",
-                 "--dist", "gaussian_mixture:1,1e200,1,1,-1e200,1"]) == 2
+                 "--dist", "gaussian_mixture:1,1e200,1e-200,1,-1e200,1e-200"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: gaussian_mixture variance must be finite and positive")
+    assert captured.err.startswith("error: gaussian_mixture scales cannot be rescaled")
     assert "Traceback" not in captured.err
+    # extreme magnitudes alone are no reason to refuse a mixture
+    assert main(["dos", "--n", "8", "--samples", "2", "--eta", "0.5",
+                 "--dist", "gaussian_mixture:1e308,0,1,1e308,0,2"]) == 0
 
 
 def test_spec_kind_mismatch_rejected(tmp_path):

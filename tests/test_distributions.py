@@ -17,6 +17,7 @@ from wignerlab import (
     gaussian_diag,
     gaussian_off,
     regularity_integrals,
+    sample_wigner,
 )
 from wignerlab.distributions import _integrate
 
@@ -130,14 +131,51 @@ def test_from_json_rejects_unknown_fields():
     (math.inf, 0.0, 1.0, 1.0, 0.0, 1.0),
     (1.0, -math.inf, 1.0, 1.0, 0.0, 1.0),
     (math.nan, 0.0, 1.0),  # one component, once taken as the role gaussian
-    (1.0, 0.0, 1e-300, 1.0, 0.0, 1e-300),  # variance underflows to 0
-    (1.0, 1e200, 1.0, 1.0, -1e200, 1.0),  # variance overflows to inf
+    (1.0, 1e200, 1e-200, 1.0, -1e200, 1e-200),  # scales 1e-400 of the means flush to 0
+    (1.0, 0.0, 1e-300, 1.0, 0.0, 1e100),  # the narrow scale would flush to 0
     (1.0, 0.0, 1e-200, 1.0, 0.0, 1e150),  # the narrow scale would flush to 0
 ])
 @pytest.mark.parametrize("role", ["off_diagonal", "diagonal"])
 def test_mixture_that_cannot_be_normalised_rejected(params, role):
     with pytest.raises(ConfigurationError):
         DistributionSpec("gaussian_mixture", params, role)
+
+
+def _unscaled_mix(params, target):
+    """The normalised mixture by the arithmetic on the raw parameters, with
+    no power-of-two pre-scaling; the reference for ordinary magnitudes."""
+    raw = np.asarray(params, dtype=float).reshape(-1, 3)
+    wts, mus, sds = raw[:, 0], raw[:, 1], raw[:, 2]
+    wts = wts / wts.sum()
+    mean = float(np.dot(wts, mus))
+    var = float(np.dot(wts, sds * sds + mus * mus) - mean * mean)
+    r = math.sqrt(target / var)
+    return (wts, (mus - mean) * r, sds * r)
+
+
+@pytest.mark.parametrize("dist", [d for d in LAWS if len(d.params) > 3] + [
+    DistributionSpec("gaussian_mixture", (0.2, -1.0, 0.3, 0.5, 0.0, 1.0, 0.3, 2.0, 0.5), "diagonal"),
+    DistributionSpec("gaussian_mixture", (3e-5, 7.1, 0.01, 2.5, -0.3, 3.3, 1e4, 1e-3, 0.2), "off_diagonal"),
+])
+def test_mixture_pre_scaling_keeps_the_normalised_bytes(dist):
+    for got, want in zip(dist._mix, _unscaled_mix(dist.params, dist.target_variance)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("params, plain", [
+    ((1e308, 0.0, 1.0, 1e308, 0.0, 2.0), (1.0, 0.0, 1.0, 1.0, 0.0, 2.0)),  # weight sum overflowed
+    ((1.0, 0.0, 1e-162, 1.0, 0.0, 1e-162), (1.0, 0.0, 1.0, 1.0, 0.0, 1.0)),  # variance underflowed
+    ((1.0, 0.0, 1e-300, 1.0, 0.0, 1e-300), (1.0, 0.0, 1.0, 1.0, 0.0, 1.0)),
+    ((1.0, 1e200, 1.0, 1.0, -1e200, 1.0), (1.0, 1.0, 1e-200, 1.0, -1.0, 1e-200)),  # overflowed
+])
+def test_mixture_of_extreme_magnitude_is_accepted(params, plain):
+    laws = [DistributionSpec("gaussian_mixture", params, role) for role in ("off_diagonal", "diagonal")]
+    for dist in laws:
+        for got, want in zip(dist._mix, DistributionSpec("gaussian_mixture", plain, dist.role)._mix):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        draws = dist.sample(SeedSpec(3).generator(), 1000)
+        assert abs(draws.var() - dist.target_variance) < 0.15 * dist.target_variance
+    assert np.all(np.isfinite(sample_wigner(16, *laws, SeedSpec(3)).dense()))
 
 
 def test_pair_from_json_takes_roles_from_keys():

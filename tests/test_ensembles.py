@@ -34,6 +34,25 @@ LAW_PAIRS = {
         DistributionSpec("smoothed_uniform", (0.3,), "off_diagonal"),
         DistributionSpec("smoothed_uniform", (0.4,), "diagonal"),
     ),
+    # normalises to the role gaussian, so it takes the one-call draw too
+    "one_component_mixture": (
+        DistributionSpec("gaussian_mixture", (2.0, 0.3, 1.7), "off_diagonal"),
+        DistributionSpec("gaussian_mixture", (0.5, -1.0, 0.2), "diagonal"),
+    ),
+    "gaussian_off_mixture_diag": (
+        gaussian_off(),
+        DistributionSpec("gaussian_mixture", (0.5, -1.0, 0.5, 0.5, 1.0, 0.5), "diagonal"),
+    ),
+}
+
+# the generator calls one stream makes for each pair: one per part, except a
+# single ``standard_normal`` when both laws are a scaled standard normal
+STREAM_CALLS = {
+    "gaussian": ["standard_normal"],
+    "one_component_mixture": ["standard_normal"],
+    "mixture": ["random", "standard_normal"] * 3,
+    "smoothed_uniform": ["uniform", "standard_normal"] * 3,
+    "gaussian_off_mixture_diag": ["standard_normal"] * 2 + ["random", "standard_normal"],
 }
 
 
@@ -201,3 +220,63 @@ def test_single_matrix_observables_refuse_a_stack():
     ):
         with pytest.raises(DomainError):
             call()
+
+
+def _per_part_stack(n, off, diag, seeds):
+    """The packed stack drawn one part at a time, the reference stream order:
+    real parts, imaginary parts, diagonal, then the ``1/sqrt(n)`` scaling."""
+    m = n * (n - 1) // 2
+    diagonal = np.empty((len(seeds), n))
+    upper = np.empty((len(seeds), m), dtype=np.complex128)
+    for s, dg, up in zip(seeds, diagonal, upper):
+        rng = s.generator()
+        up.real = off.sample(rng, m)
+        up.imag = off.sample(rng, m)
+        dg[:] = diag.sample(rng, n)
+    scale = 1.0 / math.sqrt(n)
+    diagonal *= scale
+    upper *= scale
+    return diagonal, upper
+
+
+@pytest.mark.parametrize("law", sorted(LAW_PAIRS))
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 127])
+def test_stack_matches_per_part_draw(n, law):
+    off, diag = LAW_PAIRS[law]
+    seeds = [SeedSpec(23, k) for k in (0, 5, 2)]
+    diagonal, upper = _per_part_stack(n, off, diag, seeds)
+    stack = sample_wigner(n, off, diag, seeds)
+    assert stack.diagonal.tobytes() == diagonal.tobytes()
+    assert stack.upper.tobytes() == upper.tobytes()
+
+
+class _RecordingGenerator:
+    """A generator that logs the name of every method called on it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return record
+
+
+@pytest.mark.parametrize("law", sorted(LAW_PAIRS))
+def test_generator_calls_per_stream(law, monkeypatch):
+    off, diag = LAW_PAIRS[law]
+    seeds = [SeedSpec(29, k) for k in range(4)]
+    expected = sample_wigner(64, off, diag, seeds)
+    calls = {}
+    generator = SeedSpec.generator
+    monkeypatch.setattr(
+        SeedSpec, "generator", lambda s: _RecordingGenerator(generator(s), calls.setdefault(s, []))
+    )
+    stack = sample_wigner(64, off, diag, seeds)
+    assert calls == {s: STREAM_CALLS[law] for s in seeds}
+    assert stack.diagonal.tobytes() == expected.diagonal.tobytes()
+    assert stack.upper.tobytes() == expected.upper.tobytes()
