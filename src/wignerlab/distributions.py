@@ -288,7 +288,9 @@ def _normalise_mixture(
     mus, sds = np.ldexp(mus, shift), np.ldexp(sds, shift)
     wts = wts / wts.sum()
     mean = float(np.dot(wts, mus))
-    var = float(np.dot(wts, sds * sds + mus * mus) - mean * mean)
+    # the centred sum: E x^2 - mean^2 cancels to 0 when the spread is tiny
+    # next to the mean
+    var = float(np.dot(wts, sds * sds + (mus - mean) ** 2))
     if not 0.0 < var < math.inf:
         raise ConfigurationError(f"gaussian_mixture variance must be finite and positive, got {var}")
     r = math.sqrt(target / var)

@@ -108,16 +108,6 @@ class HermitianMatrix:
         rows[:, :: n + 1] = self.diagonal.reshape(-1, n)
         return h
 
-    def trace(self):
-        """Trace; an array over ``batch_shape`` for a stack."""
-        t = self.diagonal.sum(axis=-1)
-        return float(t) if t.ndim == 0 else t
-
-    def frobenius_norm(self):
-        """Frobenius norm; an array over ``batch_shape`` for a stack."""
-        sq = np.sum(self.diagonal**2, axis=-1) + 2.0 * np.sum(np.abs(self.upper) ** 2, axis=-1)
-        return math.sqrt(float(sq)) if sq.ndim == 0 else np.sqrt(sq)
-
 
 def sample_wigner(
     n: int,

@@ -57,7 +57,7 @@ import numpy as np
 
 from .diagnostics import good_event, select_indices
 from .distributions import DistributionSpec, gaussian_diag, gaussian_off
-from .eigensolver import Spectrum, eigvalsh, minor, one_blas_thread
+from .eigensolver import eigvalsh, minor, one_blas_thread
 from .ensembles import sample_wigner
 from .errors import ConfigurationError, _integer, _real
 from .seeding import SeedSpec
@@ -459,8 +459,7 @@ def _table(
 def _density(mu: np.ndarray, E: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """``(B, P)`` counts in the closed windows ``[E - eta/2, E + eta/2]`` per
     unit of ``N * eta``."""
-    n = mu.shape[1]
-    return counting(Spectrum(n, mu), E - eta / 2.0, E + eta / 2.0) / (n * eta)
+    return counting(mu, E - eta / 2.0, E + eta / 2.0) / (mu.shape[1] * eta)
 
 
 def _submicro_extras(
@@ -590,8 +589,7 @@ def _im_stieltjes_kind(spec: ExperimentSpec) -> _Step:
         return {}
 
     return _mean_kind(
-        spec, lambda mu, E, eta: im_stieltjes(Spectrum(mu.shape[1], mu), E, eta),
-        lambda E, eta: math.pi * rho_sc(E), "im_stieltjes", warn,
+        spec, im_stieltjes, lambda E, eta: math.pi * rho_sc(E), "im_stieltjes", warn,
     )
 
 
@@ -605,7 +603,7 @@ def _wegner(spec: ExperimentSpec) -> _Step:
             )
 
     def stat(mu, E, eta):
-        counts = counting(Spectrum(mu.shape[1], mu), E - eta / 2.0, E + eta / 2.0).astype(np.float64)
+        counts = counting(mu, E - eta / 2.0, E + eta / 2.0).astype(np.float64)
         return np.stack([counts, counts**2], axis=-1)
 
     def row(n, E, sch, eta, values, warnings):
@@ -646,8 +644,8 @@ def _derivative(spec: ExperimentSpec) -> _Step:
                 )
 
     def stat(mu, E, eta):
-        spectra, de = Spectrum(mu.shape[1], mu), steps[mu.shape[1]]
-        return (im_stieltjes(spectra, E + de, eta) - im_stieltjes(spectra, E - de, eta)) / (2.0 * de)
+        de = steps[mu.shape[1]]
+        return (im_stieltjes(mu, E + de, eta) - im_stieltjes(mu, E - de, eta)) / (2.0 * de)
 
     def row(n, E, sch, eta, values, warnings):
         mean, se = _mean_stderr(values)
@@ -728,8 +726,8 @@ def _delta_moments(spec: ExperimentSpec) -> _Step:
 
 # the central half of the spectrum: the semicircle quartiles as scipy's
 # ``brentq(lambda x: F_sc(x) - p, -2, 2, xtol=1e-14)`` finds them (asymmetric
-# in the last bits).  The CSV writes the window, and ``semicircle_quantile``'s
-# bisection lands on other last bits, so the doubles are pinned here.
+# in the last bits).  The CSV writes the window, and another root finder
+# lands on other last bits, so the doubles are pinned here.
 _SPACING_WINDOW = (-0.8079455065990346, 0.8079455065990351)
 
 
@@ -744,7 +742,7 @@ def _spacing(spec: ExperimentSpec) -> _Step:
     def step(n: int, cell: int, workers: int, warnings: list) -> list:
         per_chunk = _chunk_stats(
             spec, n, cell, workers,
-            lambda chunk: [unfolded_spacings(Spectrum(n, mu), window).spacings for mu in chunk],
+            lambda chunk: [unfolded_spacings(mu, window) for mu in chunk],
         )
         per_sample = [s for chunk in per_chunk for s in chunk]
         means = [float(np.mean(s)) for s in per_sample if s.size > 0]

@@ -3,41 +3,33 @@
 Closed forms: the semicircle density ``rho_sc(E) = sqrt(4 - E^2)/(2 pi)``
 on ``[-2, 2]``, its Stieltjes transform ``m_sc`` (the root of
 ``m^2 + z m + 1 = 0`` in the upper half-plane), the cumulative ``F_sc``
-used for unfolding, the sine-kernel determinant, the GUE joint eigenvalue
-log-density, and the GUE Wigner surmise.
+used for unfolding, the GUE joint eigenvalue log-density with its
+normalisation, and the GUE Wigner surmise.
 
-Empirical statistics operate on a :class:`~wignerlab.eigensolver.Spectrum`.
-Interval counting and ``Im m_N`` act on a spectrum stack row by row; the
-empirical Stieltjes transform, a pointwise dyadic upper bound on its
-imaginary part, and unfolded nearest-neighbour spacings refuse a stack.
+Empirical statistics take ascending eigenvalues ``mu`` of shape
+``(..., N)``, as :func:`~wignerlab.eigensolver.eigvalsh` returns them.
+Interval counting and ``Im m_N`` act on a stack row by row; unfolded
+nearest-neighbour spacings refuse a stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .distributions import _elementwise
-from .eigensolver import Spectrum
 from .errors import DomainError
 
 __all__ = [
     "rho_sc",
     "m_sc",
     "F_sc",
-    "semicircle_quantile",
     "counting",
     "im_stieltjes",
-    "stieltjes",
-    "DyadicBound",
-    "dyadic_bound",
-    "sine_kernel_det",
     "gue_log_density",
     "gue_log_normalization",
-    "SpacingSample",
     "unfolded_spacings",
     "wigner_surmise_gue",
     "wigner_surmise_gue_cdf",
@@ -77,26 +69,8 @@ def F_sc(E):
     return out if out.ndim else float(out)
 
 
-def semicircle_quantile(p: float) -> float:
-    """Inverse of :func:`F_sc` on (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile level must lie in (0, 1), got {p}")
-    lo, hi = -2.0, 2.0
-    # bisect until the bracket is two adjacent doubles
-    while lo < (mid := (lo + hi) / 2.0) < hi:
-        lo, hi = (mid, hi) if F_sc(mid) < p else (lo, mid)
-    return hi
-
-
-def _values(spec: Spectrum) -> np.ndarray:
-    """Eigenvalues of a single spectrum; a stack would mix its matrices."""
-    if spec.eigenvalues.ndim != 1:
-        raise DomainError(f"expected the spectrum of one matrix, got shape {spec.eigenvalues.shape}")
-    return spec.eigenvalues
-
-
-def counting(spec: Spectrum, a, b):
-    """Number of eigenvalues in the closed intervals ``[a, b]``.
+def counting(mu, a, b):
+    """Number of eigenvalues ``mu`` in the closed intervals ``[a, b]``.
 
     ``a`` and ``b`` broadcast to the window shape ``P``; a spectrum stack of
     batch shape ``S`` gives ``S + P`` counts.
@@ -105,12 +79,12 @@ def counting(spec: Spectrum, a, b):
     if np.any(a > b):
         raise DomainError(f"interval is reversed: a={a} > b={b}")
     # shape S + (1,) * a.ndim + (n,), against the windows' trailing axis
-    mu = np.expand_dims(spec.eigenvalues, tuple(range(-1 - a.ndim, -1)))
+    mu = np.expand_dims(np.asarray(mu, dtype=float), tuple(range(-1 - a.ndim, -1)))
     out = np.count_nonzero((mu >= a[..., None]) & (mu <= b[..., None]), axis=-1)
     return out if out.ndim else int(out)
 
 
-def im_stieltjes(spec: Spectrum, E, eta):
+def im_stieltjes(mu, E, eta):
     """``Im m_N(E + i eta)``, the Poisson-kernel sum
     ``(1/N) sum_a eta / ((mu_a - E)^2 + eta^2)``.
 
@@ -118,73 +92,10 @@ def im_stieltjes(spec: Spectrum, E, eta):
     of batch shape ``S`` gives ``S + P`` values.
     """
     E, eta = np.broadcast_arrays(np.asarray(E, dtype=float), np.asarray(eta, dtype=float))
-    mu = np.expand_dims(spec.eigenvalues, tuple(range(-1 - E.ndim, -1)))
+    mu = np.expand_dims(np.asarray(mu, dtype=float), tuple(range(-1 - E.ndim, -1)))
     E, eta = E[..., None], eta[..., None]
-    out = np.sum(eta / ((mu - E) ** 2 + eta * eta), axis=-1) / spec.n
+    out = np.sum(eta / ((mu - E) ** 2 + eta * eta), axis=-1) / mu.shape[-1]
     return out if out.ndim else float(out)
-
-
-def stieltjes(spec: Spectrum, z: complex) -> complex:
-    """Empirical Stieltjes transform ``(1/N) sum 1/(mu_a - z)``."""
-    z = complex(z)
-    if not z.imag > 0.0:
-        raise DomainError(f"stieltjes needs Im z > 0, got z = {z}")
-    return complex(np.mean(1.0 / (_values(spec) - z)))
-
-
-class DyadicBound(NamedTuple):
-    """Pointwise split ``lhs <= rhs`` of the Poisson-kernel sum."""
-
-    lhs: float
-    rhs: float
-    head: float
-    annuli: tuple
-
-
-def dyadic_bound(spec: Spectrum, E: float, eps: float) -> DyadicBound:
-    """Dyadic upper bound for ``Im m_N(E + i eps)``.
-
-    ``lhs`` is the exact Poisson-kernel sum.  ``rhs`` bounds each
-    eigenvalue's kernel by its worst case over the dyadic annulus it falls
-    in: the head term counts ``[E - eps, E + eps]`` at kernel ``1/eps``,
-    and annulus ``l`` (distances in ``(2^l eps, 2^{l+1} eps]``) contributes
-    at kernel ``eps / (2^l eps)^2``.  The annulus list stops as soon as the
-    annulus lies beyond the spectrum range, so the bound is a finite sum.
-    """
-    if eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
-    mu = _values(spec)
-    n = spec.n
-    lhs = im_stieltjes(spec, E, eps)
-    dist = np.abs(mu - E)
-    head = float(np.sum(dist <= eps)) / (n * eps)
-    far = float(dist.max(initial=0.0))
-    annuli = []
-    level = 0
-    lo = eps
-    while lo < far:
-        hi = 2.0 * lo
-        count = int(np.sum((dist > lo) & (dist <= hi)))
-        annuli.append((eps / n) * count / (4.0**level * eps * eps))
-        level += 1
-        lo = hi
-    return DyadicBound(lhs=lhs, rhs=head + math.fsum(annuli), head=head, annuli=tuple(annuli))
-
-
-def sine_kernel_det(points: Sequence[float], k: Optional[int] = None) -> float:
-    """Determinant of the sine kernel ``sin(pi(x_j - x_l))/(pi(x_j - x_l))``.
-
-    Diagonal entries take the limit value 1.  At most 6 points.
-    """
-    x = np.asarray(points, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise DomainError("points must be a non-empty 1-d sequence")
-    if k is not None and k != x.size:
-        raise DomainError(f"k={k} does not match the number of points {x.size}")
-    if x.size > 6:
-        raise DomainError(f"at most 6 points supported, got {x.size}")
-    kernel = np.sinc(x[:, None] - x[None, :])
-    return float(np.linalg.det(kernel))
 
 
 def gue_log_density(mu: Sequence[float], N: int) -> float:
@@ -220,32 +131,23 @@ def gue_log_normalization(N: int) -> float:
     return 0.5 * N * math.log(_TWO_PI) - 0.5 * N * N * math.log(N) + log_factorials
 
 
-@dataclass
-class SpacingSample:
-    """Unfolded nearest-neighbour spacings from one spectrum window."""
-
-    spacings: np.ndarray
-    window: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        self.spacings = np.asarray(self.spacings, dtype=np.float64)
-        self.window = (float(self.window[0]), float(self.window[1]))
-
-
-def unfolded_spacings(spec: Spectrum, window: tuple[float, float]) -> SpacingSample:
+def unfolded_spacings(mu, window: tuple[float, float]) -> np.ndarray:
     """Spacings ``s_i = N (F_sc(mu_{i+1}) - F_sc(mu_i))`` inside a window.
 
     Only consecutive eigenvalues both inside the closed window contribute.
-    Fewer than two eigenvalues in the window give an empty sample.
+    Fewer than two eigenvalues in the window give an empty array.  ``mu``
+    is the spectrum of one matrix; a stack would mix its rows.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (-2.0 < lo < hi < 2.0):
         raise DomainError(f"window must satisfy -2 < lo < hi < 2, got ({lo}, {hi})")
-    mu = _values(spec)
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 1:
+        raise DomainError(f"expected the spectrum of one matrix, got shape {mu.shape}")
     inside = mu[(mu >= lo) & (mu <= hi)]
     if inside.size < 2:
-        return SpacingSample(spacings=np.empty(0), window=(lo, hi))
-    return SpacingSample(spacings=spec.n * np.diff(F_sc(inside)), window=(lo, hi))
+        return np.empty(0)
+    return mu.size * np.diff(F_sc(inside))
 
 
 def wigner_surmise_gue(s):

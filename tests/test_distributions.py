@@ -167,6 +167,7 @@ def test_mixture_pre_scaling_keeps_the_normalised_bytes(dist):
     ((1.0, 0.0, 1e-162, 1.0, 0.0, 1e-162), (1.0, 0.0, 1.0, 1.0, 0.0, 1.0)),  # variance underflowed
     ((1.0, 0.0, 1e-300, 1.0, 0.0, 1e-300), (1.0, 0.0, 1.0, 1.0, 0.0, 1.0)),
     ((1.0, 1e200, 1.0, 1.0, -1e200, 1.0), (1.0, 1.0, 1e-200, 1.0, -1.0, 1e-200)),  # overflowed
+    ((1.0, 1.0, 1e-10, 1.0, 1.0, 1e-10), (1.0, 0.0, 1.0, 1.0, 0.0, 1.0)),  # E x^2 - mean^2 cancelled
 ])
 def test_mixture_of_extreme_magnitude_is_accepted(params, plain):
     laws = [DistributionSpec("gaussian_mixture", params, role) for role in ("off_diagonal", "diagonal")]

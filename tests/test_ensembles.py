@@ -11,7 +11,6 @@ from wignerlab import (
     DomainError,
     HermitianMatrix,
     SeedSpec,
-    dyadic_bound,
     eigvalsh,
     gaussian_diag,
     gaussian_off,
@@ -20,7 +19,6 @@ from wignerlab import (
     sample_gue,
     sample_wigner,
     schur_resolvent_residual,
-    stieltjes,
     unfolded_spacings,
 )
 
@@ -71,13 +69,6 @@ def test_from_dense_rejects_non_hermitian():
         HermitianMatrix.from_dense(bad)
     with pytest.raises(DomainError):
         HermitianMatrix.from_dense(np.array([[1j]]))
-
-
-def test_trace_and_frobenius_match_dense():
-    m = sample_gue(17, SeedSpec(3))
-    dense = m.dense()
-    assert abs(m.trace() - np.trace(dense).real) < 1e-12
-    assert abs(m.frobenius_norm() - np.linalg.norm(dense)) < 1e-12
 
 
 def test_sampling_deterministic_in_seed():
@@ -186,17 +177,12 @@ def test_stack_shapes_and_reductions():
     seeds = [SeedSpec(4, k) for k in range(3)]
     stack = sample_wigner(5, gaussian_off(), gaussian_diag(), seeds)
     singles = [sample_wigner(5, gaussian_off(), gaussian_diag(), s) for s in seeds]
-    # trace and norm are per matrix, never summed across the stack
-    np.testing.assert_array_equal(stack.trace(), [m.trace() for m in singles])
-    np.testing.assert_allclose(stack.frobenius_norm(), [m.frobenius_norm() for m in singles],
-                               rtol=1e-15)
-    assert isinstance(singles[0].trace(), float) and isinstance(singles[0].frobenius_norm(), float)
     assert sample_wigner(5, gaussian_off(), gaussian_diag(), []).dense().shape == (0, 5, 5)
     # a 2 x 2 grid of matrices keeps both batch axes
     grid = HermitianMatrix(n=5, diagonal=stack.diagonal[[0, 1, 2, 0]].reshape(2, 2, 5),
                            upper=stack.upper[[0, 1, 2, 0]].reshape(2, 2, 10))
     np.testing.assert_array_equal(grid.dense()[1, 0], singles[2].dense())
-    assert grid.trace().shape == (2, 2)
+    assert grid.batch_shape == (2, 2)
     with pytest.raises(DomainError):
         HermitianMatrix(n=5, diagonal=np.zeros((3, 5)), upper=np.zeros((2, 10), dtype=complex))
     with pytest.raises(DomainError):
@@ -212,9 +198,7 @@ def test_single_matrix_observables_refuse_a_stack():
     stack = sample_wigner(6, gaussian_off(), gaussian_diag(), [SeedSpec(2, k) for k in range(2)])
     spectra = eigvalsh(stack)
     for call in (
-        lambda: stieltjes(spectra, 0.1j),
-        lambda: dyadic_bound(spectra, 0.0, 0.1),
-        lambda: unfolded_spacings(spectra, (-1.0, 1.0)),
+        lambda: unfolded_spacings(spectra.eigenvalues, (-1.0, 1.0)),
         lambda: overlaps(stack, 0),
         lambda: schur_resolvent_residual(stack, 0, 0.1j),
     ):

@@ -266,7 +266,7 @@ def test_dos_mean_is_sample_average_of_counts():
     for i in range(8):
         m = sample_gue(24, SeedSpec(5, i))
         sp = eigvalsh(m)
-        vals.append(counting(sp, -eta / 2.0, eta / 2.0) / (24 * eta))
+        vals.append(counting(sp.eigenvalues, -eta / 2.0, eta / 2.0) / (24 * eta))
     assert abs(res.rows[0].mean - float(np.mean(vals))) < 1e-15
 
 
@@ -294,10 +294,10 @@ def test_arctangent_sandwich_bounds_counting():
         mu = sp.eigenvalues
         integral = float(np.sum(np.arctan((b - mu) / eta) - np.arctan((a - mu) / eta))) / sp.n
         upper = (
-            math.pi * counting(sp, a - s, b + s) / sp.n
+            math.pi * counting(mu, a - s, b + s) / sp.n
             + (b - a) * eta / s**2
         )
-        lower = (math.pi - 2.0 * eta / s) * counting(sp, a + s, b - s) / sp.n
+        lower = (math.pi - 2.0 * eta / s) * counting(mu, a + s, b - s) / sp.n
         assert integral <= upper + 1e-12
         assert integral >= lower - 1e-12
 

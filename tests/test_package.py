@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import wignerlab
 from wignerlab import (
     diagnostics,
@@ -21,9 +24,8 @@ EARLIER_NAMES = (
     "__version__", "WignerLabError", "ConfigurationError", "DomainError", "NumericError",
     "SeedSpec", "DistributionSpec", "OFF_DIAGONAL_VARIANCE", "DIAGONAL_VARIANCE", "gaussian_off",
     "gaussian_diag", "regularity_integrals", "HermitianMatrix", "sample_wigner", "sample_gue",
-    "Spectrum", "eigh", "eigvalsh", "minor", "rho_sc", "m_sc", "F_sc", "semicircle_quantile",
-    "counting", "im_stieltjes", "stieltjes", "DyadicBound", "dyadic_bound", "sine_kernel_det",
-    "gue_log_density", "gue_log_normalization", "SpacingSample", "unfolded_spacings",
+    "Spectrum", "eigh", "eigvalsh", "minor", "rho_sc", "m_sc", "F_sc", "counting",
+    "im_stieltjes", "gue_log_density", "gue_log_normalization", "unfolded_spacings",
     "wigner_surmise_gue", "wigner_surmise_gue_cdf", "GOOD_EVENT_COUNT", "OverlapData", "overlaps",
     "schur_resolvent_residual", "Coefficients", "coefficients", "good_event", "Selection",
     "select_indices", "MinorDiagnostics", "minor_diagnostics", "EtaSchedule", "ExperimentSpec",
@@ -46,6 +48,32 @@ def test_every_exported_name_resolves_to_its_module_object():
 
 
 def test_package_keeps_its_earlier_names():
-    assert len(EARLIER_NAMES) == len(set(EARLIER_NAMES)) == 56
+    assert len(EARLIER_NAMES) == len(set(EARLIER_NAMES)) == 50
     assert set(EARLIER_NAMES) <= set(wignerlab.__all__)
     assert "one_blas_thread" in wignerlab.__all__
+
+
+
+# exported names that nothing in the package or the benchmark calls, each
+# with the reason it stays
+UNCALLED_EXPORTS = {
+    "gue_log_density": "the planned check of the exact GUE density against its N = 2, 3 marginal",
+    "gue_log_normalization": "the planned check of the exact GUE density against its N = 2, 3 marginal",
+    "wigner_surmise_gue": "the density that the surmise CDF test integrates as its reference",
+}
+
+
+def test_every_exported_name_is_used():
+    root = Path(__file__).resolve().parents[1]
+    loaded = set()
+    for path in sorted((root / "src" / "wignerlab").glob("*.py")) + sorted((root / "perfbench").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+            # a name used only inside its own definition is not used
+            loaded |= names - {getattr(top, "name", None)}
+    assert sorted(set(wignerlab.__all__) - loaded - UNCALLED_EXPORTS.keys()) == []

@@ -11,9 +11,7 @@ from wignerlab import (
     DomainError,
     F_sc,
     SeedSpec,
-    Spectrum,
     counting,
-    dyadic_bound,
     eigvalsh,
     gue_log_density,
     gue_log_normalization,
@@ -21,18 +19,15 @@ from wignerlab import (
     m_sc,
     rho_sc,
     sample_gue,
-    semicircle_quantile,
-    sine_kernel_det,
-    stieltjes,
     unfolded_spacings,
     wigner_surmise_gue,
     wigner_surmise_gue_cdf,
 )
+from wignerlab.experiments import _SPACING_WINDOW
 
 
 def _spectrum(values):
-    values = np.sort(np.asarray(values, dtype=float))
-    return Spectrum(n=values.size, eigenvalues=values)
+    return np.sort(np.asarray(values, dtype=float))
 
 
 # -- limiting density and its transform -------------------------------------
@@ -102,9 +97,10 @@ def test_F_sc_clamps_outside_support():
 
 
 def test_quantile_inverts_F_sc():
-    for p in (0.05, 0.25, 0.5, 0.75, 0.95):
-        assert abs(F_sc(semicircle_quantile(p)) - p) < 1e-12
-    assert abs(semicircle_quantile(0.5)) < 1e-12
+    # the pinned spacing window is the pair of semicircle quartiles
+    lo, hi = _SPACING_WINDOW
+    assert abs(F_sc(lo) - 0.25) < 1e-12
+    assert abs(F_sc(hi) - 0.75) < 1e-12
 
 
 # -- empirical observables ---------------------------------------------------
@@ -124,93 +120,57 @@ def test_stacked_counting_and_im_stieltjes_rows_equal_single_calls():
     rng = np.random.default_rng(35)
     # eigenvalues on a 1/8 grid sit on the window edges and tie; the wide
     # spectra sum in more than one pairwise block
-    grid = Spectrum(20, np.sort(rng.integers(-12, 13, (6, 20)) / 8.0, axis=-1))
-    wide = Spectrum(300, np.sort(rng.uniform(-2.0, 2.0, (3, 300)), axis=-1))
+    grid = np.sort(rng.integers(-12, 13, (6, 20)) / 8.0, axis=-1)
+    wide = np.sort(rng.uniform(-2.0, 2.0, (3, 300)), axis=-1)
     E = np.array([0.0, 0.25, -0.5, 1.0, 0.3])
     eta = np.array([0.5, 0.5, 1.0, 0.25, 0.07])
     a, b = E - eta / 2.0, E + eta / 2.0
-    assert np.isin(np.concatenate((a, b)), grid.eigenvalues).sum() >= 4
+    assert np.isin(np.concatenate((a, b)), grid).sum() >= 4
     for stack in (grid, wide):
         counts, values = counting(stack, a, b), im_stieltjes(stack, E, eta)
-        assert counts.shape == values.shape == (len(stack.eigenvalues), 5)
-        for row, row_counts, row_values in zip(stack.eigenvalues, counts, values):
-            single = Spectrum(stack.n, row)
-            assert list(row_counts) == [counting(single, lo, hi) for lo, hi in zip(a, b)]
-            assert list(row_values) == [im_stieltjes(single, e, h) for e, h in zip(E, eta)]
+        assert counts.shape == values.shape == (len(stack), 5)
+        for row, row_counts, row_values in zip(stack, counts, values):
+            assert list(row_counts) == [counting(row, lo, hi) for lo, hi in zip(a, b)]
+            assert list(row_values) == [im_stieltjes(row, e, h) for e, h in zip(E, eta)]
     with pytest.raises(DomainError):
         counting(grid, a, a - 1.0)
 
 
 def test_stieltjes_exact_small_case():
-    sp = _spectrum([-1.0, 1.0])
+    mu = _spectrum([-1.0, 1.0])
     z = 0.5j
     expected = 0.5 * (1.0 / (-1.0 - z) + 1.0 / (1.0 - z))
-    assert abs(stieltjes(sp, z) - expected) < 1e-15
-    with pytest.raises(DomainError):
-        stieltjes(sp, 0.5)
-    with pytest.raises(DomainError):
-        stieltjes(sp, 0.5 - 1j)
+    assert abs(im_stieltjes(mu, z.real, z.imag) - expected.imag) < 1e-15
 
 
 def test_stieltjes_imaginary_part_is_poisson_sum():
-    sp = eigvalsh(sample_gue(32, SeedSpec(31)))
+    mu = eigvalsh(sample_gue(32, SeedSpec(31))).eigenvalues
     e, eta = 0.3, 0.05
-    mu = sp.eigenvalues
-    kernel = float(np.sum(eta / ((mu - e) ** 2 + eta**2))) / sp.n
-    assert abs(stieltjes(sp, complex(e, eta)).imag - kernel) < 1e-13
-    assert abs(im_stieltjes(sp, e, eta) - kernel) < 1e-15
+    kernel = float(np.sum(eta / ((mu - e) ** 2 + eta**2))) / mu.size
+    assert abs(im_stieltjes(mu, e, eta) - kernel) < 1e-15
 
 
 def test_stieltjes_converges_to_m_sc():
-    sp = eigvalsh(sample_gue(1024, SeedSpec(32)))
+    mu = eigvalsh(sample_gue(1024, SeedSpec(32))).eigenvalues
     z = 0.4 + 0.3j
-    assert abs(stieltjes(sp, z) - m_sc(z)) < 0.05
+    assert abs(im_stieltjes(mu, z.real, z.imag) - m_sc(z).imag) < 0.05
 
 
 @pytest.mark.parametrize("trial", range(8))
 def test_dyadic_bound_dominates(trial):
-    sp = eigvalsh(sample_gue(48, SeedSpec(33, trial)))
+    # an eigenvalue within eps of E has Poisson kernel at most 1/eps, and one
+    # at distance in (2^l eps, 2^(l+1) eps] at most 1/(4^l eps)
+    mu = eigvalsh(sample_gue(48, SeedSpec(33, trial))).eigenvalues
+    E = 0.1 * trial - 0.3
     for eps in (0.5, 0.05, 1.0 / 48.0):
-        bound = dyadic_bound(sp, 0.1 * trial - 0.3, eps)
-        assert bound.lhs <= bound.rhs + 1e-12
-        assert bound.head >= 0.0
-        assert all(a >= 0.0 for a in bound.annuli)
-
-
-def test_dyadic_bound_head_only_when_all_close():
-    sp = _spectrum([0.0, 0.001, -0.001])
-    bound = dyadic_bound(sp, 0.0, 1.0)
-    assert bound.annuli == ()
-    assert abs(bound.head - 1.0) < 1e-15
-    with pytest.raises(DomainError):
-        dyadic_bound(sp, 0.0, 0.0)
+        radii = eps * 2.0 ** np.arange(13)
+        within = counting(mu, E - radii, E + radii)
+        assert within[-1] == mu.size
+        bound = (within[0] + np.dot(np.diff(within), 4.0 ** -np.arange(12))) / (mu.size * eps)
+        assert im_stieltjes(mu, E, eps) <= bound + 1e-12
 
 
 # -- GUE reference objects ---------------------------------------------------
-
-
-def test_sine_kernel_det_values():
-    assert abs(sine_kernel_det([0.4]) - 1.0) < 1e-15
-    # distant points decorrelate
-    assert abs(sine_kernel_det([0.0, 1000.25]) - 1.0) < 1e-3
-    # coincident points give a singular kernel
-    assert abs(sine_kernel_det([0.7, 0.7])) < 1e-15
-
-
-def test_sine_kernel_det_nonnegative():
-    rng = SeedSpec(34).generator()
-    for k in (2, 3, 4, 5, 6):
-        pts = rng.uniform(-2.0, 2.0, k)
-        assert sine_kernel_det(pts, k=k) >= -1e-10
-
-
-def test_sine_kernel_det_validation():
-    with pytest.raises(DomainError):
-        sine_kernel_det([])
-    with pytest.raises(DomainError):
-        sine_kernel_det([0.0, 1.0], k=3)
-    with pytest.raises(DomainError):
-        sine_kernel_det(np.zeros(7))
 
 
 def test_gue_log_density_basic():
@@ -262,17 +222,15 @@ def test_gue_density_integrates_to_normalization():
 
 
 def test_unfolded_spacings_formula():
-    sp = _spectrum([-0.4, -0.1, 0.2, 0.5, 1.9])
-    sample = unfolded_spacings(sp, (-0.5, 0.6))
+    mu = _spectrum([-0.4, -0.1, 0.2, 0.5, 1.9])
     inside = np.array([-0.4, -0.1, 0.2, 0.5])
-    expected = sp.n * np.diff([F_sc(v) for v in inside])
-    np.testing.assert_allclose(sample.spacings, expected, atol=1e-14)
-    assert sample.window == (-0.5, 0.6)
+    expected = mu.size * np.diff([F_sc(v) for v in inside])
+    np.testing.assert_allclose(unfolded_spacings(mu, (-0.5, 0.6)), expected, atol=1e-14)
 
 
 def test_unfolded_spacings_empty_and_validation():
     sp = _spectrum([-1.5, 1.5])
-    assert unfolded_spacings(sp, (-0.5, 0.5)).spacings.size == 0
+    assert unfolded_spacings(sp, (-0.5, 0.5)).size == 0
     with pytest.raises(DomainError):
         unfolded_spacings(sp, (-2.5, 0.5))
     with pytest.raises(DomainError):
@@ -280,10 +238,10 @@ def test_unfolded_spacings_empty_and_validation():
 
 
 def test_unfolded_mean_spacing_near_one():
-    sp = eigvalsh(sample_gue(512, SeedSpec(35)))
-    sample = unfolded_spacings(sp, (semicircle_quantile(0.25), semicircle_quantile(0.75)))
-    assert sample.spacings.size > 200
-    assert abs(sample.spacings.mean() - 1.0) < 0.05
+    mu = eigvalsh(sample_gue(512, SeedSpec(35))).eigenvalues
+    spacings = unfolded_spacings(mu, _SPACING_WINDOW)
+    assert spacings.size > 200
+    assert abs(spacings.mean() - 1.0) < 0.05
 
 
 def test_wigner_surmise_normalised():
