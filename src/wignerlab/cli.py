@@ -24,8 +24,8 @@ import numpy as np
 
 from .diagnostics import coefficients, minor_diagnostics, schur_resolvent_residual, select_indices
 from .distributions import DistributionSpec, _integrate, gaussian_off, regularity_integrals
-from .eigensolver import eigvalsh, minor
-from .ensembles import sample_gue, sample_wigner
+from .eigensolver import eigvalsh
+from .ensembles import minor, sample_gue, sample_wigner
 from .errors import ConfigurationError, DomainError, NumericError
 from .experiments import ExperimentResult, ExperimentSpec, run_experiment
 from .seeding import SeedSpec
@@ -340,8 +340,8 @@ def _check_interlacing(seed: int = 11) -> float:
     worst = 0.0
     for i in range(10):
         matrix = sample_gue(48, SeedSpec(seed, i))
-        mu = eigvalsh(matrix).eigenvalues
-        lam = eigvalsh(minor(matrix, i % 48)).eigenvalues
+        mu = eigvalsh(matrix)
+        lam = eigvalsh(minor(matrix, i % 48))
         worst = max(worst, float(np.max(np.maximum(mu[:-1] - lam, lam - mu[1:]))))
     return max(worst, 0.0)
 
@@ -352,7 +352,7 @@ def _check_coefficient_chains(seed: int = 13) -> float:
     found = 0
     for i in range(40):
         matrix = sample_gue(64, SeedSpec(seed, i))
-        lam = eigvalsh(minor(matrix, 0)).eigenvalues
+        lam = eigvalsh(minor(matrix, 0))
         try:
             sel = select_indices(lam, 0.0, eps, 64)
         except DomainError:

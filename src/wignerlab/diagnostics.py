@@ -25,8 +25,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .eigensolver import eigh, minor
-from .ensembles import HermitianMatrix
+from .eigensolver import eigh
+from .ensembles import HermitianMatrix, minor
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -70,11 +70,9 @@ def overlaps(matrix: HermitianMatrix, j: int) -> OverlapData:
     _require_single(matrix)
     if matrix.n < 2:
         raise DomainError("overlaps need matrix dimension at least 2")
-    sub = eigh(minor(matrix, j))
-    a = _removed_column(matrix, j)
-    proj = sub.eigenvectors.conj().T @ a
-    xi = matrix.n * np.abs(proj) ** 2
-    return OverlapData(lam=sub.eigenvalues, xi=xi)
+    lam, vectors = eigh(minor(matrix, j))
+    proj = vectors.conj().T @ _removed_column(matrix, j)
+    return OverlapData(lam=lam, xi=matrix.n * np.abs(proj) ** 2)
 
 
 def schur_resolvent_residual(matrix: HermitianMatrix, j: int, z: complex) -> float:

@@ -1,15 +1,17 @@
 """Hermitian eigendecomposition with a deterministic vector convention.
 
-Decompositions are delegated to LAPACK through :mod:`numpy.linalg`.  On top
-of that this module pins down the parts LAPACK leaves arbitrary: eigenvalues
-are returned ascending, and each eigenvector is rotated by a global phase so
+Decompositions are delegated to LAPACK through :mod:`numpy.linalg`, and the
+results are numpy's: :func:`eigvalsh` returns the ascending ``(..., n)``
+eigenvalue array, :func:`eigh` the pair ``(eigenvalues, eigenvectors)``
+with ``eigenvectors[..., :, k]`` the unit eigenvector for
+``eigenvalues[..., k]``.  On top of that :func:`eigh` pins down the part
+LAPACK leaves arbitrary: each eigenvector is rotated by a global phase so
 that its largest-magnitude component (lowest index on ties) is real and
 positive.  For a fixed input matrix the output is then fully deterministic.
 
-:func:`eigvalsh`, :func:`eigh` and :func:`minor` also take a stack of
-matrices (a :class:`HermitianMatrix` with batch axes) and act on each
-matrix of it; row ``b`` of a stacked result equals the single-matrix result
-for matrix ``b``.
+Both take a :class:`~wignerlab.ensembles.HermitianMatrix`, which may be a
+stack with batch axes; row ``b`` of a stacked result equals the
+single-matrix result for matrix ``b``.
 
 :func:`one_blas_thread` runs a block with numpy's bundled OpenBLAS on one
 thread, so that callers can diagonalise several small stacks at once
@@ -20,44 +22,15 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
-from .ensembles import HermitianMatrix, _triangles
-from .errors import DomainError, NumericError
+from .ensembles import HermitianMatrix
+from .errors import NumericError
 
-__all__ = ["Spectrum", "eigh", "eigvalsh", "minor", "one_blas_thread"]
-
-
-@dataclass
-class Spectrum:
-    """Eigenvalues (ascending) and optionally matching eigenvectors.
-
-    ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``.
-    For a stack, ``eigenvalues`` has shape ``(..., n)`` and ``eigenvectors``
-    ``(..., n, n)``, with the same leading axes.
-    """
-
-    n: int
-    eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
-        if self.eigenvalues.shape[-1:] != (self.n,):
-            raise DomainError(
-                f"eigenvalues must have shape (..., {self.n}), got {self.eigenvalues.shape}"
-            )
-        if self.eigenvectors is not None:
-            self.eigenvectors = np.asarray(self.eigenvectors, dtype=np.complex128)
-            expected = self.eigenvalues.shape + (self.n,)
-            if self.eigenvectors.shape != expected:
-                raise DomainError(
-                    f"eigenvectors must have shape {expected}, got {self.eigenvectors.shape}"
-                )
+__all__ = ["eigh", "eigvalsh", "one_blas_thread"]
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -71,17 +44,18 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * phases.conj()
 
 
-def eigh(matrix: HermitianMatrix) -> Spectrum:
-    """Full eigendecomposition with eigenvectors."""
+def eigh(matrix: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition: ascending eigenvalues and phase-fixed
+    eigenvectors, as columns."""
     try:
         vals, vecs = np.linalg.eigh(matrix.dense())
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed for n={matrix.n}: {exc}") from exc
-    return Spectrum(n=matrix.n, eigenvalues=vals, eigenvectors=_fix_phases(vecs))
+    return vals, _fix_phases(vecs)
 
 
-def eigvalsh(matrix: HermitianMatrix) -> Spectrum:
-    """Eigenvalues only; cheaper when no vectors are needed.
+def eigvalsh(matrix: HermitianMatrix) -> np.ndarray:
+    """Ascending eigenvalues only; cheaper when no vectors are needed.
 
     The packed matrix is dropped once unpacked, so a caller that keeps no
     reference to it has it freed before LAPACK runs.
@@ -89,40 +63,9 @@ def eigvalsh(matrix: HermitianMatrix) -> Spectrum:
     n, dense = matrix.n, matrix.dense()
     del matrix
     try:
-        vals = np.linalg.eigvalsh(dense)
+        return np.linalg.eigvalsh(dense)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue computation failed for n={n}: {exc}") from exc
-    return Spectrum(n=n, eigenvalues=vals)
-
-
-@lru_cache(maxsize=64)
-def _minor_positions(n: int, j: int) -> np.ndarray:
-    """Packed positions of the upper-triangle pairs off row and column ``j``."""
-    rows, cols = np.divmod(_triangles(n)[0], n)
-    keep = np.flatnonzero((rows != j) & (cols != j))
-    keep.flags.writeable = False
-    return keep
-
-
-def minor(matrix: HermitianMatrix, j: int) -> HermitianMatrix:
-    """The ``(n-1) x (n-1)`` principal minor with row and column ``j`` removed.
-
-    ``j`` is a 0-based index.  Entries keep their original scaling, so the
-    minor of an ``n``-scaled Wigner matrix stays ``n``-scaled.  The minor is
-    sliced from the packed storage: the upper-triangle pairs off row and
-    column ``j`` keep their row-major order, which is the minor's.  A stack
-    gives the stack of minors.
-    """
-    n = matrix.n
-    if not 0 <= j < n:
-        raise DomainError(f"minor index must lie in [0, {n}), got {j}")
-    if n == 1:
-        raise DomainError("a 1 x 1 matrix has no proper minor")
-    return HermitianMatrix(
-        n=n - 1,
-        diagonal=np.delete(matrix.diagonal, j, axis=-1),
-        upper=np.take(matrix.upper, _minor_positions(n, j), axis=-1),
-    )
 
 
 @lru_cache(maxsize=1)

@@ -8,9 +8,13 @@ variance 1.  The lower triangle is the conjugate of the upper one, so the
 matrix is Hermitian by construction and its spectrum concentrates on
 ``[-2, 2]``.  Gaussian entry laws give the GUE.
 
-A :class:`HermitianMatrix` may carry leading batch axes: a stack of ``B``
-matrices of one size is sampled, unpacked and diagonalised in one call each,
-with every matrix drawn from its own stream exactly as if sampled alone.
+A :class:`HermitianMatrix` stores the diagonal and the row-major packed
+upper triangle; this module is the one that knows that packed order, so
+unpacking (:meth:`HermitianMatrix.dense`), packing (``from_dense``) and
+slicing a principal minor (:func:`minor`) all live here.  A matrix may
+carry leading batch axes: a stack of ``B`` matrices of one size is sampled,
+sliced, unpacked and diagonalised in one call each, with every matrix drawn
+from its own stream exactly as if sampled alone.
 :func:`sample_wigner` draws a stack into one raw buffer, a row per stream in
 its consumption order, and assembles it with stack-wide operations; with
 Gaussian laws a stream is a single generator call, which in a thread pool
@@ -30,7 +34,7 @@ from .distributions import DistributionSpec, gaussian_diag, gaussian_off
 from .errors import ConfigurationError, DomainError
 from .seeding import SeedSpec
 
-__all__ = ["HermitianMatrix", "sample_wigner", "sample_gue"]
+__all__ = ["HermitianMatrix", "minor", "sample_wigner", "sample_gue"]
 
 
 @lru_cache(maxsize=16)
@@ -41,6 +45,15 @@ def _triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
     upper, lower = rows * n + cols, cols * n + rows
     upper.flags.writeable = lower.flags.writeable = False
     return upper, lower
+
+
+@lru_cache(maxsize=64)
+def _minor_positions(n: int, j: int) -> np.ndarray:
+    """Packed positions of the upper-triangle pairs off row and column ``j``."""
+    rows, cols = np.divmod(_triangles(n)[0], n)
+    keep = np.flatnonzero((rows != j) & (cols != j))
+    keep.flags.writeable = False
+    return keep
 
 
 @dataclass
@@ -107,6 +120,27 @@ class HermitianMatrix:
             flat[lower] = row.conj()
         rows[:, :: n + 1] = self.diagonal.reshape(-1, n)
         return h
+
+
+def minor(matrix: HermitianMatrix, j: int) -> HermitianMatrix:
+    """The ``(n-1) x (n-1)`` principal minor with row and column ``j`` removed.
+
+    ``j`` is a 0-based index.  Entries keep their original scaling, so the
+    minor of an ``n``-scaled Wigner matrix stays ``n``-scaled.  The minor is
+    sliced from the packed storage: the upper-triangle pairs off row and
+    column ``j`` keep their row-major order, which is the minor's.  A stack
+    gives the stack of minors.
+    """
+    n = matrix.n
+    if not 0 <= j < n:
+        raise DomainError(f"minor index must lie in [0, {n}), got {j}")
+    if n == 1:
+        raise DomainError("a 1 x 1 matrix has no proper minor")
+    return HermitianMatrix(
+        n=n - 1,
+        diagonal=np.delete(matrix.diagonal, j, axis=-1),
+        upper=np.take(matrix.upper, _minor_positions(n, j), axis=-1),
+    )
 
 
 def sample_wigner(

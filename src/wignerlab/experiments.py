@@ -51,14 +51,15 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from typing import Callable, Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from .diagnostics import good_event, select_indices
 from .distributions import DistributionSpec, gaussian_diag, gaussian_off
-from .eigensolver import eigvalsh, minor, one_blas_thread
-from .ensembles import sample_wigner
+from .eigensolver import eigvalsh, one_blas_thread
+from .ensembles import minor, sample_wigner
 from .errors import ConfigurationError, _integer, _real
 from .seeding import SeedSpec
 from .spectral import F_sc, counting, im_stieltjes, rho_sc, unfolded_spacings, wigner_surmise_gue_cdf
@@ -368,11 +369,14 @@ def worker_count(requested: Optional[int] = None) -> int:
 
 def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
     """Compensated mean and standard error; NaN stderr for one sample."""
-    m = len(values)
-    mean = math.fsum(values) / m
+    arr = np.asarray(values, dtype=float)
+    m = len(arr)
+    mean = math.fsum(arr.tolist()) / m
     if m < 2:
         return mean, float("nan")
-    var = math.fsum((float(v) - mean) ** 2 for v in values) / (m - 1)
+    # Python's ``pow``, not numpy's ``d * d``: the two round some squares
+    # differently, and the stderr bytes follow ``x ** 2``
+    var = math.fsum(map(pow, (arr - mean).tolist(), repeat(2))) / (m - 1)
     return mean, math.sqrt(var / m)
 
 
@@ -398,8 +402,8 @@ def _spectra(
     # no name here holds the packed stack, so eigvalsh frees it once unpacked
     # and it is not alive while LAPACK runs
     if drop_row:
-        return eigvalsh(minor(sample_wigner(n, off, diag, seeds), 0)).eigenvalues
-    return eigvalsh(sample_wigner(n, off, diag, seeds)).eigenvalues
+        return eigvalsh(minor(sample_wigner(n, off, diag, seeds), 0))
+    return eigvalsh(sample_wigner(n, off, diag, seeds))
 
 
 def _chunk_stats(

@@ -89,9 +89,12 @@ def im_stieltjes(mu, E, eta):
     ``(1/N) sum_a eta / ((mu_a - E)^2 + eta^2)``.
 
     ``E`` and ``eta`` broadcast to the point shape ``P``; a spectrum stack
-    of batch shape ``S`` gives ``S + P`` values.
+    of batch shape ``S`` gives ``S + P`` values.  Every ``eta`` must be
+    positive.
     """
     E, eta = np.broadcast_arrays(np.asarray(E, dtype=float), np.asarray(eta, dtype=float))
+    if not np.all(eta > 0.0):
+        raise DomainError(f"im_stieltjes needs eta > 0, got eta = {eta}")
     mu = np.expand_dims(np.asarray(mu, dtype=float), tuple(range(-1 - E.ndim, -1)))
     E, eta = E[..., None], eta[..., None]
     out = np.sum(eta / ((mu - E) ** 2 + eta * eta), axis=-1) / mu.shape[-1]

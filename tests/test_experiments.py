@@ -215,6 +215,33 @@ def test_mean_stderr_single_sample_has_nan_stderr():
     assert math.isnan(se)
 
 
+def _generator_mean_stderr(values):
+    """The reference form of the reduction: ``fsum`` over ``(v - mean) ** 2``."""
+    m = len(values)
+    mean = math.fsum(values) / m
+    var = math.fsum((float(v) - mean) ** 2 for v in values) / (m - 1)
+    return mean, math.sqrt(var / m)
+
+
+def test_mean_stderr_squares_with_pythons_pow():
+    # x ** 2 is libm's pow, which rounds some squares differently from
+    # x * x; columns built from such values tell the two forms apart
+    rng = np.random.default_rng(14)
+    draws = rng.standard_normal(100_000)
+    odd = [v for v in draws.tolist() if v * v != v**2]
+    columns = [np.array([v, -v, v, -v]) for v in odd]
+    columns += [rng.standard_normal(1024), rng.integers(0, 9, 64), list(draws[:100])]
+    for column in columns:
+        assert _mean_stderr(column) == _generator_mean_stderr(column)
+
+    def numpy_square(values):
+        d = np.asarray(values, dtype=float) - math.fsum(values) / len(values)
+        return math.sqrt(math.fsum((d * d).tolist()) / (len(values) - 1) / len(values))
+
+    if odd:
+        assert any(numpy_square(c) != _generator_mean_stderr(c)[1] for c in columns)
+
+
 # -- experiment runs ---------------------------------------------------------------
 
 
@@ -265,8 +292,7 @@ def test_dos_mean_is_sample_average_of_counts():
     vals = []
     for i in range(8):
         m = sample_gue(24, SeedSpec(5, i))
-        sp = eigvalsh(m)
-        vals.append(counting(sp.eigenvalues, -eta / 2.0, eta / 2.0) / (24 * eta))
+        vals.append(counting(eigvalsh(m), -eta / 2.0, eta / 2.0) / (24 * eta))
     assert abs(res.rows[0].mean - float(np.mean(vals))) < 1e-15
 
 
@@ -290,14 +316,13 @@ def test_arctangent_sandwich_bounds_counting():
     # inside [a + s, b - s] contributes at least pi - 2 eta / s.
     a, b, eta, s = -0.5, 0.5, 0.1, 0.25
     for trial in range(20):
-        sp = eigvalsh(sample_gue(32, SeedSpec(60, trial)))
-        mu = sp.eigenvalues
-        integral = float(np.sum(np.arctan((b - mu) / eta) - np.arctan((a - mu) / eta))) / sp.n
+        mu = eigvalsh(sample_gue(32, SeedSpec(60, trial)))
+        integral = float(np.sum(np.arctan((b - mu) / eta) - np.arctan((a - mu) / eta))) / mu.size
         upper = (
-            math.pi * counting(mu, a - s, b + s) / sp.n
+            math.pi * counting(mu, a - s, b + s) / mu.size
             + (b - a) * eta / s**2
         )
-        lower = (math.pi - 2.0 * eta / s) * counting(mu, a + s, b - s) / sp.n
+        lower = (math.pi - 2.0 * eta / s) * counting(mu, a + s, b - s) / mu.size
         assert integral <= upper + 1e-12
         assert integral >= lower - 1e-12
 
@@ -358,7 +383,7 @@ def test_derivative_uses_common_random_numbers():
         seed=9, extra={"delta_e": 0.01},
     )
     res = run_experiment(spec, workers=1)
-    mu = eigvalsh(sample_gue(16, SeedSpec(9, 0))).eigenvalues
+    mu = eigvalsh(sample_gue(16, SeedSpec(9, 0)))
     eta = 0.5 / 16
     def imst(E):
         return float(np.sum(eta / ((mu - E) ** 2 + eta * eta))) / 16

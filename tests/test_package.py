@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import wignerlab
@@ -24,7 +25,7 @@ EARLIER_NAMES = (
     "__version__", "WignerLabError", "ConfigurationError", "DomainError", "NumericError",
     "SeedSpec", "DistributionSpec", "OFF_DIAGONAL_VARIANCE", "DIAGONAL_VARIANCE", "gaussian_off",
     "gaussian_diag", "regularity_integrals", "HermitianMatrix", "sample_wigner", "sample_gue",
-    "Spectrum", "eigh", "eigvalsh", "minor", "rho_sc", "m_sc", "F_sc", "counting",
+    "eigh", "eigvalsh", "minor", "rho_sc", "m_sc", "F_sc", "counting",
     "im_stieltjes", "gue_log_density", "gue_log_normalization", "unfolded_spacings",
     "wigner_surmise_gue", "wigner_surmise_gue_cdf", "GOOD_EVENT_COUNT", "OverlapData", "overlaps",
     "schur_resolvent_residual", "Coefficients", "coefficients", "good_event", "Selection",
@@ -48,10 +49,21 @@ def test_every_exported_name_resolves_to_its_module_object():
 
 
 def test_package_keeps_its_earlier_names():
-    assert len(EARLIER_NAMES) == len(set(EARLIER_NAMES)) == 50
+    assert len(EARLIER_NAMES) == len(set(EARLIER_NAMES)) == 49
     assert set(EARLIER_NAMES) <= set(wignerlab.__all__)
     assert "one_blas_thread" in wignerlab.__all__
 
+
+def test_only_ensembles_knows_the_packed_layout():
+    # the row-major packed order of the upper triangle is read through these
+    # helpers; a second module that uses them re-derives the layout
+    root = Path(__file__).resolve().parents[1] / "src" / "wignerlab"
+    users = sorted(
+        path.name
+        for path in root.glob("*.py")
+        if path.name != "ensembles.py" and re.search(r"_triangles|_minor_positions", path.read_text())
+    )
+    assert users == []
 
 
 # exported names that nothing in the package or the benchmark calls, each

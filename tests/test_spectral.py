@@ -143,15 +143,25 @@ def test_stieltjes_exact_small_case():
     assert abs(im_stieltjes(mu, z.real, z.imag) - expected.imag) < 1e-15
 
 
+def test_im_stieltjes_requires_positive_eta():
+    # like m_sc off the upper half-plane: eta = 0 used to give nan and a
+    # negative eta a negative "imaginary part"
+    mu = [-1.0, 0.0, 1.0]
+    for eta in (0.0, -0.1, float("nan"), [0.5, 0.0]):
+        with pytest.raises(DomainError):
+            im_stieltjes(mu, 0.5, eta)
+    assert im_stieltjes(mu, 0.5, 0.1) > 0.0
+
+
 def test_stieltjes_imaginary_part_is_poisson_sum():
-    mu = eigvalsh(sample_gue(32, SeedSpec(31))).eigenvalues
+    mu = eigvalsh(sample_gue(32, SeedSpec(31)))
     e, eta = 0.3, 0.05
     kernel = float(np.sum(eta / ((mu - e) ** 2 + eta**2))) / mu.size
     assert abs(im_stieltjes(mu, e, eta) - kernel) < 1e-15
 
 
 def test_stieltjes_converges_to_m_sc():
-    mu = eigvalsh(sample_gue(1024, SeedSpec(32))).eigenvalues
+    mu = eigvalsh(sample_gue(1024, SeedSpec(32)))
     z = 0.4 + 0.3j
     assert abs(im_stieltjes(mu, z.real, z.imag) - m_sc(z).imag) < 0.05
 
@@ -160,7 +170,7 @@ def test_stieltjes_converges_to_m_sc():
 def test_dyadic_bound_dominates(trial):
     # an eigenvalue within eps of E has Poisson kernel at most 1/eps, and one
     # at distance in (2^l eps, 2^(l+1) eps] at most 1/(4^l eps)
-    mu = eigvalsh(sample_gue(48, SeedSpec(33, trial))).eigenvalues
+    mu = eigvalsh(sample_gue(48, SeedSpec(33, trial)))
     E = 0.1 * trial - 0.3
     for eps in (0.5, 0.05, 1.0 / 48.0):
         radii = eps * 2.0 ** np.arange(13)
@@ -238,7 +248,7 @@ def test_unfolded_spacings_empty_and_validation():
 
 
 def test_unfolded_mean_spacing_near_one():
-    mu = eigvalsh(sample_gue(512, SeedSpec(35))).eigenvalues
+    mu = eigvalsh(sample_gue(512, SeedSpec(35)))
     spacings = unfolded_spacings(mu, _SPACING_WINDOW)
     assert spacings.size > 200
     assert abs(spacings.mean() - 1.0) < 0.05
