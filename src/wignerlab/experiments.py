@@ -31,6 +31,19 @@ chunk order.  The comments at ``_ONE_BLAS_THREAD_MAX_N`` and
 matrices, and builds whose BLAS thread count cannot be set, run the chunks
 serially.  The bytes do not depend on the worker count either.
 
+A serial cell lends its thread one scratch buffer of ``16 B N^2`` bytes,
+the size of a chunk's dense stack, for all its chunks
+(``ensembles._scratch_scope``).  Each chunk draws its raw entries into it,
+then unpacks its LAPACK input over it; neither array outlives its function,
+and the buffer is dropped when the cell ends, on every exit path.  Freed
+after every matrix, those blocks went back to the kernel and were faulted in
+again: 2017 page faults and 4.2 ms of kernel time per matrix at N = 512,
+against 18 faults and 0.06 ms with the buffer held for the cell.  Pool
+threads allocate per call: their chunks, up to N = 128, faulted about 2
+(``dos``, N = 64) to 55 (minors of N = 128) pages per matrix, and a buffer
+held by each pool thread raised the peak RSS of the N = 64 and N = 128
+benchmark workloads by 0.1-0.5 MB.
+
 Kinds and core: :func:`run_experiment` holds the one loop over sizes.  A
 kind checks the whole spec, for every size, before anything is sampled and
 returns the step that samples one size and builds its rows; it reads
@@ -59,7 +72,7 @@ import numpy as np
 from .diagnostics import good_event, select_indices
 from .distributions import DistributionSpec, gaussian_diag, gaussian_off
 from .eigensolver import eigvalsh, one_blas_thread
-from .ensembles import minor, sample_wigner
+from .ensembles import _scratch_scope, minor, sample_wigner
 from .errors import ConfigurationError, _integer, _real
 from .seeding import SeedSpec
 from .spectral import F_sc, counting, im_stieltjes, rho_sc, unfolded_spacings, wigner_surmise_gue_cdf
@@ -205,6 +218,15 @@ class ExperimentSpec:
         object.__setattr__(self, "eta", tuple(EtaSchedule.from_json(e) for e in etas))
         if self.kind in ("dos", "im_stieltjes", "wegner", "derivative", "scale_sweep") and not self.eta:
             raise ConfigurationError(f"experiment kind {self.kind!r} needs at least one eta")
+        for sch in self.eta:
+            for n in self.n:
+                # a positive coefficient can still underflow to 0 at large n
+                eta = sch.resolve(n)
+                if not (eta > 0.0 and math.isfinite(n * eta)):
+                    raise ConfigurationError(
+                        f"eta schedule {sch.label()} resolves to eta={eta:g} at N={n}; "
+                        "eta must be positive with N*eta finite"
+                    )
         dist = self.dist
         if dist is None:
             dist = (gaussian_off(), gaussian_diag())
@@ -400,7 +422,9 @@ def _spectra(
     row ``b`` from ``seeds[b]``; with ``drop_row`` those of the minors without
     row and column 0."""
     # no name here holds the packed stack, so eigvalsh frees it once unpacked
-    # and it is not alive while LAPACK runs
+    # and it is not alive while LAPACK runs.  In a serial cell the raw draw
+    # and then the dense LAPACK input take turns on the thread's scratch
+    # buffer; both are dead when this returns, and the eigenvalues are new
     if drop_row:
         return eigvalsh(minor(sample_wigner(n, off, diag, seeds), 0))
     return eigvalsh(sample_wigner(n, off, diag, seeds))
@@ -438,7 +462,10 @@ def _chunk_stats(
 
     with one_blas_thread() if size <= _ONE_BLAS_THREAD_MAX_N else nullcontext(False) as pinned:
         if not pinned or workers == 1 or depth * size <= _GIL_FREE_SIZE:
-            return [task(seeds) for seeds in chunks]
+            # one buffer for the cell, sized for a chunk's dense stack; each
+            # chunk draws into it, then unpacks its LAPACK input there
+            with _scratch_scope(16 * depth * n * n):
+                return [task(seeds) for seeds in chunks]
         from concurrent.futures import ThreadPoolExecutor
 
         # map yields in chunk order and cancels the queued chunks if one raises
@@ -640,6 +667,11 @@ def _derivative(spec: ExperimentSpec) -> _Step:
         steps[n] = delta_sched.resolve(n)
         if steps[n] <= 0.0:
             raise ConfigurationError(f"finite-difference step must be positive, got {steps[n]}")
+        for E in spec.energy:
+            if E + steps[n] == E or E - steps[n] == E:
+                raise ConfigurationError(
+                    f"finite-difference step {steps[n]:g} does not move energy {E:g} at N={n}"
+                )
         for sch in spec.eta:
             eta = sch.resolve(n)
             if eta > 1.0 / n:

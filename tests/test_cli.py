@@ -17,6 +17,7 @@ from wignerlab.distributions import DistributionSpec
 from wignerlab.experiments import EXPERIMENT_KINDS, EtaSchedule, ExperimentResult, ExperimentSpec
 
 import wignerlab.cli as cli_module
+import wignerlab.experiments as experiments_module
 import wignerlab.svgplot as svgplot
 
 
@@ -320,6 +321,32 @@ def test_numeric_failure_exits_one(monkeypatch):
 def test_deriv_eta_validation_exit():
     assert main(["deriv", "--n", "16", "--samples", "2", "--energy", "0",
                  "--eta", "0.5", "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("command", ["dos", "stieltjes", "wegner", "deriv", "sweep"])
+@pytest.mark.parametrize("eta, shown", [
+    (["--eta-over-n32", "5e-324"], "eta=0 at N=4"),
+    (["--eta", "1e308"], "eta=1e+308 at N=4"),
+], ids=["underflow", "overflow"])
+def test_eta_that_resolves_to_zero_or_infinite_n_eta_exits_two(command, eta, shown, capsys,
+                                                               monkeypatch):
+    monkeypatch.setattr(experiments_module, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    assert main([command, "--n", "4", "--samples", "2"] + eta) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eta schedule ")
+    assert shown in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_deriv_step_that_does_not_move_the_energy_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(experiments_module, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    assert main(["deriv", "--n", "8", "--samples", "4", "--eta-over-n", "0.5",
+                 "--delta-e", "1e-320", "--energy", "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: finite-difference step ")
+    assert "does not move energy 0.3" in captured.err
 
 
 def test_regularity_prints_gaussian_integrals(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from wignerlab import (
     schur_resolvent_residual,
     unfolded_spacings,
 )
+from wignerlab import ensembles
 
 LAW_PAIRS = {
     "gaussian": (gaussian_off(), gaussian_diag()),
@@ -263,3 +265,74 @@ def test_generator_calls_per_stream(law, monkeypatch):
     assert calls == {s: STREAM_CALLS[law] for s in seeds}
     assert stack.diagonal.tobytes() == expected.diagonal.tobytes()
     assert stack.upper.tobytes() == expected.upper.tobytes()
+
+
+def _recording_lapack(monkeypatch):
+    """Patch numpy's ``eigvalsh`` to keep each input it is handed."""
+    inputs: list = []
+    lapack = np.linalg.eigvalsh
+
+    def recording(a):
+        inputs.append(a)
+        return lapack(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return inputs
+
+
+@pytest.mark.parametrize("law", ["gaussian", "mixture"])
+def test_calls_outside_a_run_return_fresh_arrays(law, monkeypatch):
+    off, diag = LAW_PAIRS[law]
+    seeds = [SeedSpec(31, k) for k in range(3)]
+    a, b = sample_wigner(32, off, diag, seeds), sample_wigner(32, off, diag, seeds)
+    inputs = _recording_lapack(monkeypatch)
+    pairs = [
+        (a.upper, b.upper), (a.diagonal, b.diagonal), (a.dense(), a.dense()),
+        (a.dense(scratch=True), a.dense(scratch=True)), (eigvalsh(a), eigvalsh(b)),
+    ]
+    for x, y in pairs:
+        assert x.flags.owndata and y.flags.owndata
+        assert not np.shares_memory(x, y)
+    # the LAPACK input of eigvalsh is a new array too
+    assert len(inputs) == 2 and all(x.flags.owndata for x in inputs)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "mixture"])
+def test_scratch_holds_only_the_draw_buffer_and_the_lapack_input(law, monkeypatch):
+    off, diag = LAW_PAIRS[law]
+    seeds = [SeedSpec(37, k) for k in range(3)]
+    fresh = sample_wigner(32, off, diag, seeds)
+    inputs = _recording_lapack(monkeypatch)
+    with ensembles._scratch_scope(16 * 3 * 32 * 32):
+        buffer = ensembles._local.buffer
+        lent = sample_wigner(32, off, diag, seeds)
+        # the draw passed through the buffer and left nothing pointing into it
+        assert not np.shares_memory(lent.upper, buffer)
+        assert not np.shares_memory(lent.diagonal, buffer)
+        assert lent.upper.tobytes() == fresh.upper.tobytes()
+        assert lent.diagonal.tobytes() == fresh.diagonal.tobytes()
+        # only an unpacking that asks for the scratch is laid over it
+        assert not np.shares_memory(lent.dense(), buffer)
+        dense = lent.dense(scratch=True)
+        assert np.shares_memory(dense, buffer)
+        assert dense.tobytes() == fresh.dense().tobytes()
+        mu = eigvalsh(lent)
+        assert np.shares_memory(inputs[-1], buffer)
+        assert not np.shares_memory(mu, buffer)
+    assert mu.tobytes() == eigvalsh(fresh).tobytes()
+    assert not hasattr(ensembles._local, "buffer")
+
+
+def test_scratch_too_small_or_on_another_thread_is_not_used():
+    seeds = [SeedSpec(41, k) for k in range(2)]
+    stack = sample_gue(16, SeedSpec(41, 0))
+    seen: list = []
+    with ensembles._scratch_scope(8):
+        # a request larger than the buffer gets a new array
+        assert stack.dense(scratch=True).flags.owndata
+        # the buffer is this thread's alone
+        other = threading.Thread(target=lambda: seen.append(hasattr(ensembles._local, "buffer")))
+        other.start()
+        other.join()
+    assert seen == [False]
+    assert sample_wigner(16, gaussian_off(), gaussian_diag(), seeds).upper.flags.owndata

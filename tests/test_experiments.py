@@ -31,7 +31,7 @@ from wignerlab import (
     select_indices,
     worker_count,
 )
-from wignerlab import eigensolver, experiments
+from wignerlab import eigensolver, ensembles, experiments
 from wignerlab.experiments import _mean_stderr
 
 
@@ -361,6 +361,31 @@ def test_derivative_requires_step_and_small_eta():
             ),
             workers=1,
         )
+
+
+def test_eta_must_resolve_positive_with_finite_n_eta_at_every_size(monkeypatch):
+    monkeypatch.setattr(experiments, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    # 1e-315 / N^1.5 is a positive subnormal at N = 4 and rounds to 0 at N = 10^6
+    ExperimentSpec(kind="dos", n=[4], samples=2, eta=[{"over_n32": 1e-315}])
+    with pytest.raises(ConfigurationError, match=r"resolves to eta=0 at N=1000000"):
+        ExperimentSpec(kind="dos", n=[4, 10**6], samples=2, eta=[{"over_n32": 1e-315}])
+    # N * eta = 1e308 is finite at N = 1 and overflows at N = 2
+    ExperimentSpec(kind="dos", n=[1], samples=2, eta=[1e308])
+    for kind in ("dos", "im_stieltjes", "wegner", "derivative", "scale_sweep"):
+        with pytest.raises(ConfigurationError, match=r"resolves to eta=1e\+308 at N=2"):
+            run_experiment(ExperimentSpec(kind=kind, n=[1, 2], samples=2, eta=[1e308],
+                                          extra={"delta_e": 0.01} if kind == "derivative" else {}))
+
+
+def test_derivative_step_must_move_every_energy(monkeypatch):
+    monkeypatch.setattr(experiments, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    # 0.3 + 1e-320 == 0.3, while 0 + 1e-320 moves
+    tiny = ExperimentSpec(kind="derivative", n=[8], samples=4, energy=[0.0, 0.3],
+                          eta=[{"over_n": 0.5}], extra={"delta_e": 1e-320})
+    with pytest.raises(ConfigurationError, match=r"does not move energy 0.3 at N=8"):
+        run_experiment(tiny)
+    monkeypatch.undo()
+    assert len(run_experiment(dataclasses.replace(tiny, energy=(0.0,))).rows) == 1
 
 
 def test_derivative_row_semantics():
@@ -777,6 +802,95 @@ def test_packed_stack_is_freed_before_lapack(monkeypatch, drop_row):
     mu = experiments._spectra(128, gaussian_off(), gaussian_diag(), seeds, drop_row)
     assert mu.shape == (4, 127 if drop_row else 128)
     assert alive == [False] * (2 if drop_row else 1)
+
+
+# -- the serial scratch buffer ------------------------------------------------
+
+
+def _lapack_inputs(monkeypatch):
+    """Patch numpy's ``eigvalsh`` to record, per input, its data pointer,
+    whether it owns its data, its thread and whether a scratch buffer was
+    lent to that thread."""
+    inputs: list = []
+    lapack = np.linalg.eigvalsh
+    lock = threading.Lock()
+
+    def recording(a):
+        with lock:
+            inputs.append((a.__array_interface__["data"][0], a.flags.owndata,
+                           threading.get_ident(), hasattr(ensembles._local, "buffer")))
+        return lapack(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return inputs
+
+
+@pytest.mark.parametrize("kind", ["dos", "spacing", "delta_moments"])
+def test_serial_chunks_share_one_lapack_input(kind, monkeypatch):
+    # N = 200 runs serially, one matrix per chunk
+    spec = ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[200], samples=4,
+                                         seed=43, energy=[0.0]))
+    assert experiments._chunk_depth(200) == 1
+    inputs = _lapack_inputs(monkeypatch)
+    run_experiment(spec)
+    assert len(inputs) == 4
+    assert len({pointer for pointer, _, _, _ in inputs}) == 1
+    assert {(owned, thread, lent) for _, owned, thread, lent in inputs} == {
+        (False, threading.get_ident(), True)}
+
+
+def test_serial_spectra_equal_those_drawn_without_a_scratch():
+    seeds = [SeedSpec(47, i) for i in range(2)]
+    for drop_row in (False, True):
+        fresh = experiments._spectra(200, gaussian_off(), gaussian_diag(), seeds, drop_row)
+        with ensembles._scratch_scope(16 * 2 * 200 * 200):
+            lent = experiments._spectra(200, gaussian_off(), gaussian_diag(), seeds, drop_row)
+        assert lent.tobytes() == fresh.tobytes()
+
+
+def test_scratch_is_dropped_when_the_run_ends(monkeypatch):
+    buffers: list = []
+    lapack = np.linalg.eigvalsh
+
+    def recording(a):
+        buffers.append(weakref.ref(ensembles._local.buffer))
+        return lapack(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    spec = ExperimentSpec(kind="spacing", n=[200], samples=3, seed=53)
+    run_experiment(spec)
+    assert len(buffers) == 3
+    assert [r() for r in buffers] == [None] * 3
+    assert not hasattr(ensembles._local, "buffer")
+
+    def fail(mu, window):
+        raise NumericError("synthetic failure")
+
+    # a chunk that raises after LAPACK
+    buffers.clear()
+    monkeypatch.setattr(experiments, "unfolded_spacings", fail)
+    with pytest.raises(NumericError, match="synthetic failure"):
+        run_experiment(spec)
+    assert len(buffers) == 1 and buffers[0]() is None
+    assert not hasattr(ensembles._local, "buffer")
+
+
+def test_pool_threads_never_enter_the_scratch_scope(monkeypatch, blas_threads):
+    scopes: list = []
+    scope = experiments._scratch_scope
+
+    def recording_scope(nbytes):
+        scopes.append(threading.get_ident())
+        return scope(nbytes)
+
+    monkeypatch.setattr(experiments, "_scratch_scope", recording_scope)
+    inputs = _lapack_inputs(monkeypatch)
+    # N = 16 in 2 chunks of up to 32 and N = 72 in 4 of 12, all pooled
+    run_experiment(_chunk_spec("dos"), workers=2)
+    assert scopes == []
+    assert len(inputs) == 6
+    assert threading.get_ident() not in {thread for _, _, thread, _ in inputs}
+    assert {(owned, lent) for _, owned, _, lent in inputs} == {(True, False)}
 
 
 # -- serialization -------------------------------------------------------------------
