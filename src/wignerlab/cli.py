@@ -4,7 +4,11 @@ Subcommands map onto the Monte Carlo experiment kinds (``dos``,
 ``stieltjes``, ``wegner``, ``deriv``, ``sweep``, ``spacing``) plus three
 utilities: ``diagnostics`` emits the minor/overlap record of a single
 sampled matrix as JSON, ``regularity`` prints the smoothness integrals of
-an entry law, and ``check`` runs the built-in verification suite.
+an entry law, and ``check`` runs the built-in verification suite: six
+invariant residuals, each computed by the same function that the
+acceptance criteria and unit tests call (:mod:`wignerlab.checks`, and
+:func:`~wignerlab.diagnostics.schur_resolvent_residual` for the Schur
+complement), on the suite's own seeds, sizes and bounds.
 
 Results are written as CSV (default) or JSON, with numbers in shortest
 round-trip decimal form so output bytes are stable across platforms.
@@ -22,14 +26,20 @@ import sys
 
 import numpy as np
 
-from .diagnostics import coefficients, minor_diagnostics, schur_resolvent_residual, select_indices
-from .distributions import DistributionSpec, _integrate, gaussian_off, regularity_integrals
+from .checks import (
+    chain_violation,
+    interlacing_gap,
+    regularity_gap,
+    semicircle_identity_gap,
+    semicircle_normalization_gap,
+)
+from .diagnostics import good_event, minor_diagnostics, schur_resolvent_residual
+from .distributions import DistributionSpec, regularity_integrals
 from .eigensolver import eigvalsh
 from .ensembles import minor, sample_gue, sample_wigner
 from .errors import ConfigurationError, DomainError, NumericError
 from .experiments import ExperimentResult, ExperimentSpec, run_experiment
 from .seeding import SeedSpec
-from .spectral import m_sc, rho_sc
 from .svgplot import Series, render_plot
 from .version import __version__
 
@@ -316,86 +326,35 @@ def _run_regularity_command(args) -> int:
 # -- built-in verification suite --------------------------------------------
 
 
-def _check_semicircle() -> tuple[float, float]:
-    grid = np.linspace(-1.9, 1.9, 381)
-    resid = max(
-        abs(math.pi * rho_sc(E) - m_sc(complex(E, 1e-9)).imag) for E in grid
-    )
-    # x = 2 sin(t) turns the square-root edges into the smooth 2 cos(t)**2 / pi
-    total = _integrate(lambda t: rho_sc(2.0 * np.sin(t)) * 2.0 * np.cos(t), -math.pi / 2, math.pi / 2)
-    return resid, abs(total - 1.0)
+def _gue(n: int, seed: int, count: int):
+    """The ``count`` GUE draws of size ``n`` that the suite takes from ``seed``."""
+    return (sample_gue(n, SeedSpec(seed, i)) for i in range(count))
 
 
-def _check_schur(seed: int = 7) -> float:
-    worst = 0.0
-    for i in range(20):
-        matrix = sample_gue(32, SeedSpec(seed, i))
-        j = i % 32
-        z = complex(0.3 * math.sin(i), 1e-3 + 0.1 * i)
-        worst = max(worst, schur_resolvent_residual(matrix, j, z))
-    return worst
-
-
-def _check_interlacing(seed: int = 11) -> float:
-    worst = 0.0
-    for i in range(10):
-        matrix = sample_gue(48, SeedSpec(seed, i))
-        mu = eigvalsh(matrix)
-        lam = eigvalsh(minor(matrix, i % 48))
-        worst = max(worst, float(np.max(np.maximum(mu[:-1] - lam, lam - mu[1:]))))
-    return max(worst, 0.0)
-
-
-def _check_coefficient_chains(seed: int = 13) -> float:
-    eps = 0.5
-    worst = 0.0
-    found = 0
-    for i in range(40):
-        matrix = sample_gue(64, SeedSpec(seed, i))
-        lam = eigvalsh(minor(matrix, 0))
-        try:
-            sel = select_indices(lam, 0.0, eps, 64)
-        except DomainError:
-            continue
-        found += 1
-        coeffs = [coefficients(float(lam[b]), 0.0, eps, 64) for b in sel.beta[1:]]
-        cs = [co.c for co in coeffs]
-        ds = [abs(co.d) for co in coeffs]
-        delta = sel.delta
-        chain = [
-            1.0 / (2.0 * delta) - ds[-1],
-            eps / (2.0 * delta * delta) - cs[-1],
-            max(ds) - 1.0 / eps,
-            max(cs) - 1.0 / eps,
-        ]
-        chain.extend(ds[k + 1] - ds[k] for k in range(len(ds) - 1))
-        chain.extend(cs[k + 1] - cs[k] for k in range(len(cs) - 1))
-        worst = max(worst, max(chain))
-    if found == 0:
+def _chain_residual() -> float:
+    """Worst chain violation over the good-event minor spectra of 40 draws."""
+    spectra = (eigvalsh(minor(matrix, 0)) for matrix in _gue(64, 13, 40))
+    good = [lam for lam in spectra if good_event(lam, 0.0, 0.5, 64)]
+    if not good:
         raise NumericError("no good-event spectrum found for the coefficient chain check")
-    return max(worst, 0.0)
-
-
-def _check_regularity() -> float:
-    values = regularity_integrals(gaussian_off())
-    return max(
-        abs(values["I6"] - 120.0) / 120.0,
-        abs(values["I4"] - 12.0) / 12.0,
-        abs(values["I2pp"] - 8.0) / 8.0,
-    )
+    return max(chain_violation(lam, 0.0, 0.5, 64) for lam in good)
 
 
 def run_check_suite(stream=None) -> int:
     """Run every built-in invariant check; print one line per check."""
     stream = stream or sys.stdout
-    identity, normalization = _check_semicircle()
+    schur = max(
+        schur_resolvent_residual(matrix, i % 32, complex(0.3 * math.sin(i), 1e-3 + 0.1 * i))
+        for i, matrix in enumerate(_gue(32, 7, 20))
+    )
+    interlacing = max(interlacing_gap(matrix, i % 48) for i, matrix in enumerate(_gue(48, 11, 10)))
     checks = [
-        ("semicircle identity", identity, 1e-6),
-        ("semicircle normalization", normalization, 1e-8),
-        ("schur resolvent residual", _check_schur(), 1e-9),
-        ("cauchy interlacing", _check_interlacing(), 1e-10),
-        ("coefficient chains", _check_coefficient_chains(), 1e-12),
-        ("regularity integrals", _check_regularity(), 1e-4),
+        ("semicircle identity", semicircle_identity_gap(np.linspace(-1.9, 1.9, 381)), 1e-6),
+        ("semicircle normalization", semicircle_normalization_gap(), 1e-8),
+        ("schur resolvent residual", schur, 1e-9),
+        ("cauchy interlacing", interlacing, 1e-10),
+        ("coefficient chains", _chain_residual(), 1e-12),
+        ("regularity integrals", regularity_gap(), 1e-4),
     ]
     failures = 0
     for name, residual, bound in checks:

@@ -229,7 +229,9 @@ def minor_diagnostics(matrix: HermitianMatrix, j: int, E: float, eps: float) -> 
     if not math.isfinite(E):
         raise DomainError(f"energy must be finite, got {E}")
     lam, xi = overlaps(matrix, j)
-    coef = coefficients(lam, E, eps, matrix.n)
+    # far from the spectrum the coefficients overflow; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = coefficients(lam, E, eps, matrix.n)
     if not all(np.isfinite(values).all() for values in coef):
         raise NumericError(f"coefficients overflow at energy {E:g}")
     omega = good_event(lam, E, eps, matrix.n)

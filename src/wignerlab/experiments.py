@@ -590,11 +590,28 @@ def _mean_kind(
     return _grid_step(spec, stat, row)
 
 
+def _window_mass(E: float, eta: float) -> float:
+    """Semicircle mass of the window ``[E - eta/2, E + eta/2]``."""
+    return F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0)
+
+
 def _dos(spec: ExperimentSpec) -> _Step:
     """Averaged density against the semicircle window average."""
-    return _mean_kind(
-        spec, _density, lambda E, eta: (F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0)) / eta, "dos"
-    )
+
+    def reference(E, eta):
+        return _window_mass(E, eta) / eta
+
+    for n in spec.n:
+        for E in spec.energy:
+            for sch in spec.eta:
+                eta = sch.resolve(n)
+                # at a tiny eta the difference of the two F_sc values rounds to 0
+                if not reference(E, eta) > 0.0:
+                    raise ConfigurationError(
+                        f"dos reference at E={E:g}, eta={eta:g}, N={n} is not positive: "
+                        "the window is too narrow for its semicircle mass to be resolved"
+                    )
+    return _mean_kind(spec, _density, reference, "dos")
 
 
 def _scale_sweep(spec: ExperimentSpec) -> _Step:
@@ -642,7 +659,7 @@ def _wegner(spec: ExperimentSpec) -> _Step:
         mean_c, se_c = _mean_stderr(counts)
         mean_s, se_s = _mean_stderr(squares)
         base_extras = _submicro_extras(n, eta, counts, warnings, f"wegner at E={E:g}")
-        ref_count = n * (F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0))
+        ref_count = n * _window_mass(E, eta)
         return [
             ResultRow(
                 n, E, eta, mean_c, se_c, spec.samples, ref_count, mean_c / (n * eta),

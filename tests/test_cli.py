@@ -339,6 +339,15 @@ def test_eta_that_resolves_to_zero_or_infinite_n_eta_exits_two(command, eta, sho
     assert "Traceback" not in captured.err
 
 
+def test_dos_window_too_narrow_for_its_reference_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(experiments_module, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    assert main(["dos", "--n", "8", "--samples", "2", "--eta", "1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: dos reference at E=0, eta=1e-300, N=8 is not positive")
+    assert "Traceback" not in captured.err
+
+
 def test_deriv_step_that_does_not_move_the_energy_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(experiments_module, "sample_wigner", lambda *a: pytest.fail("sampled"))
     assert main(["deriv", "--n", "8", "--samples", "4", "--eta-over-n", "0.5",
@@ -411,11 +420,14 @@ def test_diagnostics_rejects_non_finite_energy(energy, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.filterwarnings("error")
 def test_diagnostics_overflow_is_a_numeric_failure(capsys):
-    # strict JSON cannot carry the NaN the coefficients overflow to
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["diagnostics", "--n", "8", "--energy", "1e200"]) == 1
-    assert capsys.readouterr().out == ""
+    # strict JSON cannot carry the NaN the coefficients overflow to, and the
+    # overflow is reported once, without a numpy RuntimeWarning before it
+    assert main(["diagnostics", "--n", "8", "--energy", "1e200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric failure: coefficients overflow at energy 1e+200\n"
 
 
 def test_check_suite_passes():
@@ -429,6 +441,23 @@ def test_check_suite_passes():
 
 def test_check_subcommand_exit_zero():
     assert main(["check"]) == 0
+
+
+def test_check_residual_above_its_bound_fails(monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "regularity_gap", lambda: 0.5)
+    assert main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert lines[-1] == "FAIL regularity integrals: residual 5.000e-01 (bound 1e-04)"
+    assert all(ln.startswith("PASS") for ln in lines[:-1])
+
+
+def test_check_without_a_good_event_is_a_numeric_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "good_event", lambda *a: False)
+    assert main(["check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric failure: no good-event spectrum found for the coefficient chain check\n"
 
 
 def test_version_flag(capsys):

@@ -20,6 +20,7 @@ from wignerlab import (
     schur_resolvent_residual,
     select_indices,
 )
+from wignerlab.checks import chain_violation
 
 
 def test_good_event_needs_eight_eligible():
@@ -231,16 +232,7 @@ def test_selected_coefficient_chains():
         if not good_event(lam, 0.0, eps, m.n):
             continue
         found += 1
-        sel = select_indices(lam, 0.0, eps, m.n)
-        co = coefficients(lam, 0.0, eps, m.n)
-        cs = co.c[sel.beta[1:]]
-        ds = np.abs(co.d[sel.beta[1:]])
-        assert np.all(np.diff(cs) <= 1e-12)
-        assert np.all(np.diff(ds) <= 1e-12)
-        assert ds[0] <= 1.0 / eps + 1e-12
-        assert ds[-1] >= 1.0 / (2.0 * sel.delta) - 1e-12
-        assert cs[0] <= 1.0 / eps + 1e-12
-        assert cs[-1] >= eps / (2.0 * sel.delta**2) - 1e-12
+        assert chain_violation(lam, 0.0, eps, m.n) <= 1e-12
     assert found > 20
 
 

@@ -66,6 +66,19 @@ def test_only_ensembles_knows_the_packed_layout():
     assert users == []
 
 
+def test_the_front_end_computes_no_residual_itself():
+    # the check suite calls the residual functions of checks.py; these names
+    # are what a residual is computed from
+    cli = Path(__file__).resolve().parents[1] / "src" / "wignerlab" / "cli.py"
+    names = set()
+    for node in ast.walk(ast.parse(cli.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert names & {"coefficients", "select_indices", "m_sc", "rho_sc", "_integrate"} == set()
+
+
 # exported names that nothing in the package or the benchmark calls, each
 # with the reason it stays
 UNCALLED_EXPORTS = {

@@ -23,6 +23,7 @@ from wignerlab import (
     wigner_surmise_gue,
     wigner_surmise_gue_cdf,
 )
+from wignerlab.checks import semicircle_identity_gap
 from wignerlab.experiments import _SPACING_WINDOW
 
 
@@ -77,8 +78,7 @@ def test_m_sc_requires_upper_half_plane():
 
 def test_semicircle_boundary_identity():
     # Im m_sc on the real axis equals pi rho_sc
-    for e in np.linspace(-1.95, 1.95, 79):
-        assert abs(m_sc(complex(e, 1e-9)).imag - math.pi * rho_sc(e)) < 1e-6
+    assert semicircle_identity_gap(np.linspace(-1.95, 1.95, 79)) < 1e-6
 
 
 def test_F_sc_endpoints_and_derivative():
