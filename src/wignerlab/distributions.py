@@ -60,20 +60,25 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _integrate(f, lo: float, hi: float) -> np.ndarray:
+def _integrate(f, lo: float, hi: float, breaks: Sequence[float] = ()) -> np.ndarray:
     """Integral over ``[lo, hi]`` of ``f``, which maps a 1-d array of nodes to
     values along its last axis (so one call can carry several integrands).
 
-    Raises :class:`NumericError` if the passes still disagree at
-    ``_QUAD_MAX_PANELS`` panels.
+    The points of ``breaks`` inside ``(lo, hi)`` cut it into pieces that each
+    get the same number of panels, so a feature as narrow as its piece is
+    resolved with the rest.  Raises :class:`NumericError` if the passes still
+    disagree at ``_QUAD_MAX_PANELS`` panels.
     """
     # numpy loads np.polynomial on first access, so sampling runs never do
     nodes, weights = np.polynomial.legendre.leggauss(16)
+    edges = [lo, *sorted({b for b in breaks if lo < b < hi}), hi]
     panels, last = 8, None
     while panels <= _QUAD_MAX_PANELS:
-        half = (hi - lo) / (2 * panels)
-        mids = lo + half * (2 * np.arange(panels) + 1.0)
-        value = half * (f((mids[:, None] + half * nodes).ravel()) @ np.tile(weights, panels))
+        value = 0.0
+        for a, b in zip(edges, edges[1:]):
+            half = (b - a) / (2 * panels)
+            mids = a + half * (2 * np.arange(panels) + 1.0)
+            value = value + half * (f((mids[:, None] + half * nodes).ravel()) @ np.tile(weights, panels))
         if last is not None and np.all(np.abs(value - last) <= _QUAD_RTOL * np.abs(value)):
             return value
         panels, last = 2 * panels, value
@@ -259,6 +264,14 @@ class DistributionSpec:
         wts, mus, sds = self._mix
         return float(np.max(np.abs(mus) + 14.0 * sds))
 
+    def _breaks(self) -> list:
+        """Where to cut ``[-L, L]`` for quadrature: each mixture component's
+        ``mean +- 14 scale``, so a narrow one gets panels of its own width."""
+        if self.kind == "smoothed_uniform":
+            return []
+        wts, mus, sds = self._mix
+        return np.concatenate([mus - 14.0 * sds, mus + 14.0 * sds]).tolist()
+
 
 def _normalise_mixture(
     params: Sequence[float], target: float
@@ -315,8 +328,10 @@ def regularity_integrals(dist: DistributionSpec) -> dict:
 
     Returns ``{"I6": E|h'/h|**6, "I4": E|h'/h|**4, "I2pp": E|h''/h|**2}``
     where ``h`` is the density of ``dist`` and expectations are under
-    ``h``.  All three are finite for the built-in kinds; the panels are
-    refined until two passes agree to a relative 1e-10, and
+    ``h``.  All three are finite for the built-in kinds.  Each mixture
+    component's ``mean +- 14 scale`` cuts the interval, so a narrow
+    component is resolved however narrow; the panels are refined until two
+    passes agree to a relative 1e-10, and
     :class:`NumericError` is raised if they do not or a value is not finite
     and positive.
     """
@@ -329,7 +344,7 @@ def regularity_integrals(dist: DistributionSpec) -> dict:
         return np.stack([score**6 * h, score**4 * h, curvature**2 * h])
 
     L = dist._support_bound()
-    values = _integrate(integrands, -L, L)
+    values = _integrate(integrands, -L, L, dist._breaks())
     if not np.all(np.isfinite(values) & (values > 0.0)):
         raise NumericError(f"regularity integrals I6, I4, I2pp must be finite and positive, got {values!r}")
     return dict(zip(("I6", "I4", "I2pp"), values.tolist()))

@@ -1,7 +1,7 @@
 """Hermitian eigendecomposition with a deterministic vector convention.
 
-Decompositions are delegated to LAPACK through :mod:`numpy.linalg`, and the
-results are numpy's: :func:`eigvalsh` returns the ascending ``(..., n)``
+Decompositions are delegated to LAPACK, through :mod:`numpy.linalg` or the
+same ``zheevd`` numpy calls, and the results are numpy's: :func:`eigvalsh` returns the ascending ``(..., n)``
 eigenvalue array, :func:`eigh` the pair ``(eigenvalues, eigenvectors)``
 with ``eigenvectors[..., :, k]`` the unit eigenvector for
 ``eigenvalues[..., k]``.  On top of that :func:`eigh` pins down the part
@@ -12,6 +12,13 @@ positive.  For a fixed input matrix the output is then fully deterministic.
 Both take a :class:`~wignerlab.ensembles.HermitianMatrix`, which may be a
 stack with batch axes; row ``b`` of a stacked result equals the
 single-matrix result for matrix ``b``.
+
+For matrices of more than ``_ONE_BLAS_THREAD_MAX_N`` rows :func:`eigvalsh`
+calls the ``zheevd`` of numpy's bundled OpenBLAS through :mod:`ctypes`,
+in place on its own LAPACK input, where numpy would first copy that
+``16 n^2``-byte input; the eigenvalue bytes are numpy's.  Smaller
+matrices, and builds without that OpenBLAS, go through
+:func:`numpy.linalg.eigvalsh`.
 
 :func:`one_blas_thread` runs a block with numpy's bundled OpenBLAS on one
 thread, so that callers can diagonalise several small stacks at once
@@ -31,6 +38,19 @@ from .ensembles import HermitianMatrix
 from .errors import NumericError
 
 __all__ = ["eigh", "eigvalsh", "one_blas_thread"]
+
+# Up to this size a caller may diagonalise on one OpenBLAS thread while the
+# other cores take further matrices (``experiments`` does), and
+# :func:`eigvalsh` goes through numpy.  With OpenBLAS 0.3.31 stacked
+# ``eigvalsh`` gives the same bytes at one and two BLAS threads for every N
+# up to 162 (not at 164, 256 or 512), and at N = 64 one thread is as fast in
+# wall time as two at half the CPU time.  At N = 512 two BLAS threads are
+# about 25% faster, so larger sizes keep OpenBLAS's own threads.  Above it
+# LAPACK runs in place: the ctypes call costs about 5 us a matrix (N = 8:
+# 15 against numpy's 10 us), and on the pooled N = 127 minors of the
+# ``minor-mix-n128`` benchmark, where no scratch buffer holds the input,
+# the in-place path raised peak RSS by 0.4-0.6 MB.
+_ONE_BLAS_THREAD_MAX_N = 128
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -58,18 +78,81 @@ def eigvalsh(matrix: HermitianMatrix) -> np.ndarray:
     """Ascending eigenvalues only; cheaper when no vectors are needed.
 
     The packed matrix is dropped once unpacked, so a caller that keeps no
-    reference to it has it freed before LAPACK runs.  The dense LAPACK input
-    is built on the thread's scratch buffer when a serial run lends one
-    (``ensembles._scratch_scope``), and never leaves this function: numpy
-    copies it for LAPACK and returns a new eigenvalue array.  Reusing that
-    one block spared about 2000 page faults per matrix at N = 512.
+    reference to it has it freed before LAPACK runs.  The LAPACK input,
+    ``matrix.dense(scratch=True)``, is laid over the thread's scratch
+    buffer when a serial run lends one (``ensembles._scratch_scope``), and
+    never leaves this function (see :func:`_lapack_eigvalsh`).
     """
-    n, dense = matrix.n, matrix.dense(scratch=True)
+    n, lower = matrix.n, matrix.dense(scratch=True)
     del matrix
     try:
-        return np.linalg.eigvalsh(dense)
+        return _lapack_eigvalsh(lower)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue computation failed for n={n}: {exc}") from exc
+
+
+def _lapack_eigvalsh(lower: np.ndarray) -> np.ndarray:
+    """Eigenvalues, as a new array, of the C-ordered stack ``lower`` that
+    holds each matrix's lower triangle in LAPACK's column order.
+
+    Above ``_ONE_BLAS_THREAD_MAX_N`` rows each matrix goes to ``zheevd('N',
+    'L')`` in place, overwriting ``lower``, with numpy's workspace sizes;
+    otherwise, or without the bundled ``zheevd``, numpy copies the
+    transpose for LAPACK.  Both give numpy's bytes.
+    """
+    n = lower.shape[-1]
+    zheevd = _find_zheevd() if n > _ONE_BLAS_THREAD_MAX_N else None
+    if zheevd is None:
+        # the transpose's lower triangle is the matrix's; numpy reads only it
+        return np.linalg.eigvalsh(lower.mT)
+    # zheevd writes through raw pointers: only a C-ordered complex128 stack
+    # of square matrices may reach it
+    if lower.dtype != np.complex128 or not lower.flags.c_contiguous or lower.shape[-2] != n:
+        raise TypeError(f"in-place zheevd needs a C-ordered complex128 (..., {n}, {n}) stack, "
+                        f"got {lower.dtype} {lower.shape}")
+    from ctypes import c_int64
+
+    stack = lower.reshape(-1, n, n)
+    values = np.empty((len(stack), n))
+    lwork, lrwork, liwork = _zheevd_workspace(n)
+    work, rwork, iwork = np.empty(lwork, np.complex128), np.empty(lrwork), np.empty(liwork, np.int64)
+    size, info = c_int64(n), c_int64()
+    lwork, lrwork, liwork = c_int64(lwork), c_int64(lrwork), c_int64(liwork)
+    for a, w in zip(stack, values):
+        zheevd(b"N", b"L", size, a.ctypes.data, size, w.ctypes.data, work.ctypes.data, lwork,
+               rwork.ctypes.data, lrwork, iwork.ctypes.data, liwork, info)
+        if info.value:
+            # numpy's error for a failed zheevd
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return values.reshape(lower.shape[:-1])
+
+
+@lru_cache(maxsize=16)
+def _zheevd_workspace(n: int) -> tuple[int, int, int]:
+    """``(lwork, lrwork, liwork)`` for ``zheevd('N', 'L')`` at size ``n``,
+    from one ``lwork = -1`` query read as numpy reads it.  Another ``lwork``
+    can change the blocking of ``zhetrd``, and so the eigenvalue bytes."""
+    from ctypes import c_int64
+
+    work, rwork, iwork = np.zeros(1, np.complex128), np.zeros(1), np.zeros(1, np.int64)
+    size, query, info = c_int64(n), c_int64(-1), c_int64()
+    _find_zheevd()(b"N", b"L", size, None, size, None, work.ctypes.data, query,
+                   rwork.ctypes.data, query, iwork.ctypes.data, query, info)
+    if info.value:
+        raise NumericError(f"zheevd workspace query failed for n={n}: info={info.value}")
+    return int(work[0].real), int(rwork[0]), int(iwork[0])
+
+
+@lru_cache(maxsize=1)
+def _openblas():
+    """The OpenBLAS bundled in numpy's wheels, as a :class:`ctypes.CDLL`, or
+    ``None`` where numpy uses another BLAS."""
+    import ctypes
+    import glob
+
+    bundled = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    libs = glob.glob(os.path.join(bundled, "*openblas*"))
+    return ctypes.CDLL(libs[0]) if libs else None
 
 
 @lru_cache(maxsize=1)
@@ -77,20 +160,34 @@ def _find_openblas():
     """``(get_num_threads, set_num_threads)`` of the OpenBLAS bundled in
     numpy's wheels, or ``None`` where numpy uses another BLAS."""
     import ctypes
-    import glob
 
-    bundled = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    libs = glob.glob(os.path.join(bundled, "*openblas*"))
-    if not libs:
-        return None
-    lib = ctypes.CDLL(libs[0])
+    lib = _openblas()
     try:
         get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except AttributeError:
+    except AttributeError:  # also where ``lib`` is None
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
     return get, put
+
+
+@lru_cache(maxsize=1)
+def _find_zheevd():
+    """The ILP64 ``zheevd`` that numpy's ``eigvalsh`` calls in the bundled
+    OpenBLAS, or ``None`` where that library or symbol is not found."""
+    import ctypes
+
+    try:
+        zheevd = _openblas().scipy_zheevd_64_
+    except AttributeError:
+        return None
+    # jobz, uplo, n, a, lda, w, work, lwork, rwork, lrwork, iwork, liwork,
+    # info; an integer is passed by reference, an array by its address
+    integer, array = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    zheevd.argtypes = [ctypes.c_char_p] * 2 + [integer, array, integer, array] + [
+        array, integer] * 3 + [integer]
+    zheevd.restype = None
+    return zheevd
 
 
 @contextmanager

@@ -22,9 +22,12 @@ means a single GIL hand-off.
 
 Two arrays take turns on the scratch buffer that a serial run lends its
 thread (:func:`_scratch_scope`): the raw draw buffer of
-:func:`sample_wigner` (``8 B n^2`` bytes) and the dense LAPACK input that
-:func:`~wignerlab.eigensolver.eigvalsh` unpacks (``16 B n^2`` bytes).  Each
-is dead before its function returns, so they never overlap.
+:func:`sample_wigner` (``8 B n^2`` bytes) and the LAPACK input that
+:func:`~wignerlab.eigensolver.eigvalsh` unpacks (``16 B n^2`` bytes, the
+lower triangle in LAPACK's column order; see :meth:`HermitianMatrix.dense`),
+which LAPACK overwrites in place above 128 rows.  Each is dead before its
+function returns, so they never overlap, and a serial cell's memory peaks
+in the draw: the scratch buffer plus the packed stack, ``24 B n^2`` bytes.
 """
 
 from __future__ import annotations
@@ -148,10 +151,14 @@ class HermitianMatrix:
     def dense(self, *, scratch: bool = False) -> np.ndarray:
         """Materialise the full complex matrix, ``(..., n, n)`` for a stack.
 
-        With ``scratch`` the array is laid over the thread's scratch buffer
-        where a :func:`_scratch_scope` lends one, so it is valid only until
-        the next draw or unpacking on that thread; only
-        :func:`~wignerlab.eigensolver.eigvalsh` asks for that.
+        With ``scratch`` it returns LAPACK's input instead, laid over the
+        thread's scratch buffer where a :func:`_scratch_scope` lends one,
+        so it is valid only until the next draw or unpacking on that
+        thread; only :func:`~wignerlab.eigensolver.eigvalsh` asks for it.
+        That array, read in column order, holds the matrix's lower triangle:
+        each C-order row carries the real diagonal entry and, to its right,
+        the conjugated packed upper triangle.  Its C lower triangle is
+        never written, which halves the scatter.
         """
         n = self.n
         upper, lower = _triangles(n)
@@ -162,7 +169,12 @@ class HermitianMatrix:
         # faster than fancy indexing the last axis of the 2-D stack
         for flat, row in zip(rows, packed):
             flat[upper] = row
-            flat[lower] = row.conj()
+            if not scratch:
+                flat[lower] = row.conj()
+        if scratch:
+            # conjugate where the packed entries went, without a temporary
+            # the size of the packed stack; the unwritten entries are never read
+            np.negative(h.imag, out=h.imag)
         rows[:, :: n + 1] = self.diagonal.reshape(-1, n)
         return h
 

@@ -26,7 +26,7 @@ Each chunk is one task: it is drawn, diagonalised and reduced to its
 observables in one go.  Up to ``N = 128`` each task runs on one OpenBLAS
 thread, and a pool of :func:`worker_count` threads runs that many tasks at
 once, statistic included; the calling thread only gathers the results in
-chunk order.  The comments at ``_ONE_BLAS_THREAD_MAX_N`` and
+chunk order.  The comments at ``eigensolver._ONE_BLAS_THREAD_MAX_N`` and
 ``_GIL_FREE_SIZE`` give the measurements behind both limits.  Larger
 matrices, and builds whose BLAS thread count cannot be set, run the chunks
 serially.  The bytes do not depend on the worker count either.
@@ -34,15 +34,19 @@ serially.  The bytes do not depend on the worker count either.
 A serial cell lends its thread one scratch buffer of ``16 B N^2`` bytes,
 the size of a chunk's dense stack, for all its chunks
 (``ensembles._scratch_scope``).  Each chunk draws its raw entries into it,
-then unpacks its LAPACK input over it; neither array outlives its function,
-and the buffer is dropped when the cell ends, on every exit path.  Freed
-after every matrix, those blocks went back to the kernel and were faulted in
-again: 2017 page faults and 4.2 ms of kernel time per matrix at N = 512,
-against 18 faults and 0.06 ms with the buffer held for the cell.  Pool
-threads allocate per call: their chunks, up to N = 128, faulted about 2
-(``dos``, N = 64) to 55 (minors of N = 128) pages per matrix, and a buffer
-held by each pool thread raised the peak RSS of the N = 64 and N = 128
-benchmark workloads by 0.1-0.5 MB.
+then unpacks its LAPACK input over it, which from ``N = 129`` LAPACK
+diagonalises in place; neither array outlives its function, and the buffer
+is dropped when the cell ends, on every exit path.  A serial cell's memory
+then peaks in the draw, at the scratch buffer plus the packed stack,
+``24 B N^2`` bytes: from ``N = 129`` nothing copies the LAPACK input, a
+copy that would make it ``32 B N^2``.  Freed after every matrix, those
+blocks went back to the kernel and were faulted in again: 2017 page faults
+and 4.2 ms of kernel time per matrix at N = 512, against 18 faults and
+0.06 ms with the buffer held for the cell.  Pool threads allocate per call:
+their chunks, up to N = 128, faulted about 2 (``dos``, N = 64) to 55
+(minors of N = 128) pages per matrix, and a buffer held by each pool thread
+raised the peak RSS of the N = 64 and N = 128 benchmark workloads by
+0.1-0.5 MB.
 
 Kinds and core: :func:`run_experiment` holds the one loop over sizes.  A
 kind checks the whole spec, for every size, before anything is sampled and
@@ -71,7 +75,7 @@ import numpy as np
 
 from .diagnostics import good_event, select_indices
 from .distributions import DistributionSpec, gaussian_diag, gaussian_off
-from .eigensolver import eigvalsh, one_blas_thread
+from .eigensolver import _ONE_BLAS_THREAD_MAX_N, eigvalsh, one_blas_thread
 from .ensembles import _scratch_scope, minor, sample_wigner
 from .errors import ConfigurationError, _integer, _real
 from .seeding import SeedSpec
@@ -98,14 +102,6 @@ _ETA_KINDS = {"const": (0, ""), "over_n": (1, "/N"), "over_n32": (1.5, "/N^1.5")
 # 2.4 and 7.5 MB to a 44.6 MB peak RSS.
 _STACK_BYTES = 2**20
 _MAX_CHUNK = 32
-
-# Up to this size a chunk is diagonalised on one OpenBLAS thread and the
-# other cores take further chunks.  With OpenBLAS 0.3.31 stacked ``eigvalsh``
-# gives the same bytes at one and two BLAS threads for every N up to 162 (not
-# at 164, 256 or 512), and at N = 64 one thread is as fast in wall time as two
-# at half the CPU time.  At N = 512 two BLAS threads are about 25% faster, so
-# larger sizes keep OpenBLAS's own threads and run serially.
-_ONE_BLAS_THREAD_MAX_N = 128
 
 # numpy's stacked ``eigvalsh`` releases the GIL only when B * N exceeds this,
 # so smaller chunks would serialise on the GIL and the pool would only add
@@ -423,8 +419,8 @@ def _spectra(
     row and column 0."""
     # no name here holds the packed stack, so eigvalsh frees it once unpacked
     # and it is not alive while LAPACK runs.  In a serial cell the raw draw
-    # and then the dense LAPACK input take turns on the thread's scratch
-    # buffer; both are dead when this returns, and the eigenvalues are new
+    # and then the LAPACK input take turns on the thread's scratch buffer;
+    # both are dead when this returns, and the eigenvalues are new
     if drop_row:
         return eigvalsh(minor(sample_wigner(n, off, diag, seeds), 0))
     return eigvalsh(sample_wigner(n, off, diag, seeds))
@@ -463,7 +459,8 @@ def _chunk_stats(
     with one_blas_thread() if size <= _ONE_BLAS_THREAD_MAX_N else nullcontext(False) as pinned:
         if not pinned or workers == 1 or depth * size <= _GIL_FREE_SIZE:
             # one buffer for the cell, sized for a chunk's dense stack; each
-            # chunk draws into it, then unpacks its LAPACK input there
+            # chunk draws into it, then unpacks its LAPACK input there, which
+            # LAPACK overwrites in place from N = 129
             with _scratch_scope(16 * depth * n * n):
                 return [task(seeds) for seeds in chunks]
         from concurrent.futures import ThreadPoolExecutor
@@ -590,27 +587,42 @@ def _mean_kind(
     return _grid_step(spec, stat, row)
 
 
+# Below this eta the window's semicircle mass is a one-panel Gauss-Legendre
+# rule, not the difference of two F_sc values: that difference cancels, and
+# its relative error grows like 3e-16 / eta, up to 3e-7 at 1e-9 and 8-21%
+# at 1e-15.  The golden rows' smallest eta is 2.5e-4, so their references
+# keep the difference's bytes.
+_WINDOW_RULE_MAX_ETA = 1e-4
+
+
+def _window_mean(E: float, eta: float) -> Optional[float]:
+    """Mean semicircle density over ``[E - eta/2, E + eta/2]`` by a one-panel
+    16-node Gauss-Legendre rule, or ``None`` where the difference of two
+    ``F_sc`` values is the better formula: from ``_WINDOW_RULE_MAX_ETA`` up,
+    and where the window comes within ``eta/2`` of the edge ``+-2``.  Away
+    from the edge the rule is exact to rounding; across it, it was 0.2% off
+    at E = 1.999999, eta = 9e-5, where the difference was within 2e-8."""
+    if not eta < min(_WINDOW_RULE_MAX_ETA, 2.0 - abs(E)):
+        return None
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    return float(weights @ rho_sc(E + eta / 2.0 * nodes)) / 2.0
+
+
 def _window_mass(E: float, eta: float) -> float:
     """Semicircle mass of the window ``[E - eta/2, E + eta/2]``."""
-    return F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0)
+    mean = _window_mean(E, eta)
+    return F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0) if mean is None else eta * mean
 
 
 def _dos(spec: ExperimentSpec) -> _Step:
     """Averaged density against the semicircle window average."""
 
     def reference(E, eta):
-        return _window_mass(E, eta) / eta
+        # the mean itself, not the mass over eta: at a subnormal eta the
+        # mass underflows to 0
+        mean = _window_mean(E, eta)
+        return _window_mass(E, eta) / eta if mean is None else mean
 
-    for n in spec.n:
-        for E in spec.energy:
-            for sch in spec.eta:
-                eta = sch.resolve(n)
-                # at a tiny eta the difference of the two F_sc values rounds to 0
-                if not reference(E, eta) > 0.0:
-                    raise ConfigurationError(
-                        f"dos reference at E={E:g}, eta={eta:g}, N={n} is not positive: "
-                        "the window is too narrow for its semicircle mass to be resolved"
-                    )
     return _mean_kind(spec, _density, reference, "dos")
 
 

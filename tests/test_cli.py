@@ -339,12 +339,18 @@ def test_eta_that_resolves_to_zero_or_infinite_n_eta_exits_two(command, eta, sho
     assert "Traceback" not in captured.err
 
 
-def test_dos_window_too_narrow_for_its_reference_exits_two(capsys, monkeypatch):
-    monkeypatch.setattr(experiments_module, "sample_wigner", lambda *a: pytest.fail("sampled"))
-    assert main(["dos", "--n", "8", "--samples", "2", "--eta", "1e-300"]) == 2
+@pytest.mark.parametrize("eta", ["1e-15", "1e-300", "5e-324"])
+def test_dos_at_a_tiny_eta_has_the_semicircle_reference(eta, capsys):
+    # the difference of two F_sc values lost 12.8% at 1e-15 and rounded to 0
+    # at 1e-300; the window's mean density is rho_sc(E) there, also at the
+    # smallest subnormal eta, where the window's mass underflows to 0
+    assert main(["dos", "--n", "8", "--samples", "2", "--eta", eta, "--energy", "0", "0.7"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: dos reference at E=0, eta=1e-300, N=8 is not positive")
+    rows = rows_from_csv(captured.out)
+    assert [(r.energy, r.eta) for r in rows] == [(0.0, float(eta)), (0.7, float(eta))]
+    for r in rows:
+        assert abs(r.reference - math.sqrt(4.0 - r.energy**2) / (2.0 * math.pi)) <= 1e-12 * r.reference
+        assert r.ratio == r.mean / r.reference
     assert "Traceback" not in captured.err
 
 

@@ -254,6 +254,39 @@ def test_regularity_integrals_match_scipy_quad(dist):
         assert abs(values[key] - want) <= 1e-9 * want, key
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1e-6])
+def test_narrow_mixture_component_is_integrated(scale):
+    # uniform panels on [-L, L] never landed in the spike, which carries
+    # about w * 3 / s**4 of I4; quad is cut at the same mean +- 14 scale
+    dist = DistributionSpec("gaussian_mixture", (1.0, 0.0, scale, 1.0, 0.0, 1.0), "off_diagonal")
+    L = dist._support_bound()
+    wts, mus, sds = dist._mix
+    points = sorted(set(dist._breaks()) - {-L, L})
+    assert points == [-14.0 * sds[0], 14.0 * sds[0]]
+
+    def ratio_pow(deriv, p):
+        def fn(x):
+            h = float(dist.density(x))
+            return 0.0 if h <= 0.0 else abs(float(deriv(x)) / h) ** p * h
+        return fn
+
+    values = regularity_integrals(dist)
+    assert values["I4"] > 0.9 * wts[0] * 3.0 / sds[0] ** 4
+    for key, fn in (("I6", ratio_pow(dist.density_d1, 6)), ("I4", ratio_pow(dist.density_d1, 4)),
+                    ("I2pp", ratio_pow(dist.density_d2, 2))):
+        want, _ = integrate.quad(fn, -L, L, points=points, epsabs=0.0, epsrel=1e-11, limit=500)
+        assert abs(values[key] - want) <= 1e-9 * want, key
+
+
+def test_integrate_over_pieces():
+    # a break outside the interval or at its ends is ignored; the pieces'
+    # sum is the integral
+    assert _integrate(np.cos, 0.0, 1.0, [-1.0, 0.0, 1.0, 2.0]) == _integrate(np.cos, 0.0, 1.0)
+    assert abs(_integrate(np.cos, 0.0, 1.0, [0.25, 0.5]) - math.sin(1.0)) < 1e-15
+    # a step is exact when cut at its jump
+    assert abs(_integrate(lambda x: np.sign(x - 0.1234), -1.0, 1.0, [0.1234]) - (-0.2468)) < 1e-14
+
+
 @pytest.mark.parametrize("dist", [d for d in LAWS if d.kind == "smoothed_uniform"])
 def test_smoothed_uniform_density_matches_the_scipy_ndtr_formula(dist):
     a, w = dist._half_width, dist._smooth_w

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 
 from wignerlab import (
     DomainError,
     HermitianMatrix,
+    NumericError,
     SeedSpec,
     eigh,
     eigvalsh,
@@ -15,6 +18,7 @@ from wignerlab import (
     sample_gue,
     sample_wigner,
 )
+from wignerlab import eigensolver, ensembles
 from wignerlab.checks import interlacing_gap
 
 
@@ -108,3 +112,115 @@ def test_eigh_on_a_stack_matches_single_calls():
         mu, v = eigh(sample_gue(10, seed))
         np.testing.assert_array_equal(values[b], mu)
         np.testing.assert_array_equal(vectors[b], v)
+
+
+# -- LAPACK in place above _ONE_BLAS_THREAD_MAX_N rows --------------------------
+
+
+def _numpy_calls(monkeypatch) -> list:
+    """Patch numpy's ``eigvalsh`` to count the calls it is handed."""
+    calls: list = []
+    lapack = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return lapack(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+@pytest.fixture(params=[1, 2])
+def blas_threads(request):
+    """Run the test on 1, then 2 OpenBLAS threads, and restore the count."""
+    found = eigensolver._find_openblas()
+    if found is None or eigensolver._find_zheevd() is None:
+        pytest.skip("numpy's bundled OpenBLAS and its zheevd were not found")
+    get, put = found
+    before = get()
+    put(request.param)
+    try:
+        yield request.param
+    finally:
+        put(before)
+
+
+@pytest.fixture
+def hidden_zheevd(monkeypatch):
+    """The bundled OpenBLAS without its ``zheevd`` symbol."""
+    eigensolver._find_openblas()  # found and cached before the library is hidden
+    eigensolver._find_zheevd.cache_clear()
+    monkeypatch.setattr(eigensolver, "_openblas", lambda: types.SimpleNamespace())
+    yield
+    eigensolver._find_zheevd.cache_clear()
+
+
+@pytest.mark.parametrize("n, depth", [(129, 1), (129, 3), (164, 2), (256, 2), (512, 1)])
+def test_in_place_eigenvalues_are_numpys(n, depth, blas_threads, monkeypatch):
+    seeds = [SeedSpec(61 + n, k) for k in range(depth)]
+    stack = sample_wigner(n, gaussian_off(), gaussian_diag(), seeds)
+    expected = [np.linalg.eigvalsh(stack.dense()).tobytes(),
+                np.linalg.eigvalsh(sample_gue(n, seeds[0]).dense()).tobytes()]
+    calls = _numpy_calls(monkeypatch)
+    got = [eigvalsh(stack).tobytes(), eigvalsh(sample_gue(n, seeds[0])).tobytes()]
+    # and over a scratch buffer, where a stack's matrices start 16 n^2 bytes apart
+    with ensembles._scratch_scope(16 * depth * n * n):
+        got.append(eigvalsh(stack).tobytes())
+    assert calls == []
+    assert got == expected + expected[:1]
+
+
+def test_in_place_refuses_what_zheevd_cannot_read():
+    if eigensolver._find_zheevd() is None:
+        pytest.skip("numpy's bundled zheevd was not found")
+    good = sample_gue(130, SeedSpec(9)).dense()
+    for bad in (good.astype(np.complex64), good.T, good[:, :129]):
+        with pytest.raises(TypeError, match="in-place zheevd needs"):
+            eigensolver._lapack_eigvalsh(bad)
+
+
+def test_numpy_takes_sizes_up_to_the_one_thread_limit(monkeypatch):
+    limit = eigensolver._ONE_BLAS_THREAD_MAX_N
+    calls = _numpy_calls(monkeypatch)
+    for n in (8, limit):
+        eigvalsh(sample_wigner(n, gaussian_off(), gaussian_diag(), [SeedSpec(3, k) for k in range(2)]))
+    assert calls == [(2, 8, 8), (2, limit, limit)]
+
+
+def test_without_the_symbol_numpy_is_taken(hidden_zheevd, monkeypatch):
+    assert eigensolver._find_zheevd() is None
+    stack = sample_wigner(164, gaussian_off(), gaussian_diag(), [SeedSpec(5, k) for k in range(2)])
+    calls = _numpy_calls(monkeypatch)
+    assert eigvalsh(stack).tobytes() == np.linalg.eigvalsh(stack.dense()).tobytes()
+    assert calls[0] == (2, 164, 164)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "upper"])
+def test_non_finite_input_fails_as_numpys_path_does(bad, where, monkeypatch):
+    if eigensolver._find_zheevd() is None:
+        pytest.skip("numpy's bundled zheevd was not found")
+    m = sample_gue(200, SeedSpec(71))
+    getattr(m, where)[3] = bad
+    outcomes = []
+    for zheevd in (eigensolver._find_zheevd(), None):
+        monkeypatch.setattr(eigensolver, "_find_zheevd", lambda: zheevd)
+        try:
+            outcomes.append(eigvalsh(m).tobytes())
+        except NumericError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == "eigenvalue computation failed for n=200: Eigenvalues did not converge"
+
+
+def test_in_place_leaves_the_callers_matrix_alone():
+    stack = sample_wigner(200, gaussian_off(), gaussian_diag(), [SeedSpec(73, k) for k in range(2)])
+    before = stack.diagonal.tobytes(), stack.upper.tobytes(), stack.dense().tobytes()
+    first = eigvalsh(stack)
+    assert (stack.diagonal.tobytes(), stack.upper.tobytes(), stack.dense().tobytes()) == before
+    assert eigvalsh(stack).tobytes() == first.tobytes()
+    # interlacing_gap diagonalises its matrix, then slices a minor from it
+    m = sample_gue(200, SeedSpec(74))
+    mu = np.linalg.eigvalsh(m.dense())
+    lam = np.linalg.eigvalsh(minor(m, 7).dense())
+    assert interlacing_gap(m, 7) == float(np.max(np.maximum(mu[:-1] - lam, lam - mu[1:]), initial=0.0))

@@ -22,7 +22,7 @@ from wignerlab import (
     schur_resolvent_residual,
     unfolded_spacings,
 )
-from wignerlab import ensembles
+from wignerlab import eigensolver, ensembles
 
 LAW_PAIRS = {
     "gaussian": (gaussian_off(), gaussian_diag()),
@@ -268,16 +268,40 @@ def test_generator_calls_per_stream(law, monkeypatch):
 
 
 def _recording_lapack(monkeypatch):
-    """Patch numpy's ``eigvalsh`` to keep each input it is handed."""
+    """Patch the eigensolver's LAPACK step to keep each input it is handed."""
     inputs: list = []
-    lapack = np.linalg.eigvalsh
+    lapack = eigensolver._lapack_eigvalsh
 
     def recording(a):
         inputs.append(a)
         return lapack(a)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(eigensolver, "_lapack_eigvalsh", recording)
     return inputs
+
+
+def _lower(a: np.ndarray) -> np.ndarray:
+    """The lower triangle of ``a``, diagonal included, row by row."""
+    rows, cols = np.tril_indices(a.shape[-1])
+    return a[..., rows, cols]
+
+
+@pytest.mark.parametrize("law", ["gaussian", "mixture"])
+def test_lapack_input_is_the_lower_triangle_in_column_order(law):
+    off, diag = LAW_PAIRS[law]
+    for stack in (sample_wigner(7, off, diag, [SeedSpec(19, k) for k in range(3)]),
+                  sample_wigner(7, off, diag, SeedSpec(19, 0))):
+        full = stack.dense()
+        with ensembles._scratch_scope(16 * 3 * 7 * 7):
+            lower = stack.dense(scratch=True)
+            assert lower.shape == full.shape and lower.dtype == np.complex128
+            # read in column order, as LAPACK reads it, it is the matrix
+            assert _lower(lower.mT).tobytes() == _lower(full).tobytes()
+            # the diagonal is real, and the C upper triangle is the
+            # conjugated packed triangle
+            assert not np.any(np.diagonal(lower, axis1=-2, axis2=-1).imag)
+            rows, cols = np.triu_indices(7, 1)
+            assert lower[..., rows, cols].tobytes() == stack.upper.conj().tobytes()
 
 
 @pytest.mark.parametrize("law", ["gaussian", "mixture"])
@@ -315,7 +339,7 @@ def test_scratch_holds_only_the_draw_buffer_and_the_lapack_input(law, monkeypatc
         assert not np.shares_memory(lent.dense(), buffer)
         dense = lent.dense(scratch=True)
         assert np.shares_memory(dense, buffer)
-        assert dense.tobytes() == fresh.dense().tobytes()
+        assert _lower(dense.mT).tobytes() == _lower(fresh.dense()).tobytes()
         mu = eigvalsh(lent)
         assert np.shares_memory(inputs[-1], buffer)
         assert not np.shares_memory(mu, buffer)

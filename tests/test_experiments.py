@@ -327,6 +327,44 @@ def test_arctangent_sandwich_bounds_counting():
         assert integral >= lower - 1e-12
 
 
+@pytest.mark.parametrize("E", [0.0, 0.5, -1.2, 1.49])
+def test_window_mass_without_cancellation(E):
+    from wignerlab.spectral import F_sc, rho_sc
+
+    mass = experiments._window_mass
+    for eta in (1e-9, 1e-12, 1e-15):
+        assert abs(mass(E, eta) - rho_sc(E) * eta) <= 1e-12 * rho_sc(E) * eta
+    # the golden rows' etas keep the difference of the two F_sc values, and
+    # the rule agrees with it where it takes over
+    cut = experiments._WINDOW_RULE_MAX_ETA
+    assert cut < 2.5e-4
+    for eta in (2.5e-4, 0.01, cut):
+        assert mass(E, eta) == F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0)
+    below = cut * (1.0 - 1e-9)
+    assert abs(mass(E, below) - (F_sc(E + below / 2.0) - F_sc(E - below / 2.0))) <= 1e-10 * mass(E, below)
+    # the wegner count reference goes through the same mass
+    res = run_experiment(ExperimentSpec(kind="wegner", n=16, samples=2, energy=E, eta=1e-12, seed=3))
+    assert res.rows[0].reference == 16 * mass(E, 1e-12)
+
+
+@pytest.mark.parametrize("E, eta", [(1.999999, 9e-5), (1.99999, 5e-5), (1.9999, 5e-5), (-1.9999, 1e-12)])
+def test_window_mass_near_the_spectrum_edge(E, eta):
+    # a window across the edge keeps the difference of the two F_sc values,
+    # where the one-panel rule was 0.2% off; one inside it by its width
+    # takes the rule.  Both are checked against an exact quadrature.
+    mp = pytest.importorskip("mpmath")
+    from wignerlab.spectral import F_sc
+
+    across = eta > 2.0 - abs(E)
+    assert (experiments._window_mean(E, eta) is None) == across
+    if across:
+        assert experiments._window_mass(E, eta) == F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0)
+    with mp.workdps(40):
+        lo, hi = mp.mpf(E) - mp.mpf(eta) / 2, min(mp.mpf(E) + mp.mpf(eta) / 2, mp.mpf(2))
+        exact = mp.quad(lambda x: mp.sqrt(4 - x * x) / (2 * mp.pi), [lo, hi])
+    assert abs(experiments._window_mass(E, eta) - float(exact)) <= 1e-7 * float(exact)
+
+
 def test_wegner_rows_and_schedule_validation():
     spec = ExperimentSpec(
         kind="wegner", n=24, samples=16, energy=0.0,
@@ -788,7 +826,7 @@ def test_packed_stack_is_freed_before_lapack(monkeypatch, drop_row):
         refs.append(weakref.ref(stack.upper))
         return stack
 
-    lapack = np.linalg.eigvalsh
+    lapack = eigensolver._lapack_eigvalsh
     alive: list = []
 
     def checked(a):
@@ -797,7 +835,7 @@ def test_packed_stack_is_freed_before_lapack(monkeypatch, drop_row):
 
     monkeypatch.setattr(experiments, "sample_wigner", recording_draw)
     monkeypatch.setattr(experiments, "minor", recording_minor)
-    monkeypatch.setattr(np.linalg, "eigvalsh", checked)
+    monkeypatch.setattr(eigensolver, "_lapack_eigvalsh", checked)
     seeds = [SeedSpec(7, i) for i in range(4)]
     mu = experiments._spectra(128, gaussian_off(), gaussian_diag(), seeds, drop_row)
     assert mu.shape == (4, 127 if drop_row else 128)
@@ -808,11 +846,11 @@ def test_packed_stack_is_freed_before_lapack(monkeypatch, drop_row):
 
 
 def _lapack_inputs(monkeypatch):
-    """Patch numpy's ``eigvalsh`` to record, per input, its data pointer,
+    """Patch the eigensolver's LAPACK step to record, per input, its data pointer,
     whether it owns its data, its thread and whether a scratch buffer was
     lent to that thread."""
     inputs: list = []
-    lapack = np.linalg.eigvalsh
+    lapack = eigensolver._lapack_eigvalsh
     lock = threading.Lock()
 
     def recording(a):
@@ -821,7 +859,7 @@ def _lapack_inputs(monkeypatch):
                            threading.get_ident(), hasattr(ensembles._local, "buffer")))
         return lapack(a)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(eigensolver, "_lapack_eigvalsh", recording)
     return inputs
 
 
@@ -850,13 +888,13 @@ def test_serial_spectra_equal_those_drawn_without_a_scratch():
 
 def test_scratch_is_dropped_when_the_run_ends(monkeypatch):
     buffers: list = []
-    lapack = np.linalg.eigvalsh
+    lapack = eigensolver._lapack_eigvalsh
 
     def recording(a):
         buffers.append(weakref.ref(ensembles._local.buffer))
         return lapack(a)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(eigensolver, "_lapack_eigvalsh", recording)
     spec = ExperimentSpec(kind="spacing", n=[200], samples=3, seed=53)
     run_experiment(spec)
     assert len(buffers) == 3
