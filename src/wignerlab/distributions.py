@@ -266,9 +266,11 @@ class DistributionSpec:
 
     def _breaks(self) -> list:
         """Where to cut ``[-L, L]`` for quadrature: each mixture component's
-        ``mean +- 14 scale``, so a narrow one gets panels of its own width."""
+        ``mean +- 14 scale``, or each smoothed-uniform edge's ``+-a +- 14 w``,
+        so a narrow feature gets panels of its own width."""
         if self.kind == "smoothed_uniform":
-            return []
+            a, w = self._half_width, self._smooth_w
+            return [-a - 14.0 * w, -a + 14.0 * w, a - 14.0 * w, a + 14.0 * w]
         wts, mus, sds = self._mix
         return np.concatenate([mus - 14.0 * sds, mus + 14.0 * sds]).tolist()
 
@@ -328,10 +330,10 @@ def regularity_integrals(dist: DistributionSpec) -> dict:
 
     Returns ``{"I6": E|h'/h|**6, "I4": E|h'/h|**4, "I2pp": E|h''/h|**2}``
     where ``h`` is the density of ``dist`` and expectations are under
-    ``h``.  All three are finite for the built-in kinds.  Each mixture
-    component's ``mean +- 14 scale`` cuts the interval, so a narrow
-    component is resolved however narrow; the panels are refined until two
-    passes agree to a relative 1e-10, and
+    ``h``.  All three are finite for the built-in kinds.  The interval is
+    cut at :meth:`DistributionSpec._breaks`, so a narrow mixture component
+    or smoothed-uniform edge is resolved however narrow; the panels are
+    refined until two passes agree to a relative 1e-10, and
     :class:`NumericError` is raised if they do not or a value is not finite
     and positive.
     """

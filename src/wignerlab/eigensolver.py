@@ -16,7 +16,8 @@ single-matrix result for matrix ``b``.
 For matrices of more than ``_ONE_BLAS_THREAD_MAX_N`` rows :func:`eigvalsh`
 calls the ``zheevd`` of numpy's bundled OpenBLAS through :mod:`ctypes`,
 in place on its own LAPACK input, where numpy would first copy that
-``16 n^2``-byte input; the eigenvalue bytes are numpy's.  Smaller
+``16 n^2``-byte input (what that saves a cell: see
+:mod:`~wignerlab.experiments`); the eigenvalue bytes are numpy's.  Smaller
 matrices, and builds without that OpenBLAS, go through
 :func:`numpy.linalg.eigvalsh`.
 
@@ -48,8 +49,8 @@ __all__ = ["eigh", "eigvalsh", "one_blas_thread"]
 # about 25% faster, so larger sizes keep OpenBLAS's own threads.  Above it
 # LAPACK runs in place: the ctypes call costs about 5 us a matrix (N = 8:
 # 15 against numpy's 10 us), and on the pooled N = 127 minors of the
-# ``minor-mix-n128`` benchmark, where no scratch buffer holds the input,
-# the in-place path raised peak RSS by 0.4-0.6 MB.
+# ``minor-mix-n128`` benchmark the in-place path raised peak RSS by
+# 0.4-0.6 MB.
 _ONE_BLAS_THREAD_MAX_N = 128
 
 
@@ -79,11 +80,10 @@ def eigvalsh(matrix: HermitianMatrix) -> np.ndarray:
 
     The packed matrix is dropped once unpacked, so a caller that keeps no
     reference to it has it freed before LAPACK runs.  The LAPACK input,
-    ``matrix.dense(scratch=True)``, is laid over the thread's scratch
-    buffer when a serial run lends one (``ensembles._scratch_scope``), and
-    never leaves this function (see :func:`_lapack_eigvalsh`).
+    ``matrix.dense(lapack=True)``, never leaves this function (see
+    :func:`_lapack_eigvalsh`).
     """
-    n, lower = matrix.n, matrix.dense(scratch=True)
+    n, lower = matrix.n, matrix.dense(lapack=True)
     del matrix
     try:
         return _lapack_eigvalsh(lower)

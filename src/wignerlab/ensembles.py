@@ -20,24 +20,18 @@ its consumption order, and assembles it with stack-wide operations; with
 Gaussian laws a stream is a single generator call, which in a thread pool
 means a single GIL hand-off.
 
-Two arrays take turns on the scratch buffer that a serial run lends its
-thread (:func:`_scratch_scope`): the raw draw buffer of
-:func:`sample_wigner` (``8 B n^2`` bytes) and the LAPACK input that
-:func:`~wignerlab.eigensolver.eigvalsh` unpacks (``16 B n^2`` bytes, the
-lower triangle in LAPACK's column order; see :meth:`HermitianMatrix.dense`),
-which LAPACK overwrites in place above 128 rows.  Each is dead before its
-function returns, so they never overlap, and a serial cell's memory peaks
-in the draw: the scratch buffer plus the packed stack, ``24 B n^2`` bytes.
+Every array these functions return is new, and so is the LAPACK input that
+:meth:`HermitianMatrix.dense` writes for
+:func:`~wignerlab.eigensolver.eigvalsh`; the module docstring of
+:mod:`~wignerlab.experiments` says where a cell's memory peaks.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -46,38 +40,6 @@ from .errors import ConfigurationError, DomainError
 from .seeding import SeedSpec
 
 __all__ = ["HermitianMatrix", "minor", "sample_wigner", "sample_gue"]
-
-# ``buffer`` is set while a ``_scratch_scope`` runs on the thread
-_local = threading.local()
-
-
-@contextmanager
-def _scratch_scope(nbytes: int) -> Iterator[None]:
-    """Lend the calling thread one ``nbytes`` scratch buffer for the block.
-
-    Inside it :func:`sample_wigner` draws into the buffer, and
-    :meth:`HermitianMatrix.dense` builds its array there when asked to.
-    Other threads, and calls outside the block, allocate as usual.  The
-    buffer is dropped on every exit path; the block must not nest.  It is
-    allocated whole up front: grown on demand from the draw size to the
-    dense size, it raised the N = 512 benchmark's peak RSS by 3.7 MB.
-    """
-    _local.buffer = np.empty(nbytes, dtype=np.uint8)
-    try:
-        yield
-    finally:
-        del _local.buffer
-
-
-def _from_scratch(shape: tuple, dtype) -> np.ndarray:
-    """An uninitialised array over this thread's scratch buffer where one
-    is lent and large enough, else a new one."""
-    buffer = getattr(_local, "buffer", None)
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    if buffer is None or nbytes > buffer.size:
-        return np.empty(shape, dtype)
-    return buffer[:nbytes].view(dtype).reshape(shape)
-
 
 @lru_cache(maxsize=16)
 def _triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,30 +110,28 @@ class HermitianMatrix:
         upper, _ = _triangles(n)
         return cls(n=n, diagonal=matrix.diagonal().real.copy(), upper=matrix.ravel()[upper])
 
-    def dense(self, *, scratch: bool = False) -> np.ndarray:
+    def dense(self, *, lapack: bool = False) -> np.ndarray:
         """Materialise the full complex matrix, ``(..., n, n)`` for a stack.
 
-        With ``scratch`` it returns LAPACK's input instead, laid over the
-        thread's scratch buffer where a :func:`_scratch_scope` lends one,
-        so it is valid only until the next draw or unpacking on that
-        thread; only :func:`~wignerlab.eigensolver.eigvalsh` asks for it.
-        That array, read in column order, holds the matrix's lower triangle:
-        each C-order row carries the real diagonal entry and, to its right,
-        the conjugated packed upper triangle.  Its C lower triangle is
-        never written, which halves the scatter.
+        With ``lapack`` it returns LAPACK's input instead, which only
+        :func:`~wignerlab.eigensolver.eigvalsh` asks for.  That array, read
+        in column order, holds the matrix's lower triangle: each C-order row
+        carries the real diagonal entry and, to its right, the conjugated
+        packed upper triangle.  Its C lower triangle is never written, which
+        halves the scatter.
         """
         n = self.n
         upper, lower = _triangles(n)
-        h = (_from_scratch if scratch else np.empty)(self.batch_shape + (n, n), np.complex128)
+        h = np.empty(self.batch_shape + (n, n), np.complex128)
         rows = h.reshape(-1, n * n)
         packed = self.upper.reshape(len(rows), upper.size)
         # one matrix at a time: scattering through the 1-D positions is much
         # faster than fancy indexing the last axis of the 2-D stack
         for flat, row in zip(rows, packed):
             flat[upper] = row
-            if not scratch:
+            if not lapack:
                 flat[lower] = row.conj()
-        if scratch:
+        if lapack:
             # conjugate where the packed entries went, without a temporary
             # the size of the packed stack; the unwritten entries are never read
             np.negative(h.imag, out=h.imag)
@@ -235,14 +195,13 @@ def sample_wigner(
     if not all(isinstance(s, SeedSpec) for s in seeds):
         raise ConfigurationError("seed must be a SeedSpec or a sequence of SeedSpecs")
     m = n * (n - 1) // 2
-    # ``upper`` first: outside a scratch scope the raw buffer, freed on
-    # return, is then the newest block, whose memory the next large
-    # allocation (the dense stack) can reuse; in the other order grid-n64
-    # peak RSS rose 0.8 MB
+    # ``upper`` first: the raw buffer, freed on return, is then the newest
+    # block, whose memory the next large allocation (the dense stack) can
+    # reuse; in the other order grid-n64 peak RSS rose 0.8 MB
     upper = np.empty((len(seeds), m), dtype=np.complex128)
     # one row per stream, in its consumption order: real parts, imaginary
     # parts, diagonal; it is copied out below and never leaves this function
-    raw = _from_scratch((len(seeds), 2 * m + n), np.float64)
+    raw = np.empty((len(seeds), 2 * m + n), dtype=np.float64)
     off_sd, diag_sd = off_dist.normal_scale, diag_dist.normal_scale
     if off_sd is not None and diag_sd is not None:
         # numpy's ziggurat takes the stream one value at a time, so one call

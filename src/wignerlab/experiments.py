@@ -31,22 +31,17 @@ chunk order.  The comments at ``eigensolver._ONE_BLAS_THREAD_MAX_N`` and
 matrices, and builds whose BLAS thread count cannot be set, run the chunks
 serially.  The bytes do not depend on the worker count either.
 
-A serial cell lends its thread one scratch buffer of ``16 B N^2`` bytes,
-the size of a chunk's dense stack, for all its chunks
-(``ensembles._scratch_scope``).  Each chunk draws its raw entries into it,
-then unpacks its LAPACK input over it, which from ``N = 129`` LAPACK
-diagonalises in place; neither array outlives its function, and the buffer
-is dropped when the cell ends, on every exit path.  A serial cell's memory
-then peaks in the draw, at the scratch buffer plus the packed stack,
-``24 B N^2`` bytes: from ``N = 129`` nothing copies the LAPACK input, a
-copy that would make it ``32 B N^2``.  Freed after every matrix, those
-blocks went back to the kernel and were faulted in again: 2017 page faults
-and 4.2 ms of kernel time per matrix at N = 512, against 18 faults and
-0.06 ms with the buffer held for the cell.  Pool threads allocate per call:
-their chunks, up to N = 128, faulted about 2 (``dos``, N = 64) to 55
-(minors of N = 128) pages per matrix, and a buffer held by each pool thread
-raised the peak RSS of the N = 64 and N = 128 benchmark workloads by
-0.1-0.5 MB.
+Serial and pooled chunks handle memory alike: each allocates its own
+arrays and frees them when it is done.  A chunk's raw draw (``8 B N^2``
+bytes) is freed once copied into the packed stack (``8 B N^2``), and the
+packed stack once :func:`eigvalsh` has unpacked the LAPACK input
+(``16 B N^2``), which from ``N = 129`` LAPACK diagonalises in place.  A
+serial cell's memory therefore peaks in the unpacking, at ``24 B N^2``
+bytes; numpy's copy of a large LAPACK input made it ``32 B N^2``.  The
+allocator hands what one chunk freed to the next, so a warm serial
+``spacing`` cell faults 0.7, 0.9 and 1.7 pages per matrix at N = 200,
+256 and 512, fewer than the 5.6, 8.9 and 36.1 with a scratch buffer held
+for the cell.
 
 Kinds and core: :func:`run_experiment` holds the one loop over sizes.  A
 kind checks the whole spec, for every size, before anything is sampled and
@@ -76,7 +71,7 @@ import numpy as np
 from .diagnostics import good_event, select_indices
 from .distributions import DistributionSpec, gaussian_diag, gaussian_off
 from .eigensolver import _ONE_BLAS_THREAD_MAX_N, eigvalsh, one_blas_thread
-from .ensembles import _scratch_scope, minor, sample_wigner
+from .ensembles import minor, sample_wigner
 from .errors import ConfigurationError, _integer, _real
 from .seeding import SeedSpec
 from .spectral import F_sc, counting, im_stieltjes, rho_sc, unfolded_spacings, wigner_surmise_gue_cdf
@@ -418,9 +413,7 @@ def _spectra(
     row ``b`` from ``seeds[b]``; with ``drop_row`` those of the minors without
     row and column 0."""
     # no name here holds the packed stack, so eigvalsh frees it once unpacked
-    # and it is not alive while LAPACK runs.  In a serial cell the raw draw
-    # and then the LAPACK input take turns on the thread's scratch buffer;
-    # both are dead when this returns, and the eigenvalues are new
+    # and it is not alive while LAPACK runs
     if drop_row:
         return eigvalsh(minor(sample_wigner(n, off, diag, seeds), 0))
     return eigvalsh(sample_wigner(n, off, diag, seeds))
@@ -458,11 +451,7 @@ def _chunk_stats(
 
     with one_blas_thread() if size <= _ONE_BLAS_THREAD_MAX_N else nullcontext(False) as pinned:
         if not pinned or workers == 1 or depth * size <= _GIL_FREE_SIZE:
-            # one buffer for the cell, sized for a chunk's dense stack; each
-            # chunk draws into it, then unpacks its LAPACK input there, which
-            # LAPACK overwrites in place from N = 129
-            with _scratch_scope(16 * depth * n * n):
-                return [task(seeds) for seeds in chunks]
+            return [task(seeds) for seeds in chunks]
         from concurrent.futures import ThreadPoolExecutor
 
         # map yields in chunk order and cancels the queued chunks if one raises
@@ -694,13 +683,18 @@ def _derivative(spec: ExperimentSpec) -> _Step:
     steps = {}
     for n in spec.n:
         steps[n] = delta_sched.resolve(n)
-        if steps[n] <= 0.0:
-            raise ConfigurationError(f"finite-difference step must be positive, got {steps[n]}")
         for E in spec.energy:
             if E + steps[n] == E or E - steps[n] == E:
                 raise ConfigurationError(
                     f"finite-difference step {steps[n]:g} does not move energy {E:g} at N={n}"
                 )
+        # the step must also move mu - E for the eigenvalues mu in the bulk,
+        # |mu| <= 2; below that a step moves nothing and the derivative reads 0
+        if 2.0 + steps[n] == 2.0:
+            raise ConfigurationError(
+                f"finite-difference step {steps[n]:g} is below the spectrum's resolution "
+                f"at N={n}: it does not move 2.0"
+            )
         for sch in spec.eta:
             eta = sch.resolve(n)
             if eta > 1.0 / n:

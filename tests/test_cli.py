@@ -364,6 +364,17 @@ def test_deriv_step_that_does_not_move_the_energy_exits_two(capsys, monkeypatch)
     assert "does not move energy 0.3" in captured.err
 
 
+def test_deriv_step_below_the_spectrum_resolution_exits_two(capsys, monkeypatch):
+    # 1e-300 / 8 moves E = 0, but no mu - E for a bulk eigenvalue mu
+    monkeypatch.setattr(experiments_module, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    assert main(["deriv", "--n", "8", "--samples", "2", "--eta", "0.1",
+                 "--delta-e-over-n", "1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: finite-difference step 1.25e-301 is below the "
+                                   "spectrum's resolution at N=8")
+
+
 def test_regularity_prints_gaussian_integrals(capsys):
     assert main(["regularity", "--dist", "gaussian"]) == 0
     out = capsys.readouterr().out
@@ -399,6 +410,13 @@ def test_regularity_other_law(capsys):
     assert main(["regularity", "--dist", "smoothed_uniform:0.4"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("I6=")
+
+
+def test_regularity_narrow_smoothed_uniform(capsys):
+    # its erf edges, of width 1e-5, fell between the quadrature panels
+    assert main(["regularity", "--dist", "smoothed_uniform:1e-5"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "I6=6.586749459e+25", "I4=1.596747568e+15", "I2pp=9.009779371e+14"]
 
 
 def test_diagnostics_json(tmp_path):

@@ -254,15 +254,26 @@ def test_regularity_integrals_match_scipy_quad(dist):
         assert abs(values[key] - want) <= 1e-9 * want, key
 
 
-@pytest.mark.parametrize("scale", [1e-4, 1e-6])
-def test_narrow_mixture_component_is_integrated(scale):
-    # uniform panels on [-L, L] never landed in the spike, which carries
-    # about w * 3 / s**4 of I4; quad is cut at the same mean +- 14 scale
-    dist = DistributionSpec("gaussian_mixture", (1.0, 0.0, scale, 1.0, 0.0, 1.0), "off_diagonal")
+@pytest.mark.parametrize("kind, width", [
+    ("gaussian_mixture", 1e-4), ("gaussian_mixture", 1e-6),
+    ("smoothed_uniform", 1e-5), ("smoothed_uniform", 1e-7),
+], ids=["0.0001", "1e-06", "smoothed_uniform-1e-05", "smoothed_uniform-1e-07"])
+def test_narrow_mixture_component_is_integrated(kind, width):
+    # uniform panels on [-L, L] never landed in a feature of width ``width``:
+    # the mixture's spike, which carries about w * 3 / s**4 of I4, or the
+    # smoothed uniform's erf edges, where I4 grows as 1 / w**3; quad is cut
+    # at the same inner breaks
+    if kind == "gaussian_mixture":
+        dist = DistributionSpec(kind, (1.0, 0.0, width, 1.0, 0.0, 1.0), "off_diagonal")
+        wts, mus, sds = dist._mix
+        inner, floor = [-14.0 * sds[0], 14.0 * sds[0]], 0.9 * wts[0] * 3.0 / sds[0] ** 4
+    else:
+        dist = DistributionSpec(kind, (width,), "off_diagonal")
+        a = dist._half_width
+        inner, floor = [-a + 14.0 * width, a - 14.0 * width], 1.0 / width**3
     L = dist._support_bound()
-    wts, mus, sds = dist._mix
     points = sorted(set(dist._breaks()) - {-L, L})
-    assert points == [-14.0 * sds[0], 14.0 * sds[0]]
+    assert points == inner
 
     def ratio_pow(deriv, p):
         def fn(x):
@@ -271,7 +282,7 @@ def test_narrow_mixture_component_is_integrated(scale):
         return fn
 
     values = regularity_integrals(dist)
-    assert values["I4"] > 0.9 * wts[0] * 3.0 / sds[0] ** 4
+    assert values["I4"] > floor
     for key, fn in (("I6", ratio_pow(dist.density_d1, 6)), ("I4", ratio_pow(dist.density_d1, 4)),
                     ("I2pp", ratio_pow(dist.density_d2, 2))):
         want, _ = integrate.quad(fn, -L, L, points=points, epsabs=0.0, epsrel=1e-11, limit=500)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from wignerlab import (
     ConfigurationError,
     DistributionSpec,
     DomainError,
+    ExperimentSpec,
     HermitianMatrix,
     SeedSpec,
     eigvalsh,
@@ -17,12 +17,13 @@ from wignerlab import (
     gaussian_off,
     minor,
     overlaps,
+    run_experiment,
     sample_gue,
     sample_wigner,
     schur_resolvent_residual,
     unfolded_spacings,
 )
-from wignerlab import eigensolver, ensembles
+from wignerlab import eigensolver
 
 LAW_PAIRS = {
     "gaussian": (gaussian_off(), gaussian_diag()),
@@ -292,16 +293,15 @@ def test_lapack_input_is_the_lower_triangle_in_column_order(law):
     for stack in (sample_wigner(7, off, diag, [SeedSpec(19, k) for k in range(3)]),
                   sample_wigner(7, off, diag, SeedSpec(19, 0))):
         full = stack.dense()
-        with ensembles._scratch_scope(16 * 3 * 7 * 7):
-            lower = stack.dense(scratch=True)
-            assert lower.shape == full.shape and lower.dtype == np.complex128
-            # read in column order, as LAPACK reads it, it is the matrix
-            assert _lower(lower.mT).tobytes() == _lower(full).tobytes()
-            # the diagonal is real, and the C upper triangle is the
-            # conjugated packed triangle
-            assert not np.any(np.diagonal(lower, axis1=-2, axis2=-1).imag)
-            rows, cols = np.triu_indices(7, 1)
-            assert lower[..., rows, cols].tobytes() == stack.upper.conj().tobytes()
+        lower = stack.dense(lapack=True)
+        assert lower.shape == full.shape and lower.dtype == np.complex128
+        # read in column order, as LAPACK reads it, it is the matrix
+        assert _lower(lower.mT).tobytes() == _lower(full).tobytes()
+        # the diagonal is real, and the C upper triangle is the
+        # conjugated packed triangle
+        assert not np.any(np.diagonal(lower, axis1=-2, axis2=-1).imag)
+        rows, cols = np.triu_indices(7, 1)
+        assert lower[..., rows, cols].tobytes() == stack.upper.conj().tobytes()
 
 
 @pytest.mark.parametrize("law", ["gaussian", "mixture"])
@@ -312,51 +312,15 @@ def test_calls_outside_a_run_return_fresh_arrays(law, monkeypatch):
     inputs = _recording_lapack(monkeypatch)
     pairs = [
         (a.upper, b.upper), (a.diagonal, b.diagonal), (a.dense(), a.dense()),
-        (a.dense(scratch=True), a.dense(scratch=True)), (eigvalsh(a), eigvalsh(b)),
+        (a.dense(lapack=True), a.dense(lapack=True)), (eigvalsh(a), eigvalsh(b)),
     ]
     for x, y in pairs:
         assert x.flags.owndata and y.flags.owndata
         assert not np.shares_memory(x, y)
-    # the LAPACK input of eigvalsh is a new array too
-    assert len(inputs) == 2 and all(x.flags.owndata for x in inputs)
-
-
-@pytest.mark.parametrize("law", ["gaussian", "mixture"])
-def test_scratch_holds_only_the_draw_buffer_and_the_lapack_input(law, monkeypatch):
-    off, diag = LAW_PAIRS[law]
-    seeds = [SeedSpec(37, k) for k in range(3)]
-    fresh = sample_wigner(32, off, diag, seeds)
-    inputs = _recording_lapack(monkeypatch)
-    with ensembles._scratch_scope(16 * 3 * 32 * 32):
-        buffer = ensembles._local.buffer
-        lent = sample_wigner(32, off, diag, seeds)
-        # the draw passed through the buffer and left nothing pointing into it
-        assert not np.shares_memory(lent.upper, buffer)
-        assert not np.shares_memory(lent.diagonal, buffer)
-        assert lent.upper.tobytes() == fresh.upper.tobytes()
-        assert lent.diagonal.tobytes() == fresh.diagonal.tobytes()
-        # only an unpacking that asks for the scratch is laid over it
-        assert not np.shares_memory(lent.dense(), buffer)
-        dense = lent.dense(scratch=True)
-        assert np.shares_memory(dense, buffer)
-        assert _lower(dense.mT).tobytes() == _lower(fresh.dense()).tobytes()
-        mu = eigvalsh(lent)
-        assert np.shares_memory(inputs[-1], buffer)
-        assert not np.shares_memory(mu, buffer)
-    assert mu.tobytes() == eigvalsh(fresh).tobytes()
-    assert not hasattr(ensembles._local, "buffer")
-
-
-def test_scratch_too_small_or_on_another_thread_is_not_used():
-    seeds = [SeedSpec(41, k) for k in range(2)]
-    stack = sample_gue(16, SeedSpec(41, 0))
-    seen: list = []
-    with ensembles._scratch_scope(8):
-        # a request larger than the buffer gets a new array
-        assert stack.dense(scratch=True).flags.owndata
-        # the buffer is this thread's alone
-        other = threading.Thread(target=lambda: seen.append(hasattr(ensembles._local, "buffer")))
-        other.start()
-        other.join()
-    assert seen == [False]
-    assert sample_wigner(16, gaussian_off(), gaussian_diag(), seeds).upper.flags.owndata
+    # the LAPACK input of eigvalsh is a new array too, also in a serial run,
+    # in place (N = 130) or not
+    inputs.clear()
+    spec = ExperimentSpec(kind="spacing", n=[32, 130], samples=2, seed=31, dist=(off, diag))
+    run_experiment(spec, workers=1)
+    assert [x.shape for x in inputs] == [(2, 32, 32), (2, 130, 130)]
+    assert all(x.flags.owndata for x in inputs)

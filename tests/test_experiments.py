@@ -31,7 +31,7 @@ from wignerlab import (
     select_indices,
     worker_count,
 )
-from wignerlab import eigensolver, ensembles, experiments
+from wignerlab import eigensolver, experiments
 from wignerlab.experiments import _mean_stderr
 
 
@@ -422,8 +422,23 @@ def test_derivative_step_must_move_every_energy(monkeypatch):
                           eta=[{"over_n": 0.5}], extra={"delta_e": 1e-320})
     with pytest.raises(ConfigurationError, match=r"does not move energy 0.3 at N=8"):
         run_experiment(tiny)
+    # nor does it move mu - E for any eigenvalue mu in the bulk
+    with pytest.raises(ConfigurationError, match=r"below the spectrum's resolution at N=8"):
+        run_experiment(dataclasses.replace(tiny, energy=(0.0,)))
+
+
+def test_derivative_step_must_move_the_spectrum(monkeypatch):
+    # 2 + spacing(2) / 2 rounds to 2, while 2 + spacing(2) is the next double
+    ulp = float(np.spacing(2.0))
+    spec = ExperimentSpec(kind="derivative", n=[8], samples=4, energy=[0.0, 1.0],
+                          eta=[{"over_n": 0.5}], extra={"delta_e": ulp / 2})
+    monkeypatch.setattr(experiments, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    with pytest.raises(ConfigurationError, match=r"step 2\.22045e-16 is below the spectrum's "
+                                                 r"resolution at N=8: it does not move 2\.0"):
+        run_experiment(spec)
     monkeypatch.undo()
-    assert len(run_experiment(dataclasses.replace(tiny, energy=(0.0,))).rows) == 1
+    rows = run_experiment(dataclasses.replace(spec, extra={"delta_e": ulp})).rows
+    assert len(rows) == 2 and all(row.extras["delta_e"] == ulp for row in rows)
 
 
 def test_derivative_row_semantics():
@@ -582,15 +597,17 @@ CHUNK_SPECS = {
 @pytest.mark.parametrize("kind", sorted(CHUNK_SPECS))
 def test_csv_bytes_do_not_depend_on_chunk_depth(kind, monkeypatch):
     # 37 samples at N = 16 and 72: the default chunks hold 32 and 12 matrices,
-    # so chunk boundaries fall mid-cell; a one-byte budget with no GIL-free
-    # floor gives one matrix per chunk
-    spec = ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[16, 72], samples=37,
-                                         seed=23))
-    assert [experiments._chunk_depth(n) for n in spec.n] == [32, 12]
+    # so chunk boundaries fall mid-cell; at N = 130 LAPACK runs in place on
+    # stacks of 3 (3 minors of 129 rows for delta_moments); a one-byte budget
+    # with no GIL-free floor gives one matrix per chunk
+    spec = ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[16, 72, 130],
+                                         samples=37, seed=23))
+    assert [experiments._chunk_depth(n) for n in spec.n] == [32, 12, 3]
+    assert experiments._chunk_depth(130, 129) == 3
     default = run_experiment(spec).to_csv()
     monkeypatch.setattr(experiments, "_STACK_BYTES", 1)
     monkeypatch.setattr(experiments, "_GIL_FREE_SIZE", 0)
-    assert [experiments._chunk_depth(n) for n in spec.n] == [1, 1]
+    assert [experiments._chunk_depth(n) for n in spec.n] == [1, 1, 1]
     assert run_experiment(spec).to_csv() == default
 
 
@@ -840,95 +857,6 @@ def test_packed_stack_is_freed_before_lapack(monkeypatch, drop_row):
     mu = experiments._spectra(128, gaussian_off(), gaussian_diag(), seeds, drop_row)
     assert mu.shape == (4, 127 if drop_row else 128)
     assert alive == [False] * (2 if drop_row else 1)
-
-
-# -- the serial scratch buffer ------------------------------------------------
-
-
-def _lapack_inputs(monkeypatch):
-    """Patch the eigensolver's LAPACK step to record, per input, its data pointer,
-    whether it owns its data, its thread and whether a scratch buffer was
-    lent to that thread."""
-    inputs: list = []
-    lapack = eigensolver._lapack_eigvalsh
-    lock = threading.Lock()
-
-    def recording(a):
-        with lock:
-            inputs.append((a.__array_interface__["data"][0], a.flags.owndata,
-                           threading.get_ident(), hasattr(ensembles._local, "buffer")))
-        return lapack(a)
-
-    monkeypatch.setattr(eigensolver, "_lapack_eigvalsh", recording)
-    return inputs
-
-
-@pytest.mark.parametrize("kind", ["dos", "spacing", "delta_moments"])
-def test_serial_chunks_share_one_lapack_input(kind, monkeypatch):
-    # N = 200 runs serially, one matrix per chunk
-    spec = ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[200], samples=4,
-                                         seed=43, energy=[0.0]))
-    assert experiments._chunk_depth(200) == 1
-    inputs = _lapack_inputs(monkeypatch)
-    run_experiment(spec)
-    assert len(inputs) == 4
-    assert len({pointer for pointer, _, _, _ in inputs}) == 1
-    assert {(owned, thread, lent) for _, owned, thread, lent in inputs} == {
-        (False, threading.get_ident(), True)}
-
-
-def test_serial_spectra_equal_those_drawn_without_a_scratch():
-    seeds = [SeedSpec(47, i) for i in range(2)]
-    for drop_row in (False, True):
-        fresh = experiments._spectra(200, gaussian_off(), gaussian_diag(), seeds, drop_row)
-        with ensembles._scratch_scope(16 * 2 * 200 * 200):
-            lent = experiments._spectra(200, gaussian_off(), gaussian_diag(), seeds, drop_row)
-        assert lent.tobytes() == fresh.tobytes()
-
-
-def test_scratch_is_dropped_when_the_run_ends(monkeypatch):
-    buffers: list = []
-    lapack = eigensolver._lapack_eigvalsh
-
-    def recording(a):
-        buffers.append(weakref.ref(ensembles._local.buffer))
-        return lapack(a)
-
-    monkeypatch.setattr(eigensolver, "_lapack_eigvalsh", recording)
-    spec = ExperimentSpec(kind="spacing", n=[200], samples=3, seed=53)
-    run_experiment(spec)
-    assert len(buffers) == 3
-    assert [r() for r in buffers] == [None] * 3
-    assert not hasattr(ensembles._local, "buffer")
-
-    def fail(mu, window):
-        raise NumericError("synthetic failure")
-
-    # a chunk that raises after LAPACK
-    buffers.clear()
-    monkeypatch.setattr(experiments, "unfolded_spacings", fail)
-    with pytest.raises(NumericError, match="synthetic failure"):
-        run_experiment(spec)
-    assert len(buffers) == 1 and buffers[0]() is None
-    assert not hasattr(ensembles._local, "buffer")
-
-
-def test_pool_threads_never_enter_the_scratch_scope(monkeypatch, blas_threads):
-    scopes: list = []
-    scope = experiments._scratch_scope
-
-    def recording_scope(nbytes):
-        scopes.append(threading.get_ident())
-        return scope(nbytes)
-
-    monkeypatch.setattr(experiments, "_scratch_scope", recording_scope)
-    inputs = _lapack_inputs(monkeypatch)
-    # N = 16 in 2 chunks of up to 32 and N = 72 in 4 of 12, all pooled
-    run_experiment(_chunk_spec("dos"), workers=2)
-    assert scopes == []
-    assert len(inputs) == 6
-    assert threading.get_ident() not in {thread for _, _, thread, _ in inputs}
-    assert {(owned, lent) for _, owned, _, lent in inputs} == {(True, False)}
 
 
 # -- serialization -------------------------------------------------------------------
