@@ -258,11 +258,9 @@ class DistributionSpec:
     # -- integration support ------------------------------------------------
 
     def _support_bound(self) -> float:
-        """Half-width of an interval carrying all mass relevant at 1e-9."""
-        if self.kind == "smoothed_uniform":
-            return self._half_width + 14.0 * self._smooth_w
-        wts, mus, sds = self._mix
-        return float(np.max(np.abs(mus) + 14.0 * sds))
+        """Half-width of an interval carrying all mass relevant at 1e-9: the
+        outermost of :meth:`_breaks`."""
+        return max(abs(b) for b in self._breaks())
 
     def _breaks(self) -> list:
         """Where to cut ``[-L, L]`` for quadrature: each mixture component's

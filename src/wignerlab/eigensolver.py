@@ -1,29 +1,28 @@
 """Hermitian eigendecomposition with a deterministic vector convention.
 
 Decompositions are delegated to LAPACK, through :mod:`numpy.linalg` or the
-same ``zheevd`` numpy calls, and the results are numpy's: :func:`eigvalsh` returns the ascending ``(..., n)``
-eigenvalue array, :func:`eigh` the pair ``(eigenvalues, eigenvectors)``
-with ``eigenvectors[..., :, k]`` the unit eigenvector for
-``eigenvalues[..., k]``.  On top of that :func:`eigh` pins down the part
-LAPACK leaves arbitrary: each eigenvector is rotated by a global phase so
-that its largest-magnitude component (lowest index on ties) is real and
-positive.  For a fixed input matrix the output is then fully deterministic.
+``zheevd`` numpy calls, and the results are numpy's: :func:`eigvalsh`
+returns the ascending ``(..., n)`` eigenvalue array, :func:`eigh` the pair
+``(eigenvalues, eigenvectors)`` with ``eigenvectors[..., :, k]`` the unit
+eigenvector for ``eigenvalues[..., k]``.  On top of that :func:`eigh`
+pins down the part LAPACK leaves arbitrary: each eigenvector is rotated by
+a global phase so that its largest-magnitude component (lowest index on
+ties) is real and positive.  For a fixed input matrix the output is then
+fully deterministic.
 
 Both take a :class:`~wignerlab.ensembles.HermitianMatrix`, which may be a
 stack with batch axes; row ``b`` of a stacked result equals the
 single-matrix result for matrix ``b``.
 
 For matrices of more than ``_ONE_BLAS_THREAD_MAX_N`` rows :func:`eigvalsh`
-calls the ``zheevd`` of numpy's bundled OpenBLAS through :mod:`ctypes`,
-in place on its own LAPACK input, where numpy would first copy that
-``16 n^2``-byte input (what that saves a cell: see
-:mod:`~wignerlab.experiments`); the eigenvalue bytes are numpy's.  Smaller
-matrices, and builds without that OpenBLAS, go through
-:func:`numpy.linalg.eigvalsh`.
-
-:func:`one_blas_thread` runs a block with numpy's bundled OpenBLAS on one
-thread, so that callers can diagonalise several small stacks at once
-without each LAPACK call also spreading over every core.
+calls the ``zheevd`` of numpy's bundled OpenBLAS in place on its own
+LAPACK input, where numpy would first copy that ``16 n^2``-byte input;
+the eigenvalue bytes are numpy's.  Smaller matrices, and builds without
+that OpenBLAS, go through :func:`numpy.linalg.eigvalsh`.
+:func:`one_blas_thread` runs a block with that OpenBLAS on one thread, so
+that callers can diagonalise several small stacks at once without each
+LAPACK call also spreading over every core.  Both read one cached
+:mod:`ctypes` binding of the library, ``_bundled()``.
 """
 
 from __future__ import annotations
@@ -101,8 +100,8 @@ def _lapack_eigvalsh(lower: np.ndarray) -> np.ndarray:
     transpose for LAPACK.  Both give numpy's bytes.
     """
     n = lower.shape[-1]
-    zheevd = _find_zheevd() if n > _ONE_BLAS_THREAD_MAX_N else None
-    if zheevd is None:
+    found = _bundled() if n > _ONE_BLAS_THREAD_MAX_N else None
+    if found is None:
         # the transpose's lower triangle is the matrix's; numpy reads only it
         return np.linalg.eigvalsh(lower.mT)
     # zheevd writes through raw pointers: only a C-ordered complex128 stack
@@ -112,6 +111,7 @@ def _lapack_eigvalsh(lower: np.ndarray) -> np.ndarray:
                         f"got {lower.dtype} {lower.shape}")
     from ctypes import c_int64
 
+    zheevd = found[2]
     stack = lower.reshape(-1, n, n)
     values = np.empty((len(stack), n))
     lwork, lrwork, liwork = _zheevd_workspace(n)
@@ -136,58 +136,41 @@ def _zheevd_workspace(n: int) -> tuple[int, int, int]:
 
     work, rwork, iwork = np.zeros(1, np.complex128), np.zeros(1), np.zeros(1, np.int64)
     size, query, info = c_int64(n), c_int64(-1), c_int64()
-    _find_zheevd()(b"N", b"L", size, None, size, None, work.ctypes.data, query,
-                   rwork.ctypes.data, query, iwork.ctypes.data, query, info)
+    _bundled()[2](b"N", b"L", size, None, size, None, work.ctypes.data, query,
+                  rwork.ctypes.data, query, iwork.ctypes.data, query, info)
     if info.value:
         raise NumericError(f"zheevd workspace query failed for n={n}: info={info.value}")
     return int(work[0].real), int(rwork[0]), int(iwork[0])
 
 
 @lru_cache(maxsize=1)
-def _openblas():
-    """The OpenBLAS bundled in numpy's wheels, as a :class:`ctypes.CDLL`, or
-    ``None`` where numpy uses another BLAS."""
+def _bundled():
+    """``(get_num_threads, set_num_threads, zheevd)`` of the OpenBLAS
+    bundled in numpy's wheels, the ILP64 ``zheevd`` being the one numpy's
+    ``eigvalsh`` calls; ``None`` where numpy uses another BLAS or the
+    library lacks any of the three."""
     import ctypes
     import glob
 
-    bundled = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    libs = glob.glob(os.path.join(bundled, "*openblas*"))
-    return ctypes.CDLL(libs[0]) if libs else None
-
-
-@lru_cache(maxsize=1)
-def _find_openblas():
-    """``(get_num_threads, set_num_threads)`` of the OpenBLAS bundled in
-    numpy's wheels, or ``None`` where numpy uses another BLAS."""
-    import ctypes
-
-    lib = _openblas()
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(libs[0])
     try:
         get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except AttributeError:  # also where ``lib`` is None
+        zheevd = lib.scipy_zheevd_64_
+    except AttributeError:
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
-
-
-@lru_cache(maxsize=1)
-def _find_zheevd():
-    """The ILP64 ``zheevd`` that numpy's ``eigvalsh`` calls in the bundled
-    OpenBLAS, or ``None`` where that library or symbol is not found."""
-    import ctypes
-
-    try:
-        zheevd = _openblas().scipy_zheevd_64_
-    except AttributeError:
-        return None
     # jobz, uplo, n, a, lda, w, work, lwork, rwork, lrwork, iwork, liwork,
     # info; an integer is passed by reference, an array by its address
     integer, array = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
     zheevd.argtypes = [ctypes.c_char_p] * 2 + [integer, array, integer, array] + [
         array, integer] * 3 + [integer]
     zheevd.restype = None
-    return zheevd
+    return get, put, zheevd
 
 
 @contextmanager
@@ -200,11 +183,11 @@ def one_blas_thread() -> Iterator[bool]:
     LAPACK calls started inside it must finish before it exits.  The
     previous count is restored on every exit path.
     """
-    found = _find_openblas()
+    found = _bundled()
     if found is None:
         yield False
         return
-    get, put = found
+    get, put, _ = found
     before = get()
     put(1)
     try:

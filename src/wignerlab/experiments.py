@@ -37,11 +37,9 @@ bytes) is freed once copied into the packed stack (``8 B N^2``), and the
 packed stack once :func:`eigvalsh` has unpacked the LAPACK input
 (``16 B N^2``), which from ``N = 129`` LAPACK diagonalises in place.  A
 serial cell's memory therefore peaks in the unpacking, at ``24 B N^2``
-bytes; numpy's copy of a large LAPACK input made it ``32 B N^2``.  The
-allocator hands what one chunk freed to the next, so a warm serial
-``spacing`` cell faults 0.7, 0.9 and 1.7 pages per matrix at N = 200,
-256 and 512, fewer than the 5.6, 8.9 and 36.1 with a scratch buffer held
-for the cell.
+bytes.  The allocator hands what one chunk freed to the next, so a warm
+serial ``spacing`` cell faults 0.7, 0.9 and 1.7 pages per matrix at N =
+200, 256 and 512.
 
 Kinds and core: :func:`run_experiment` holds the one loop over sizes.  A
 kind checks the whole spec, for every size, before anything is sampled and
@@ -90,6 +88,10 @@ __all__ = [
 
 # eta schedule kind -> (power of n it divides the coefficient by, label suffix)
 _ETA_KINDS = {"const": (0, ""), "over_n": (1, "/N"), "over_n32": (1.5, "/N^1.5")}
+
+# the experiment kinds that read ``spec.eta``: they need one, the others
+# (delta_moments, spacing) refuse one
+_KINDS_READING_ETA = frozenset({"dos", "im_stieltjes", "wegner", "derivative", "scale_sweep"})
 
 # A chunk's dense (B, N, N) complex stack is kept near 1 MiB: B = 16 at
 # N = 64, 4 at N = 128 and 1 from N = 256.  At N = 128, 2 and 4 MiB stacks
@@ -150,8 +152,8 @@ class EtaSchedule:
         if isinstance(obj, (int, float)) and not isinstance(obj, bool):
             return cls("const", float(obj))
         if isinstance(obj, dict):
-            if "kind" in obj:
-                return cls(obj["kind"], obj.get("coef", 0.0))
+            if set(obj) == {"kind", "coef"}:
+                return cls(obj["kind"], obj["coef"])
             for kind in _ETA_KINDS:
                 if kind in obj and len(obj) == 1:
                     return cls(kind, obj[kind])
@@ -207,8 +209,12 @@ class ExperimentSpec:
                 )
         etas = self.eta if isinstance(self.eta, (list, tuple)) else (self.eta,)
         object.__setattr__(self, "eta", tuple(EtaSchedule.from_json(e) for e in etas))
-        if self.kind in ("dos", "im_stieltjes", "wegner", "derivative", "scale_sweep") and not self.eta:
+        if self.kind in _KINDS_READING_ETA and not self.eta:
             raise ConfigurationError(f"experiment kind {self.kind!r} needs at least one eta")
+        if self.kind not in _KINDS_READING_ETA and self.eta:
+            raise ConfigurationError(
+                f"experiment kind {self.kind!r} takes no eta, got {[sch.label() for sch in self.eta]}"
+            )
         for sch in self.eta:
             for n in self.n:
                 # a positive coefficient can still underflow to 0 at large n

@@ -202,12 +202,12 @@ def test_flags_complete_a_partial_spec(argv, expected, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["dos"],
+    ["dos", "--eta", "0.05"],
     ["deriv", "--eta", "0.05"],
     ["spacing", "--window", "-0.5", "0.5"],
 ])
 def test_spec_extra_must_be_a_dict(argv, capsys):
-    spec = json.dumps({"n": [8], "samples": 2, "eta": [0.05], "extra": []})
+    spec = json.dumps({"n": [8], "samples": 2, "extra": []})
     assert main(argv[:1] + ["--spec", spec] + argv[1:]) == 2
     assert capsys.readouterr().err == "error: extra must be a dict, got list\n"
 
@@ -337,6 +337,14 @@ def test_eta_that_resolves_to_zero_or_infinite_n_eta_exits_two(command, eta, sho
     assert captured.err.startswith("error: eta schedule ")
     assert shown in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_spacing_refuses_an_eta_before_sampling(capsys, monkeypatch):
+    monkeypatch.setattr(experiments_module, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    assert main(["spacing", "--n", "8", "--samples", "2", "--eta", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: experiment kind 'spacing' takes no eta, got ['0.1']\n"
 
 
 @pytest.mark.parametrize("eta", ["1e-15", "1e-300", "5e-324"])

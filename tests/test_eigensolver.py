@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import types
-
 import numpy as np
 import pytest
 
@@ -133,10 +131,10 @@ def _numpy_calls(monkeypatch) -> list:
 @pytest.fixture(params=[1, 2])
 def blas_threads(request):
     """Run the test on 1, then 2 OpenBLAS threads, and restore the count."""
-    found = eigensolver._find_openblas()
-    if found is None or eigensolver._find_zheevd() is None:
+    found = eigensolver._bundled()
+    if found is None:
         pytest.skip("numpy's bundled OpenBLAS and its zheevd were not found")
-    get, put = found
+    get, put, _ = found
     before = get()
     put(request.param)
     try:
@@ -147,12 +145,8 @@ def blas_threads(request):
 
 @pytest.fixture
 def hidden_zheevd(monkeypatch):
-    """The bundled OpenBLAS without its ``zheevd`` symbol."""
-    eigensolver._find_openblas()  # found and cached before the library is hidden
-    eigensolver._find_zheevd.cache_clear()
-    monkeypatch.setattr(eigensolver, "_openblas", lambda: types.SimpleNamespace())
-    yield
-    eigensolver._find_zheevd.cache_clear()
+    """A numpy whose BLAS is not the bundled OpenBLAS."""
+    monkeypatch.setattr(eigensolver, "_bundled", lambda: None)
 
 
 @pytest.mark.parametrize("n, depth", [(129, 1), (129, 3), (164, 2), (256, 2), (512, 1)])
@@ -168,7 +162,7 @@ def test_in_place_eigenvalues_are_numpys(n, depth, blas_threads, monkeypatch):
 
 
 def test_in_place_refuses_what_zheevd_cannot_read():
-    if eigensolver._find_zheevd() is None:
+    if eigensolver._bundled() is None:
         pytest.skip("numpy's bundled zheevd was not found")
     good = sample_gue(130, SeedSpec(9)).dense()
     for bad in (good.astype(np.complex64), good.T, good[:, :129]):
@@ -184,8 +178,8 @@ def test_numpy_takes_sizes_up_to_the_one_thread_limit(monkeypatch):
     assert calls == [(2, 8, 8), (2, limit, limit)]
 
 
-def test_without_the_symbol_numpy_is_taken(hidden_zheevd, monkeypatch):
-    assert eigensolver._find_zheevd() is None
+def test_without_the_library_numpy_is_taken(hidden_zheevd, monkeypatch):
+    assert eigensolver._bundled() is None
     stack = sample_wigner(164, gaussian_off(), gaussian_diag(), [SeedSpec(5, k) for k in range(2)])
     calls = _numpy_calls(monkeypatch)
     assert eigvalsh(stack).tobytes() == np.linalg.eigvalsh(stack.dense()).tobytes()
@@ -195,13 +189,13 @@ def test_without_the_symbol_numpy_is_taken(hidden_zheevd, monkeypatch):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["diagonal", "upper"])
 def test_non_finite_input_fails_as_numpys_path_does(bad, where, monkeypatch):
-    if eigensolver._find_zheevd() is None:
+    if eigensolver._bundled() is None:
         pytest.skip("numpy's bundled zheevd was not found")
     m = sample_gue(200, SeedSpec(71))
     getattr(m, where)[3] = bad
     outcomes = []
-    for zheevd in (eigensolver._find_zheevd(), None):
-        monkeypatch.setattr(eigensolver, "_find_zheevd", lambda: zheevd)
+    for found in (eigensolver._bundled(), None):
+        monkeypatch.setattr(eigensolver, "_bundled", lambda: found)
         try:
             outcomes.append(eigvalsh(m).tobytes())
         except NumericError as exc:

@@ -70,6 +70,17 @@ def test_eta_schedule_validation():
         EtaSchedule.from_json("0.5")
 
 
+@pytest.mark.parametrize("obj", [
+    {"kind": "over_n", "coeff": 2},
+    {"kind": "over_n"},
+    {"kind": "over_n", "coef": 1, "x": 2},
+], ids=["misspelt", "missing", "extra"])
+def test_eta_schedule_kind_form_takes_exactly_kind_and_coef(obj):
+    # a misspelt or missing coef is not read as a coefficient of 0
+    with pytest.raises(ConfigurationError, match="^cannot parse eta schedule from "):
+        EtaSchedule.from_json(obj)
+
+
 # -- spec validation -----------------------------------------------------------
 
 
@@ -401,6 +412,13 @@ def test_derivative_requires_step_and_small_eta():
         )
 
 
+@pytest.mark.parametrize("kind", ["delta_moments", "spacing"])
+def test_kinds_that_read_no_eta_refuse_one(kind):
+    ExperimentSpec.from_json({"kind": kind, "n": [8], "samples": 2})
+    with pytest.raises(ConfigurationError, match=f"kind '{kind}' takes no eta, got \\['0.1'\\]"):
+        ExperimentSpec.from_json({"kind": kind, "n": [8], "samples": 2, "eta": [0.1]})
+
+
 def test_eta_must_resolve_positive_with_finite_n_eta_at_every_size(monkeypatch):
     monkeypatch.setattr(experiments, "sample_wigner", lambda *a: pytest.fail("sampled"))
     # 1e-315 / N^1.5 is a positive subnormal at N = 4 and rounds to 0 at N = 10^6
@@ -626,8 +644,8 @@ def test_chunk_depth_releases_the_gil_up_to_n_128():
 
 
 def _chunk_spec(kind):
-    # 37 samples at N = 16 and 72: chunks of 32 and 12 matrices (34 and 12 for
-    # the delta_moments minors), B * N above the size at which the pool is used
+    # 37 samples at N = 16 and 72: chunks of 32 and 12 matrices (also for the
+    # delta_moments minors), B * N above the size at which the pool is used
     return ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[16, 72], samples=37,
                                          seed=29))
 
@@ -648,7 +666,7 @@ def test_csv_bytes_do_not_depend_on_workers(kind):
 def _recording_eigvalsh(calls, fail_at=None):
     """``eigvalsh`` that records (n, thread, BLAS threads) per call and
     raises NumericError on call number ``fail_at``."""
-    found = eigensolver._find_openblas()
+    found = eigensolver._bundled()
     lock = threading.Lock()
 
     def wrapped(stack):
@@ -666,10 +684,10 @@ def _recording_eigvalsh(calls, fail_at=None):
 def blas_threads():
     """OpenBLAS's thread-count getter, with the count set to 2 for the test
     (so that a count left at 1 shows) and the original restored after."""
-    found = eigensolver._find_openblas()
+    found = eigensolver._bundled()
     if found is None:
         pytest.skip("numpy's bundled OpenBLAS was not found")
-    get, put = found
+    get, put, _ = found
     original = get()
     put(2)
     try:
@@ -725,7 +743,7 @@ def test_serial_without_blas_thread_control(monkeypatch):
     spec = _chunk_spec("im_stieltjes")
     pooled = run_experiment(spec, workers=2).to_csv()
     calls: list = []
-    monkeypatch.setattr(eigensolver, "_find_openblas", lambda: None)
+    monkeypatch.setattr(eigensolver, "_bundled", lambda: None)
     monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(calls))
     assert run_experiment(spec, workers=2).to_csv() == pooled
     assert {c[1] for c in calls} == {threading.get_ident()}

@@ -66,6 +66,19 @@ def test_only_ensembles_knows_the_packed_layout():
     assert users == []
 
 
+def test_only_eigensolver_binds_the_bundled_openblas():
+    # eigensolver._bundled() finds and binds the library once; a second
+    # module that names it holds a second lookup
+    root = Path(__file__).resolve().parents[1] / "src" / "wignerlab"
+    users = sorted(
+        path.name
+        for path in root.glob("*.py")
+        if path.name != "eigensolver.py"
+        and re.search(r"numpy\.libs|CDLL|scipy_openblas", path.read_text())
+    )
+    assert users == []
+
+
 def test_the_front_end_computes_no_residual_itself():
     # the check suite calls the residual functions of checks.py; these names
     # are what a residual is computed from
