@@ -289,8 +289,9 @@ def _write(text: str, out) -> None:
 
 
 def _run_experiment_command(args) -> int:
-    if args.plot and not args.out:
-        raise ConfigurationError("--plot needs --out to derive the SVG path")
+    # the SVG goes next to --out, so it must not be --out itself
+    if args.plot and (not args.out or os.path.splitext(args.out)[1] == ".svg"):
+        raise ConfigurationError("--plot needs --out, with an extension other than .svg, to derive the SVG path")
     _check_out(args.out)
     spec = _build_spec(args)
     result = run_experiment(spec, workers=args.workers)
@@ -301,8 +302,7 @@ def _run_experiment_command(args) -> int:
     for note in result.warnings:
         print(f"warning: {note}", file=sys.stderr)
     if args.plot:
-        root, _ = os.path.splitext(args.out)
-        emit_plot(result, root + ".svg")
+        emit_plot(result, os.path.splitext(args.out)[0] + ".svg")
     return 0
 
 

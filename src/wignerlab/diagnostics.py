@@ -20,7 +20,7 @@ The objects built here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -208,20 +208,14 @@ class MinorDiagnostics:
     eps: float
 
     def to_json(self) -> dict:
-        return {
-            "j": int(self.j),
-            "lambda": [float(v) for v in self.lam],
-            "xi": [float(v) for v in self.xi],
-            "c": [float(v) for v in self.c],
-            "d": [float(v) for v in self.d],
-            "c_prime": [float(v) for v in self.c_prime],
-            "d_prime": [float(v) for v in self.d_prime],
-            "omega": bool(self.omega),
-            "beta": None if self.beta is None else [int(b) for b in self.beta],
-            "delta": None if self.delta is None else float(self.delta),
-            "E": float(self.E),
-            "eps": float(self.eps),
-        }
+        """The fields in order, ``lam`` keyed ``"lambda"`` and arrays as lists."""
+        record = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            record["lambda" if f.name == "lam" else f.name] = (
+                value.tolist() if isinstance(value, np.ndarray) else value
+            )
+        return record
 
 
 def minor_diagnostics(matrix: HermitianMatrix, j: int, E: float, eps: float) -> MinorDiagnostics:
@@ -235,22 +229,6 @@ def minor_diagnostics(matrix: HermitianMatrix, j: int, E: float, eps: float) -> 
     if not all(np.isfinite(values).all() for values in coef):
         raise NumericError(f"coefficients overflow at energy {E:g}")
     omega = good_event(lam, E, eps, matrix.n)
-    beta = None
-    delta = None
-    if omega:
-        sel = select_indices(lam, E, eps, matrix.n)
-        beta, delta = sel.beta, sel.delta
-    return MinorDiagnostics(
-        j=j,
-        lam=lam,
-        xi=xi,
-        c=coef.c,
-        d=coef.d,
-        c_prime=coef.c_prime,
-        d_prime=coef.d_prime,
-        omega=omega,
-        beta=beta,
-        delta=delta,
-        E=E,
-        eps=eps,
-    )
+    beta, delta = select_indices(lam, E, eps, matrix.n) if omega else (None, None)
+    # int and float, so that numpy or integer arguments serialise as before
+    return MinorDiagnostics(int(j), lam, xi, *coef, omega, beta, delta, float(E), float(eps))

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, _real
+from .errors import ConfigurationError, NumericError, _choice, _real
 
 __all__ = [
     "DistributionSpec",
@@ -122,12 +122,8 @@ class DistributionSpec:
         except (TypeError, ConfigurationError):
             raise ConfigurationError(f"distribution parameters must be numbers, got {self.params!r}") from None
         object.__setattr__(self, "params", params)
-        if self.kind not in _KINDS:
-            raise ConfigurationError(f"unknown distribution kind {self.kind!r}; expected one of {_KINDS}")
-        if self.role not in _ROLE_VARIANCE:
-            raise ConfigurationError(
-                f"unknown role {self.role!r}; expected one of {tuple(_ROLE_VARIANCE)}"
-            )
+        _choice(self.kind, _KINDS, "distribution kind")
+        _choice(self.role, _ROLE_VARIANCE, "role")
         target = self.target_variance
         if self.kind == "gaussian":
             if self.params:
@@ -344,7 +340,9 @@ def regularity_integrals(dist: DistributionSpec) -> dict:
         return np.stack([score**6 * h, score**4 * h, curvature**2 * h])
 
     L = dist._support_bound()
-    values = _integrate(integrands, -L, L, dist._breaks())
+    # a law too wide for doubles overflows in its integrands; the check below reports it
+    with np.errstate(all="ignore"):
+        values = _integrate(integrands, -L, L, dist._breaks())
     if not np.all(np.isfinite(values) & (values > 0.0)):
-        raise NumericError(f"regularity integrals I6, I4, I2pp must be finite and positive, got {values!r}")
+        raise NumericError(f"regularity integrals I6, I4, I2pp must be finite and positive, got {values.tolist()}")
     return dict(zip(("I6", "I4", "I2pp"), values.tolist()))

@@ -10,9 +10,10 @@ code mapping) can react appropriately:
 * :class:`NumericError` -- a numerical routine failed to deliver the
   requested accuracy (non-convergence, quadrature failure).
 
-The package's number rule lives here too, so that every module can import
-it: ``_integer`` and ``_real`` turn a spec value into an ``int`` or a
-``float`` and refuse bools and anything that is not a number.
+The package's value rules live here too, so that every module can import
+them: ``_integer`` and ``_real`` turn a spec value into an ``int`` or a
+``float`` and refuse bools and anything that is not a number, and
+``_choice`` refuses a name that is not a string among its options.
 """
 
 from __future__ import annotations
@@ -50,3 +51,9 @@ def _real(value, what: str) -> float:
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigurationError(f"{what} must be a real number, got {value!r}")
     return float(value)
+
+
+def _choice(value, options, what: str) -> None:
+    """Refuse ``value`` unless it is a string among ``options``."""
+    if not isinstance(value, str) or value not in options:
+        raise ConfigurationError(f"unknown {what} {value!r}; expected one of {tuple(options)}")

@@ -70,7 +70,7 @@ from .diagnostics import good_event, select_indices
 from .distributions import DistributionSpec, gaussian_diag, gaussian_off
 from .eigensolver import _ONE_BLAS_THREAD_MAX_N, eigvalsh, one_blas_thread
 from .ensembles import minor, sample_wigner
-from .errors import ConfigurationError, _integer, _real
+from .errors import ConfigurationError, _choice, _integer, _real
 from .seeding import SeedSpec
 from .spectral import F_sc, counting, im_stieltjes, rho_sc, unfolded_spacings, wigner_surmise_gue_cdf
 from .version import __version__
@@ -129,8 +129,7 @@ class EtaSchedule:
     coef: float
 
     def __post_init__(self) -> None:
-        if self.kind not in _ETA_KINDS:
-            raise ConfigurationError(f"unknown eta schedule kind {self.kind!r}")
+        _choice(self.kind, _ETA_KINDS, "eta schedule kind")
         object.__setattr__(self, "coef", _real(self.coef, "eta schedule coefficient"))
         if not 0.0 < self.coef < math.inf:
             raise ConfigurationError(f"eta schedule coefficient must be positive and finite, got {self.coef}")
@@ -187,10 +186,7 @@ class ExperimentSpec:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigurationError(
-                f"unknown experiment kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}"
-            )
+        _choice(self.kind, EXPERIMENT_KINDS, "experiment kind")
         object.__setattr__(self, "n", _as_tuple(self.n, lambda v: _integer(v, "n"), "n"))
         if any(v < 1 for v in self.n):
             raise ConfigurationError(f"matrix sizes must be positive, got {self.n}")
@@ -582,43 +578,38 @@ def _mean_kind(
     return _grid_step(spec, stat, row)
 
 
-# Below this eta the window's semicircle mass is a one-panel Gauss-Legendre
-# rule, not the difference of two F_sc values: that difference cancels, and
-# its relative error grows like 3e-16 / eta, up to 3e-7 at 1e-9 and 8-21%
-# at 1e-15.  The golden rows' smallest eta is 2.5e-4, so their references
-# keep the difference's bytes.
+# :func:`_window` takes its quadrature rule below this eta.  The golden rows'
+# smallest eta is 2.5e-4, so their references keep the F_sc difference's bytes.
 _WINDOW_RULE_MAX_ETA = 1e-4
 
 
-def _window_mean(E: float, eta: float) -> Optional[float]:
-    """Mean semicircle density over ``[E - eta/2, E + eta/2]`` by a one-panel
-    16-node Gauss-Legendre rule, or ``None`` where the difference of two
-    ``F_sc`` values is the better formula: from ``_WINDOW_RULE_MAX_ETA`` up,
-    and where the window comes within ``eta/2`` of the edge ``+-2``.  Away
-    from the edge the rule is exact to rounding; across it, it was 0.2% off
-    at E = 1.999999, eta = 9e-5, where the difference was within 2e-8."""
-    if not eta < min(_WINDOW_RULE_MAX_ETA, 2.0 - abs(E)):
-        return None
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    return float(weights @ rho_sc(E + eta / 2.0 * nodes)) / 2.0
+def _window(E: float, eta: float) -> tuple[float, float]:
+    """Semicircle mass and mean density of ``[E - eta/2, E + eta/2]``.
 
+    One cut picks the formula.  Below ``_WINDOW_RULE_MAX_ETA``, with the
+    window at least ``eta/2`` inside the edge ``+-2``, a one-panel 16-node
+    Gauss-Legendre rule gives the mean and the mass is ``eta`` times it.
+    Otherwise the mass is the difference of two ``F_sc`` values and the
+    mean is the mass over ``eta``.
 
-def _window_mass(E: float, eta: float) -> float:
-    """Semicircle mass of the window ``[E - eta/2, E + eta/2]``."""
-    mean = _window_mean(E, eta)
-    return F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0) if mean is None else eta * mean
+    The reason for the cut: the difference cancels, and its relative error
+    grows like 3e-16 / eta, up to 3e-7 at 1e-9 and 8-21% at 1e-15, while
+    the rule is exact to rounding away from the edge.  Across the edge the
+    rule was 0.2% off at E = 1.999999, eta = 9e-5, where the difference was
+    within 2e-8.  Below the cut the mean comes from the rule, not from the
+    mass over eta, because at a subnormal eta the mass underflows to 0.
+    """
+    if eta < min(_WINDOW_RULE_MAX_ETA, 2.0 - abs(E)):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        mean = float(weights @ rho_sc(E + eta / 2.0 * nodes)) / 2.0
+        return eta * mean, mean
+    mass = F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0)
+    return mass, mass / eta
 
 
 def _dos(spec: ExperimentSpec) -> _Step:
     """Averaged density against the semicircle window average."""
-
-    def reference(E, eta):
-        # the mean itself, not the mass over eta: at a subnormal eta the
-        # mass underflows to 0
-        mean = _window_mean(E, eta)
-        return _window_mass(E, eta) / eta if mean is None else mean
-
-    return _mean_kind(spec, _density, reference, "dos")
+    return _mean_kind(spec, _density, lambda E, eta: _window(E, eta)[1], "dos")
 
 
 def _scale_sweep(spec: ExperimentSpec) -> _Step:
@@ -666,7 +657,7 @@ def _wegner(spec: ExperimentSpec) -> _Step:
         mean_c, se_c = _mean_stderr(counts)
         mean_s, se_s = _mean_stderr(squares)
         base_extras = _submicro_extras(n, eta, counts, warnings, f"wegner at E={E:g}")
-        ref_count = n * _window_mass(E, eta)
+        ref_count = n * _window(E, eta)[0]
         return [
             ResultRow(
                 n, E, eta, mean_c, se_c, spec.samples, ref_count, mean_c / (n * eta),
@@ -739,6 +730,8 @@ def _delta_moments(spec: ExperimentSpec) -> _Step:
     deltas = [_real(d, "a delta") for d in _items(extra["deltas"])]
     if not all(0.0 < d < math.inf for d in deltas):
         raise ConfigurationError(f"deltas must be positive and finite, got {deltas}")
+    if not orders and not deltas:
+        raise ConfigurationError("delta_moments needs at least one moment order or delta, got neither")
     part2_order = _integer(extra["part2_order"], "extra['part2_order']")
     if part2_order < 0:
         raise ConfigurationError(f"extra['part2_order'] must be non-negative, got {part2_order}")

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from wignerlab import DomainError, NumericError, Series, render_plot, rows_from_csv
-from wignerlab.cli import main, run_check_suite
+from wignerlab.cli import emit_plot, main, run_check_suite
 from wignerlab.distributions import DistributionSpec
-from wignerlab.experiments import EXPERIMENT_KINDS, EtaSchedule, ExperimentResult, ExperimentSpec
+from wignerlab.experiments import EXPERIMENT_KINDS, EtaSchedule, ExperimentResult, ExperimentSpec, ResultRow
 
 import wignerlab.cli as cli_module
 import wignerlab.experiments as experiments_module
@@ -80,6 +80,38 @@ def test_plot_single_row(tmp_path):
     xml.dom.minidom.parseString(svg)
     assert "circle" in svg
     assert "stroke-dasharray" in svg  # reference line
+
+
+@pytest.mark.parametrize("energies, etas, refs, axis", [
+    ([0.0, 0.5, 1.0], [0.5] * 3, [0.31, 0.30, 0.27], "E"),
+    ([0.0] * 3, [0.5, 0.25, 0.125], [0.3] * 3, "eta"),
+    ([0.0] * 3, [0.5, 0.25, 0.125], [0.31, 0.30, float("nan")], "eta"),
+], ids=["energy-axis-references-differ", "eta-axis-one-reference", "eta-axis-references-differ"])
+def test_emit_plot_axis_and_reference(energies, etas, refs, axis, tmp_path, monkeypatch):
+    # one finite reference is a dashed line; several are a "reference" series
+    # over the finite ones
+    drawn = {}
+
+    def render(series, **kwargs):
+        drawn.update(series=series, **kwargs)
+        return "<svg/>"
+
+    monkeypatch.setattr(cli_module, "render_plot", render)
+    rows = [ResultRow(8, E, eta, 0.3, 0.01, 2, ref, 0.3 / ref) for E, eta, ref in zip(energies, etas, refs)]
+    spec = ExperimentSpec(kind="dos", n=8, samples=2, eta=[0.5])
+    emit_plot(ExperimentResult(spec, rows, 0.0), str(tmp_path / "p.svg"))
+    assert (tmp_path / "p.svg").read_text() == "<svg/>"
+    assert drawn["x_label"] == axis
+    xs = energies if axis == "E" else etas
+    assert [(s.label, s.x) for s in drawn["series"][:1]] == [("estimate", xs)]
+    finite = [(x, r) for x, r in zip(xs, refs) if math.isfinite(r)]
+    if len({r for _, r in finite}) == 1:
+        assert drawn["reference"] == finite[0][1]
+        assert len(drawn["series"]) == 1
+    else:
+        assert drawn["reference"] is None
+        (extra,) = drawn["series"][1:]
+        assert (extra.label, list(zip(extra.x, extra.y))) == ("reference", finite)
 
 
 def test_plot_requires_out(capsys):
@@ -286,9 +318,32 @@ def test_usage_errors_exit_two(capsys, tmp_path, monkeypatch):
         ("dos", {"kappa": "x"}), ("dos", {"kappa": True}), ("dos", {"energy": "x"}),
         ("dos", {"energy": [True]}), ("dos", {"eta": [{"over_n": "x"}]}),
         ("deriv", {"eta": [0.05], "extra": {"delta_e": {"over_n": "x"}}}),
+        # a kind or role that is not a string, and a malformed dist
+        ("dos", {"eta": [{"kind": ["const"], "coef": 0.5}]}),
+        ("dos", {"eta": [{"kind": {"a": 1}, "coef": 0.5}]}),
+        ("deriv", {"eta": [0.05], "extra": {"delta_e": {"kind": ["const"], "coef": 0.5}}}),
+        ("deriv", {"eta": [0.05], "extra": {"delta_e": {"kind": {"a": 1}, "coef": 0.5}}}),
+        ("dos", {"dist": {"off": {"kind": "gaussian", "role": ["diagonal"]}, "diag": {"kind": "gaussian"}}}),
+        ("dos", {"dist": {"off": {"kind": "gaussian"}, "diag": {"kind": "gaussian", "role": {"r": 1}}}}),
+        ("dos", {"dist": {"off": {"kind": "gaussian"}}}),
+        ("dos", {"dist": {"off": "gaussian", "diag": {"kind": "gaussian"}}}),
+        ("dos", {"dist": {"off": {"params": []}, "diag": {"kind": "gaussian"}}}),
+        ("dos", {"energy": []}), ("dos", {"kappa": 0.0}), ("dos", {"kappa": 2.0}),
     ):
         capsys.readouterr()
         assert main([command, "--spec", json.dumps({**base, **bad})]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    # text that is not JSON, or JSON that is not an object, where JSON is read
+    (tmp_path / "text.json").write_text("not json")
+    (tmp_path / "array.json").write_text("[1, 2]")
+    run = ["dos", "--n", "8", "--samples", "2", "--eta", "0.5"]
+    for argv in (
+        run + ["--dist", "{not json"], ["regularity", "--dist", "{not json"],
+        ["dos", "--spec", "{not json"],
+        ["dos", "--spec", str(tmp_path / "text.json")], ["dos", "--spec", str(tmp_path / "array.json")],
+        ["regularity", "--dist", json.dumps({"kind": "gaussian", "role": ["diagonal"]})],
+    ):
+        assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
     # a spec path that is a directory, and an --out that cannot be written,
     # which is refused before anything is sampled
@@ -299,9 +354,12 @@ def test_usage_errors_exit_two(capsys, tmp_path, monkeypatch):
                  "--out", str(tmp_path / "p.csv"), "--plot"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     monkeypatch.setattr(cli_module, "run_experiment", lambda *a, **k: pytest.fail("sampled"))
-    for out in (tmp_path / "missing" / "x.csv", tmp_path):
-        assert main(["dos", "--n", "8", "--samples", "2", "--eta", "0.5", "--out", str(out)]) == 2
+    for out in ([str(tmp_path / "missing" / "x.csv")], [str(tmp_path)],
+                # the SVG path of --plot would be --out itself
+                [str(tmp_path / "r.svg"), "--plot"]):
+        assert main(["dos", "--n", "8", "--samples", "2", "--eta", "0.5", "--out", *out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "r.svg").exists()
     with pytest.raises(SystemExit) as exc:
         main(["dos", "--n", "not_a_number"])
     assert exc.value.code == 2
@@ -460,6 +518,18 @@ def test_diagnostics_overflow_is_a_numeric_failure(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numeric failure: coefficients overflow at energy 1e+200\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_regularity_overflow_is_a_numeric_failure(capsys):
+    # a component 1e200 wide overflows the integrands; only the failure is printed
+    assert main(["regularity", "--dist", "gaussian_mixture:1,0,1,1,1e200,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric failure: regularity integrals I6, I4, I2pp must be finite and positive, "
+        "got [0.0, 0.0, 0.0]\n"
+    )
 
 
 def test_check_suite_passes():

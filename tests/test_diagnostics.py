@@ -276,3 +276,35 @@ def test_minor_diagnostics_no_good_event():
     obj = rec.to_json()
     assert obj["beta"] is None
     assert obj["delta"] is None
+
+
+def _record_as_written_field_by_field(rec) -> dict:
+    """The minor record's JSON, one line per field, each value converted."""
+    return {
+        "j": int(rec.j),
+        "lambda": [float(v) for v in rec.lam],
+        "xi": [float(v) for v in rec.xi],
+        "c": [float(v) for v in rec.c],
+        "d": [float(v) for v in rec.d],
+        "c_prime": [float(v) for v in rec.c_prime],
+        "d_prime": [float(v) for v in rec.d_prime],
+        "omega": bool(rec.omega),
+        "beta": None if rec.beta is None else [int(b) for b in rec.beta],
+        "delta": None if rec.delta is None else float(rec.delta),
+        "E": float(rec.E),
+        "eps": float(rec.eps),
+    }
+
+
+@pytest.mark.parametrize("n, j, E, eps, omega", [
+    (16, 0, 0.0, 0.5, True),
+    (5, 0, 1.9, 1.0, False),
+    (16, 2, 0, 1, True),
+    (16, np.int64(2), np.int64(0), np.int64(1), True),
+], ids=["good-event", "no-good-event", "int", "numpy-int"])
+def test_minor_diagnostics_json_text_is_the_field_by_field_record(n, j, E, eps, omega):
+    # the same text, key order included, however j, E and eps are typed
+    rec = minor_diagnostics(sample_gue(n, SeedSpec(50)), j, E, eps)
+    assert rec.omega is omega
+    text = json.dumps(rec.to_json(), indent=2, allow_nan=False)
+    assert text == json.dumps(_record_as_written_field_by_field(rec), indent=2, allow_nan=False)

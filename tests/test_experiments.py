@@ -173,6 +173,24 @@ def test_spec_from_json_rejects_unknown_fields():
         ExperimentSpec.from_json(obj)
 
 
+@pytest.mark.parametrize("obj", [
+    [{"kind": "dos", "n": [8], "samples": 2, "eta": [1.0]}],
+    {"kind": "dos", "samples": 2, "eta": [1.0]},
+    {"kind": "dos", "n": [8], "eta": [1.0]},
+], ids=["not-a-dict", "no-n", "no-samples"])
+def test_spec_from_json_refuses_a_malformed_object(obj):
+    with pytest.raises(ConfigurationError):
+        ExperimentSpec.from_json(obj)
+
+
+@pytest.mark.parametrize("extra", [{}, {"moment_orders": []}, {"deltas": []}])
+def test_delta_moments_takes_either_list_empty(extra):
+    spec = ExperimentSpec(kind="delta_moments", n=16, samples=2, extra=extra)
+    rows = run_experiment(spec, workers=1).rows
+    columns = len(extra.get("moment_orders", (0, 1, 2))) + 2 * len(extra.get("deltas", (0.5, 0.1, 0.02)))
+    assert len(rows) == columns
+
+
 # -- worker pool ----------------------------------------------------------------
 
 
@@ -342,7 +360,9 @@ def test_arctangent_sandwich_bounds_counting():
 def test_window_mass_without_cancellation(E):
     from wignerlab.spectral import F_sc, rho_sc
 
-    mass = experiments._window_mass
+    def mass(E, eta):
+        return experiments._window(E, eta)[0]
+
     for eta in (1e-9, 1e-12, 1e-15):
         assert abs(mass(E, eta) - rho_sc(E) * eta) <= 1e-12 * rho_sc(E) * eta
     # the golden rows' etas keep the difference of the two F_sc values, and
@@ -367,13 +387,15 @@ def test_window_mass_near_the_spectrum_edge(E, eta):
     from wignerlab.spectral import F_sc
 
     across = eta > 2.0 - abs(E)
-    assert (experiments._window_mean(E, eta) is None) == across
+    mass, mean = experiments._window(E, eta)
     if across:
-        assert experiments._window_mass(E, eta) == F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0)
+        assert mass == F_sc(E + eta / 2.0) - F_sc(E - eta / 2.0)
+    else:
+        assert mass == eta * mean
     with mp.workdps(40):
         lo, hi = mp.mpf(E) - mp.mpf(eta) / 2, min(mp.mpf(E) + mp.mpf(eta) / 2, mp.mpf(2))
         exact = mp.quad(lambda x: mp.sqrt(4 - x * x) / (2 * mp.pi), [lo, hi])
-    assert abs(experiments._window_mass(E, eta) - float(exact)) <= 1e-7 * float(exact)
+    assert abs(mass - float(exact)) <= 1e-7 * float(exact)
 
 
 def test_wegner_rows_and_schedule_validation():
@@ -582,9 +604,21 @@ def test_spacing_window_validation():
     dict(kind="scale_sweep", n=[16], eta=[0.5], extra={"window": [-0.5, 0.5]}),
     dict(kind="delta_moments", n=[16], extra={"delta": [0.3]}),
     dict(kind="spacing", n=[16], extra={"windw": [-0.5, 0.5]}),
+    # delta_moments with nothing to estimate, and a negative part-2 order
+    dict(kind="delta_moments", n=[16], extra={"moment_orders": [], "deltas": []}),
+    dict(kind="delta_moments", n=[16], extra={"part2_order": -1}),
+    # malformed delta_moments extras, which test_spec_rejects_bad_fields
+    # passes with an eta that the spec refuses before they are read
+    *(dict(kind="delta_moments", n=[16], extra=extra) for extra in (
+        {"eps": "0.5"}, {"eps": True}, {"deltas": [0.5, "x"]}, {"deltas": [float("nan")]},
+        {"moment_orders": [1.5]}, {"moment_orders": [True]}, {"moment_orders": "x"},
+        {"part2_order": 1.5}, {"part2_order": "1"},
+    )),
 ], ids=["derivative-eta", "derivative-step", "wegner", "eps", "orders", "window", "window-len",
         "minor-size", "window-bool", "dos-key", "im_stieltjes-key", "wegner-key", "derivative-key",
-        "scale_sweep-key", "delta_moments-key", "spacing-key"])
+        "scale_sweep-key", "delta_moments-key", "spacing-key", "nothing-to-estimate", "part2-order",
+        "eps-str", "eps-bool", "deltas-str", "deltas-nan", "orders-float", "orders-bool", "orders-str",
+        "part2-float", "part2-str"])
 def test_invalid_spec_samples_nothing(spec, monkeypatch):
     # every check runs for all sizes before the first matrix is drawn
     def refuse(*args, **kwargs):
