@@ -20,8 +20,11 @@ its consumption order, and assembles it with stack-wide operations; with
 Gaussian laws a stream is a single generator call, which in a thread pool
 means a single GIL hand-off.
 
-Every array these functions return is new, and so is the LAPACK input that
-:meth:`HermitianMatrix.dense` writes for
+In the packed order, row ``j``'s pairs are one contiguous run (see
+:func:`_row_segment`), so unpacking and slicing copy the triangle one row
+segment at a time.  No index table is built, and nothing is kept per size or
+per minor.  Every array these functions return is new, and so is the LAPACK
+input that :meth:`HermitianMatrix.dense` writes for
 :func:`~wignerlab.eigensolver.eigvalsh`; the module docstring of
 :mod:`~wignerlab.experiments` says where a cell's memory peaks.
 """
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -41,23 +43,11 @@ from .seeding import SeedSpec
 
 __all__ = ["HermitianMatrix", "minor", "sample_wigner", "sample_gue"]
 
-@lru_cache(maxsize=16)
-def _triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat row-major positions of the strict upper triangle of an ``n x n``
-    matrix, in packed order, and of the mirrored lower-triangle entries."""
-    rows, cols = np.triu_indices(n, 1)
-    upper, lower = rows * n + cols, cols * n + rows
-    upper.flags.writeable = lower.flags.writeable = False
-    return upper, lower
-
-
-@lru_cache(maxsize=64)
-def _minor_positions(n: int, j: int) -> np.ndarray:
-    """Packed positions of the upper-triangle pairs off row and column ``j``."""
-    rows, cols = np.divmod(_triangles(n)[0], n)
-    keep = np.flatnonzero((rows != j) & (cols != j))
-    keep.flags.writeable = False
-    return keep
+def _row_segment(n: int, j: int) -> slice:
+    """Packed positions of row ``j``'s strict-upper pairs ``(j, j+1), ...,
+    (j, n-1)``: a contiguous run, since the packed order is row-major."""
+    start = j * n - j * (j + 1) // 2
+    return slice(start, start + n - 1 - j)
 
 
 @dataclass
@@ -107,8 +97,8 @@ class HermitianMatrix:
         if not np.array_equal(matrix, matrix.conj().T):
             raise DomainError("matrix is not exactly Hermitian")
         n = matrix.shape[0]
-        upper, _ = _triangles(n)
-        return cls(n=n, diagonal=matrix.diagonal().real.copy(), upper=matrix.ravel()[upper])
+        upper = np.concatenate([matrix[j, j + 1 :] for j in range(n)])
+        return cls(n=n, diagonal=matrix.diagonal().real.copy(), upper=upper)
 
     def dense(self, *, lapack: bool = False) -> np.ndarray:
         """Materialise the full complex matrix, ``(..., n, n)`` for a stack.
@@ -118,24 +108,23 @@ class HermitianMatrix:
         in column order, holds the matrix's lower triangle: each C-order row
         carries the real diagonal entry and, to its right, the conjugated
         packed upper triangle.  Its C lower triangle is never written, which
-        halves the scatter.
+        halves the copy.
         """
         n = self.n
-        upper, lower = _triangles(n)
         h = np.empty(self.batch_shape + (n, n), np.complex128)
-        rows = h.reshape(-1, n * n)
-        packed = self.upper.reshape(len(rows), upper.size)
-        # one matrix at a time: scattering through the 1-D positions is much
-        # faster than fancy indexing the last axis of the 2-D stack
-        for flat, row in zip(rows, packed):
-            flat[upper] = row
+        # indexing 2-D and 3-D views is cheaper than going through ``...``
+        stack = h.reshape(-1, n, n)
+        packed = self.upper.reshape(len(stack), n * (n - 1) // 2)
+        for j in range(n - 1):
+            row = packed[:, _row_segment(n, j)]
+            stack[:, j, j + 1 :] = row
             if not lapack:
-                flat[lower] = row.conj()
+                np.conjugate(row, out=stack[:, j + 1 :, j])
         if lapack:
             # conjugate where the packed entries went, without a temporary
             # the size of the packed stack; the unwritten entries are never read
             np.negative(h.imag, out=h.imag)
-        rows[:, :: n + 1] = self.diagonal.reshape(-1, n)
+        stack.reshape(-1, n * n)[:, :: n + 1] = self.diagonal.reshape(-1, n)
         return h
 
 
@@ -153,10 +142,17 @@ def minor(matrix: HermitianMatrix, j: int) -> HermitianMatrix:
         raise DomainError(f"minor index must lie in [0, {n}), got {j}")
     if n == 1:
         raise DomainError("a 1 x 1 matrix has no proper minor")
+    # the pairs to drop: (r, j) for each row r < j, then all of row j
+    upper, row, kept, start = matrix.upper, _row_segment(n, j), [], 0
+    for r in range(j):
+        col = _row_segment(n, r).start + j - r - 1
+        kept.append(upper[..., start:col])
+        start = col + 1
+    kept += [upper[..., start : row.start], upper[..., row.stop :]]
     return HermitianMatrix(
         n=n - 1,
         diagonal=np.delete(matrix.diagonal, j, axis=-1),
-        upper=np.take(matrix.upper, _minor_positions(n, j), axis=-1),
+        upper=np.concatenate(kept, axis=-1),
     )
 
 

@@ -36,10 +36,12 @@ arrays and frees them when it is done.  A chunk's raw draw (``8 B N^2``
 bytes) is freed once copied into the packed stack (``8 B N^2``), and the
 packed stack once :func:`eigvalsh` has unpacked the LAPACK input
 (``16 B N^2``), which from ``N = 129`` LAPACK diagonalises in place.  A
-serial cell's memory therefore peaks in the unpacking, at ``24 B N^2``
-bytes.  The allocator hands what one chunk freed to the next, so a warm
-serial ``spacing`` cell faults 0.7, 0.9 and 1.7 pages per matrix at N =
-200, 256 and 512.
+chunk's memory therefore peaks in the unpacking, at the packed stack plus
+the LAPACK input (``24 B N^2`` bytes), from the first chunk on: unpacking
+and slicing minors build no index tables and keep nothing per size or per
+minor (see :mod:`~wignerlab.ensembles`).  The allocator hands what one
+chunk freed to the next, so a warm serial ``spacing`` cell faults 0.8, 0.3
+and 0.9 pages per matrix at N = 200, 256 and 512.
 
 Kinds and core: :func:`run_experiment` holds the one loop over sizes.  A
 kind checks the whole spec, for every size, before anything is sampled and
@@ -220,9 +222,10 @@ class ExperimentSpec:
                         f"eta schedule {sch.label()} resolves to eta={eta:g} at N={n}; "
                         "eta must be positive with N*eta finite"
                     )
-        dist = self.dist
-        if dist is None:
-            dist = (gaussian_off(), gaussian_diag())
+        dist = (gaussian_off(), gaussian_diag()) if self.dist is None else self.dist
+        if not (isinstance(dist, (tuple, list)) and len(dist) == 2
+                and all(isinstance(law, DistributionSpec) for law in dist)):
+            raise ConfigurationError(f"dist must be a pair of DistributionSpec, got {dist!r}")
         off, diag = dist
         if off.role != "off_diagonal" or diag.role != "diagonal":
             raise ConfigurationError(

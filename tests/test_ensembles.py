@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,3 +325,68 @@ def test_calls_outside_a_run_return_fresh_arrays(law, monkeypatch):
     run_experiment(spec, workers=1)
     assert [x.shape for x in inputs] == [(2, 32, 32), (2, 130, 130)]
     assert all(x.flags.owndata for x in inputs)
+
+
+def _packed_reference(n: int, batch: tuple, rng) -> tuple[HermitianMatrix, np.ndarray]:
+    """A random packed stack and its dense form, built from ``np.triu_indices``."""
+    m = n * (n - 1) // 2
+    upper = rng.standard_normal(batch + (m,)) + 1j * rng.standard_normal(batch + (m,))
+    diagonal = rng.standard_normal(batch + (n,))
+    rows, cols = np.triu_indices(n, 1)
+    dense = np.zeros(batch + (n, n), np.complex128)
+    dense[..., rows, cols] = upper
+    dense[..., cols, rows] = upper.conj()
+    dense[..., range(n), range(n)] = diagonal
+    return HermitianMatrix(n=n, diagonal=diagonal, upper=upper), dense
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2), (0,)])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 130])
+def test_packed_layout_matches_triu_indices(n, batch):
+    rng = np.random.default_rng([n, len(batch)])
+    matrix, dense = _packed_reference(n, batch, rng)
+    rows, cols = np.triu_indices(n, 1)
+    assert matrix.dense().tobytes() == dense.tobytes()
+    # LAPACK's input: the conjugated packed triangle right of a real diagonal
+    lower = matrix.dense(lapack=True)
+    assert lower[..., rows, cols].tobytes() == matrix.upper.conj().tobytes()
+    assert lower[..., range(n), range(n)].tobytes() == matrix.diagonal.astype(np.complex128).tobytes()
+    for j in range(n if n > 1 else 0):
+        sub = np.delete(np.delete(dense, j, axis=-1), j, axis=-2)
+        r, c = np.triu_indices(n - 1, 1)
+        m = minor(matrix, j)
+        assert m.upper.tobytes() == sub[..., r, c].tobytes()
+        assert m.diagonal.tobytes() == np.delete(matrix.diagonal, j, axis=-1).tobytes()
+    for one in dense.reshape(-1, n, n):
+        packed = HermitianMatrix.from_dense(one)
+        assert packed.upper.tobytes() == one[rows, cols].tobytes()
+        assert packed.diagonal.tobytes() == one.diagonal().real.tobytes()
+
+
+def test_unpacking_allocates_only_the_lapack_input():
+    # a size no other test uses, so that a per-size cache filled by an earlier
+    # test could not hide what the first unpacking builds
+    matrix = sample_gue(383, SeedSpec(5))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lower = matrix.dense(lapack=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= lower.nbytes + 64 * 1024
+
+
+def test_minors_leave_no_memory_behind():
+    # 32 minors of one N = 256 matrix keep nothing; the slack is interpreter
+    # bookkeeping, far below one 255 kB table of minor positions
+    matrix = sample_gue(256, SeedSpec(6))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for j in range(1, 256, 8):
+            minor(matrix, j)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 16 * 1024

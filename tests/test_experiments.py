@@ -134,7 +134,8 @@ def test_spec_rejects_bad_fields():
     spec = ExperimentSpec(kind="dos", n=32, samples=4, energy=[np.float32(0.5), 1], eta=[2],
                           kappa=np.float64(0.25))
     assert (spec.energy, spec.kappa, spec.eta[0].coef) == ((0.5, 1.0), 0.25, 2.0)
-    # extras are checked, with the same rules, before anything is sampled
+    # extras are checked, with the same rules, before anything is sampled;
+    # delta_moments takes no eta, so its cases are built without one
     for kind, extra in (
         ("derivative", {"delta_e": {"over_n": "x"}}),
         ("derivative", {"delta_e": True}),
@@ -148,8 +149,22 @@ def test_spec_rejects_bad_fields():
         ("delta_moments", {"part2_order": 1.5}),
         ("delta_moments", {"part2_order": "1"}),
     ):
+        eta = [0.1] if kind == "derivative" else []
         with pytest.raises(ConfigurationError):
-            run_experiment(ExperimentSpec(kind=kind, n=8, samples=2, eta=[0.1], extra=extra))
+            run_experiment(ExperimentSpec(kind=kind, n=8, samples=2, eta=eta, extra=extra))
+
+
+def test_spec_dist_must_be_a_pair_of_laws():
+    laws = {"off": {"kind": "gaussian", "role": "off_diagonal"},
+            "diag": {"kind": "gaussian", "role": "diagonal"}}
+    for bad in (laws, ("gaussian", "gaussian"), (gaussian_off(),),
+                (gaussian_off(), gaussian_diag(), gaussian_diag()), gaussian_off(),
+                (gaussian_off(), laws["diag"])):
+        with pytest.raises(ConfigurationError, match="dist must be a pair"):
+            ExperimentSpec(kind="spacing", n=8, samples=2, dist=bad)
+    spec = ExperimentSpec(kind="spacing", n=8, samples=2, dist=[gaussian_off(), gaussian_diag()])
+    assert spec.dist == ExperimentSpec.from_json({"kind": "spacing", "n": 8, "samples": 2,
+                                                  "dist": laws}).dist
 
 
 def test_spec_json_round_trip():

@@ -55,13 +55,13 @@ def test_package_keeps_its_earlier_names():
 
 
 def test_only_ensembles_knows_the_packed_layout():
-    # the row-major packed order of the upper triangle is read through these
-    # helpers; a second module that uses them re-derives the layout
+    # the row-major packed order of the upper triangle is read through this
+    # helper; a second module that uses it re-derives the layout
     root = Path(__file__).resolve().parents[1] / "src" / "wignerlab"
     users = sorted(
         path.name
         for path in root.glob("*.py")
-        if path.name != "ensembles.py" and re.search(r"_triangles|_minor_positions", path.read_text())
+        if path.name != "ensembles.py" and re.search(r"_row_segment", path.read_text())
     )
     assert users == []
 
