@@ -121,7 +121,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kappa", type=float, help="bulk margin: energies stay in (-2+kappa, 2-kappa)")
     sub.add_argument(
         "--workers", type=int,
-        help="chunks processed at once for N <= 128 (default: one per usable CPU, at most 8)",
+        help="chunks processed at once for N <= 128, at most 8 (default: one per usable CPU)",
     )
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--plot", action="store_true", help="also write an SVG plot next to --out")

@@ -43,17 +43,23 @@ minor (see :mod:`~wignerlab.ensembles`).  The allocator hands what one
 chunk freed to the next, so a warm serial ``spacing`` cell faults 0.8, 0.3
 and 0.9 pages per matrix at N = 200, 256 and 512.
 
-Kinds and core: :func:`run_experiment` holds the one loop over sizes.  A
-kind checks the whole spec, for every size, before anything is sampled and
-returns the step that samples one size and builds its rows; it reads
-``spec.extra`` through :func:`_extra`, which refuses keys it does not read.
+Kinds and core: ``_KINDS`` declares each kind once, with its step builder,
+the spec fields of ``energy``, ``kappa`` and ``eta`` it reads, and its
+``extra`` keys with their defaults.  A field the kind does not read must
+keep its dataclass default (the spec refuses any other value), and an
+``extra`` key it does not read is refused by :func:`_extra`.
+:func:`run_experiment` holds the one loop over sizes.  A kind's builder
+checks the whole spec, for every size, before anything is sampled and
+returns the step that samples one size and builds its rows.
+
 The grid kinds (``dos``, ``scale_sweep``, ``im_stieltjes``, ``derivative``,
 ``wegner``) share :func:`_grid_step`: a chunk statistic over the
 energy-major (energy, eta) grid plus a row builder per point, one shared by
-the mean kinds (:func:`_mean_kind`).  ``delta_moments`` loops over energies, one cell
-each; ``spacing`` pools ragged spacings.  The statistics call the stacked
-observables of :mod:`~wignerlab.spectral` and :mod:`~wignerlab.diagnostics`
-once per chunk, through their names in this module.
+the mean kinds (:func:`_mean_kind`).  ``delta_moments`` loops over
+energies, one cell each; ``spacing`` pools ragged spacings.  The
+statistics call the stacked observables of :mod:`~wignerlab.spectral` and
+:mod:`~wignerlab.diagnostics` once per chunk, through their names in this
+module.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from itertools import repeat
-from typing import Callable, Optional, Sequence, get_type_hints
+from typing import Callable, NamedTuple, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -90,10 +96,6 @@ __all__ = [
 
 # eta schedule kind -> (power of n it divides the coefficient by, label suffix)
 _ETA_KINDS = {"const": (0, ""), "over_n": (1, "/N"), "over_n32": (1.5, "/N^1.5")}
-
-# the experiment kinds that read ``spec.eta``: they need one, the others
-# (delta_moments, spacing) refuse one
-_KINDS_READING_ETA = frozenset({"dos", "im_stieltjes", "wegner", "derivative", "scale_sweep"})
 
 # A chunk's dense (B, N, N) complex stack is kept near 1 MiB: B = 16 at
 # N = 64, 4 at N = 128 and 1 from N = 256.  At N = 128, 2 and 4 MiB stacks
@@ -150,14 +152,13 @@ class EtaSchedule:
     def from_json(cls, obj) -> "EtaSchedule":
         if isinstance(obj, EtaSchedule):
             return obj
-        if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-            return cls("const", float(obj))
-        if isinstance(obj, dict):
-            if set(obj) == {"kind", "coef"}:
-                return cls(obj["kind"], obj["coef"])
-            for kind in _ETA_KINDS:
-                if kind in obj and len(obj) == 1:
-                    return cls(kind, obj[kind])
+        if not isinstance(obj, dict):
+            return cls("const", obj)
+        if set(obj) == {"kind", "coef"}:
+            return cls(obj["kind"], obj["coef"])
+        for kind in _ETA_KINDS:
+            if kind in obj and len(obj) == 1:
+                return cls(kind, obj[kind])
         raise ConfigurationError(f"cannot parse eta schedule from {obj!r}")
 
 
@@ -197,6 +198,15 @@ class ExperimentSpec:
             raise ConfigurationError(f"samples must be at least 1, got {self.samples}")
         object.__setattr__(self, "energy", _as_tuple(self.energy, lambda v: _real(v, "energy"), "energy"))
         object.__setattr__(self, "kappa", _real(self.kappa, "kappa"))
+        object.__setattr__(self, "eta", tuple(EtaSchedule.from_json(e) for e in _items(self.eta)))
+        reads = _KINDS[self.kind].reads
+        if "eta" in reads and not self.eta:
+            raise ConfigurationError(f"experiment kind {self.kind!r} needs at least one eta")
+        # a field the kind does not read must keep its dataclass default
+        shown = {"energy": list(self.energy), "kappa": self.kappa, "eta": [sch.label() for sch in self.eta]}
+        for name, value in shown.items():
+            if name not in reads and getattr(self, name) != getattr(ExperimentSpec, name):
+                raise ConfigurationError(f"experiment kind {self.kind!r} takes no {name}, got {value}")
         if not 0.0 < self.kappa < 2.0:
             raise ConfigurationError(f"kappa must lie in (0, 2), got {self.kappa}")
         bulk = 2.0 - self.kappa
@@ -205,14 +215,6 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"energy {E} outside the bulk window (-{bulk}, {bulk}) for kappa={self.kappa}"
                 )
-        etas = self.eta if isinstance(self.eta, (list, tuple)) else (self.eta,)
-        object.__setattr__(self, "eta", tuple(EtaSchedule.from_json(e) for e in etas))
-        if self.kind in _KINDS_READING_ETA and not self.eta:
-            raise ConfigurationError(f"experiment kind {self.kind!r} needs at least one eta")
-        if self.kind not in _KINDS_READING_ETA and self.eta:
-            raise ConfigurationError(
-                f"experiment kind {self.kind!r} takes no eta, got {[sch.label() for sch in self.eta]}"
-            )
         for sch in self.eta:
             for n in self.n:
                 # a positive coefficient can still underflow to 0 at large n
@@ -360,7 +362,8 @@ def rows_from_csv(text: str) -> list:
 def worker_count(requested: Optional[int] = None) -> int:
     """Chunks a run processes at once; WIGNERLAB_THREADS caps it.
 
-    The default is one per CPU the process may run on, at most 8.  Only
+    The default is one per CPU the process may run on.  Both the default
+    and a request are cut to 8, so no run starts more pool threads.  Only
     sizes up to ``_ONE_BLAS_THREAD_MAX_N`` use more than one: there each
     chunk is drawn, diagonalised on one BLAS thread and reduced by its own
     pool task, so a pool of this many threads fills the cores instead of
@@ -369,10 +372,11 @@ def worker_count(requested: Optional[int] = None) -> int:
     """
     if requested is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        requested = min(8, cpus or 1)
+        requested = cpus or 1
     requested = _integer(requested, "worker count")
     if requested < 1:
         raise ConfigurationError(f"worker count must be at least 1, got {requested}")
+    requested = min(8, requested)
     env = os.environ.get("WIGNERLAB_THREADS")
     if env is None:
         return requested
@@ -514,7 +518,7 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Exper
     """
     t0 = time.perf_counter()
     threads = worker_count(workers)
-    step = _KINDS[spec.kind](spec)
+    step = _KINDS[spec.kind].build(spec, _extra(spec))
     rows: list = []
     warnings: list = []
     for ci, n in enumerate(spec.n):
@@ -525,9 +529,10 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Exper
 # -- experiment kinds: each checks the spec and returns the per-size step --
 
 
-def _extra(spec: ExperimentSpec, **defaults) -> dict:
-    """``spec.extra`` over the kind's keys and their ``defaults``; a key the
-    kind does not read raises."""
+def _extra(spec: ExperimentSpec) -> dict:
+    """``spec.extra`` over the kind's keys and their defaults in ``_KINDS``;
+    a key the kind does not read raises."""
+    defaults = _KINDS[spec.kind].extra
     unknown = sorted(set(spec.extra) - set(defaults), key=str)
     if unknown:
         raise ConfigurationError(
@@ -569,7 +574,6 @@ def _mean_kind(
     """Grid kind with one row per point: the sample mean of ``stat`` against
     ``reference(E, eta)``; ``head(n, E, sch, eta, ref, warnings)`` gives the
     extras that come before the sub-microscopic ones."""
-    _extra(spec)
 
     def row(n, E, sch, eta, values, warnings):
         mean, se = _mean_stderr(values)
@@ -610,12 +614,12 @@ def _window(E: float, eta: float) -> tuple[float, float]:
     return mass, mass / eta
 
 
-def _dos(spec: ExperimentSpec) -> _Step:
+def _dos(spec: ExperimentSpec, extra: dict) -> _Step:
     """Averaged density against the semicircle window average."""
     return _mean_kind(spec, _density, lambda E, eta: _window(E, eta)[1], "dos")
 
 
-def _scale_sweep(spec: ExperimentSpec) -> _Step:
+def _scale_sweep(spec: ExperimentSpec, extra: dict) -> _Step:
     """Averaged density against ``rho_sc(E)``, one series per eta schedule."""
     return _mean_kind(
         spec, _density, lambda E, eta: float(rho_sc(E)), "sweep",
@@ -623,7 +627,7 @@ def _scale_sweep(spec: ExperimentSpec) -> _Step:
     )
 
 
-def _im_stieltjes_kind(spec: ExperimentSpec) -> _Step:
+def _im_stieltjes_kind(spec: ExperimentSpec, extra: dict) -> _Step:
     """Averaged ``Im m_N(E + i eta)`` against ``pi rho_sc(E)``."""
 
     def warn(n, E, sch, eta, ref, warnings):
@@ -642,8 +646,7 @@ def _im_stieltjes_kind(spec: ExperimentSpec) -> _Step:
     )
 
 
-def _wegner(spec: ExperimentSpec) -> _Step:
-    _extra(spec)
+def _wegner(spec: ExperimentSpec, extra: dict) -> _Step:
     for n in spec.n:
         resolved = [sch.resolve(n) for sch in spec.eta]
         if any(b >= a for a, b in zip(resolved, resolved[1:])):
@@ -675,11 +678,10 @@ def _wegner(spec: ExperimentSpec) -> _Step:
     return _grid_step(spec, stat, row)
 
 
-def _derivative(spec: ExperimentSpec) -> _Step:
-    delta_e = _extra(spec, delta_e=None)["delta_e"]
-    if delta_e is None:
+def _derivative(spec: ExperimentSpec, extra: dict) -> _Step:
+    if extra["delta_e"] is None:
         raise ConfigurationError("derivative experiments need extra['delta_e']")
-    delta_sched = EtaSchedule.from_json(delta_e)
+    delta_sched = EtaSchedule.from_json(extra["delta_e"])
     steps = {}
     for n in spec.n:
         steps[n] = delta_sched.resolve(n)
@@ -720,10 +722,9 @@ def _derivative(spec: ExperimentSpec) -> _Step:
     return _grid_step(spec, stat, row)
 
 
-def _delta_moments(spec: ExperimentSpec) -> _Step:
+def _delta_moments(spec: ExperimentSpec, extra: dict) -> _Step:
     if any(n < 2 for n in spec.n):
         raise ConfigurationError(f"delta_moments takes minors, so every size must be at least 2, got {spec.n}")
-    extra = _extra(spec, eps=1.0, moment_orders=(0, 1, 2), deltas=(0.5, 0.1, 0.02), part2_order=0)
     eps = _real(extra["eps"], "extra['eps']")
     if not 0.0 < eps <= 1.0:
         raise ConfigurationError(f"extra['eps'] must lie in (0, 1], got {eps}")
@@ -792,8 +793,8 @@ def _delta_moments(spec: ExperimentSpec) -> _Step:
 _SPACING_WINDOW = (-0.8079455065990346, 0.8079455065990351)
 
 
-def _spacing(spec: ExperimentSpec) -> _Step:
-    bounds = _items(_extra(spec, window=_SPACING_WINDOW)["window"])
+def _spacing(spec: ExperimentSpec, extra: dict) -> _Step:
+    bounds = _items(extra["window"])
     if len(bounds) != 2:
         raise ConfigurationError(f"spacing window must be two numbers, got {bounds}")
     lo, hi = window = tuple(_real(w, "a spacing window bound") for w in bounds)
@@ -834,14 +835,28 @@ def _ks_distance(spacings: np.ndarray) -> float:
     return float(max(np.max(np.abs(steps_hi - cdf)), np.max(np.abs(steps_lo - cdf))))
 
 
+class _Kind(NamedTuple):
+    """One experiment kind: ``build(spec, extra)`` checks the spec and
+    returns its step, ``reads`` names the fields of ``energy``, ``kappa``
+    and ``eta`` it reads, and ``extra`` maps its ``extra`` keys to their
+    defaults."""
+
+    build: Callable[[ExperimentSpec, dict], _Step]
+    reads: tuple
+    extra: dict
+
+
 _KINDS: dict = {
-    "dos": _dos,
-    "im_stieltjes": _im_stieltjes_kind,
-    "wegner": _wegner,
-    "derivative": _derivative,
-    "scale_sweep": _scale_sweep,
-    "delta_moments": _delta_moments,
-    "spacing": _spacing,
+    "dos": _Kind(_dos, ("energy", "kappa", "eta"), {}),
+    "im_stieltjes": _Kind(_im_stieltjes_kind, ("energy", "kappa", "eta"), {}),
+    "wegner": _Kind(_wegner, ("energy", "kappa", "eta"), {}),
+    "derivative": _Kind(_derivative, ("energy", "kappa", "eta"), {"delta_e": None}),
+    "scale_sweep": _Kind(_scale_sweep, ("energy", "kappa", "eta"), {}),
+    "delta_moments": _Kind(_delta_moments, ("energy", "kappa"), {
+        "eps": 1.0, "moment_orders": (0, 1, 2), "deltas": (0.5, 0.1, 0.02), "part2_order": 0,
+    }),
+    # its CSV energy and eta columns hold the window's centre and width
+    "spacing": _Kind(_spacing, (), {"window": _SPACING_WINDOW}),
 }
 
 EXPERIMENT_KINDS = tuple(_KINDS)

@@ -398,11 +398,15 @@ def test_eta_that_resolves_to_zero_or_infinite_n_eta_exits_two(command, eta, sho
 
 
 def test_spacing_refuses_an_eta_before_sampling(capsys, monkeypatch):
+    # spacing reads no eta, energy or kappa: its window is set by --window
     monkeypatch.setattr(experiments_module, "sample_wigner", lambda *a: pytest.fail("sampled"))
-    assert main(["spacing", "--n", "8", "--samples", "2", "--eta", "0.1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: experiment kind 'spacing' takes no eta, got ['0.1']\n"
+    for flag, shown in ((["--eta", "0.1"], "eta, got ['0.1']"),
+                        (["--energy", "0.5"], "energy, got [0.5]"),
+                        (["--kappa", "1.0"], "kappa, got 1.0")):
+        assert main(["spacing", "--n", "8", "--samples", "2"] + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: experiment kind 'spacing' takes no {shown}\n"
 
 
 @pytest.mark.parametrize("eta", ["1e-15", "1e-300", "5e-324"])

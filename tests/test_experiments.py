@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import threading
 import weakref
@@ -128,12 +129,17 @@ def test_spec_rejects_bad_fields():
     # energies, kappa and eta coefficients are real numbers: no strings, no bools
     for bad in (dict(energy="x"), dict(energy=[0.0, "0.5"]), dict(energy=[True]),
                 dict(kappa="x"), dict(kappa=True), dict(eta=[{"over_n": "x"}]),
-                dict(eta=[{"kind": "const", "coef": None}]), dict(eta=[{"over_n": True}])):
+                dict(eta=[{"kind": "const", "coef": None}]), dict(eta=[{"over_n": True}]),
+                dict(eta=True), dict(eta="0.5"), dict(eta=[0.5, True]), dict(eta=np.array([True]))):
         with pytest.raises(ConfigurationError):
             ExperimentSpec(**{"kind": "dos", "n": 32, "samples": 4, "eta": [1.0], **bad})
     spec = ExperimentSpec(kind="dos", n=32, samples=4, energy=[np.float32(0.5), 1], eta=[2],
                           kappa=np.float64(0.25))
     assert (spec.energy, spec.kappa, spec.eta[0].coef) == ((0.5, 1.0), 0.25, 2.0)
+    # eta takes a number as energy does: a lone numpy scalar, or an array
+    for value in (np.float32(0.5), np.array([0.5])):
+        spec = ExperimentSpec(kind="dos", n=32, samples=4, energy=value, eta=value)
+        assert (spec.energy, spec.eta) == ((0.5,), (EtaSchedule("const", 0.5),))
     # extras are checked, with the same rules, before anything is sampled;
     # delta_moments takes no eta, so its cases are built without one
     for kind, extra in (
@@ -221,6 +227,16 @@ def test_worker_count_env_cap(monkeypatch):
     monkeypatch.setenv("WIGNERLAB_THREADS", "0")
     with pytest.raises(ConfigurationError):
         worker_count(4)
+
+
+def test_worker_count_caps_a_request_at_8(monkeypatch):
+    # a pool never gets more than 8 threads, whatever is asked for
+    monkeypatch.delenv("WIGNERLAB_THREADS", raising=False)
+    assert [worker_count(k) for k in (7, 8, 9, 1000)] == [7, 8, 8, 8]
+    monkeypatch.setenv("WIGNERLAB_THREADS", "2")
+    assert worker_count(1000) == 2
+    monkeypatch.setenv("WIGNERLAB_THREADS", "64")
+    assert worker_count(1000) == 8
 
 
 def test_worker_count_rejects_bad_request():
@@ -449,11 +465,59 @@ def test_derivative_requires_step_and_small_eta():
         )
 
 
-@pytest.mark.parametrize("kind", ["delta_moments", "spacing"])
+# the spec fields of energy, kappa and eta that each kind reads
+READS = {kind: {"energy", "kappa", "eta"} for kind in experiments.EXPERIMENT_KINDS}
+READS.update(delta_moments={"energy", "kappa"}, spacing=set())
+
+
+@pytest.mark.parametrize("kind", experiments.EXPERIMENT_KINDS)
 def test_kinds_that_read_no_eta_refuse_one(kind):
-    ExperimentSpec.from_json({"kind": kind, "n": [8], "samples": 2})
-    with pytest.raises(ConfigurationError, match=f"kind '{kind}' takes no eta, got \\['0.1'\\]"):
-        ExperimentSpec.from_json({"kind": kind, "n": [8], "samples": 2, "eta": [0.1]})
+    # a kind takes a value other than the default for each field it reads,
+    # and the spec refuses one, so before anything is sampled, for each
+    # field it does not; the defaults it writes are read back
+    base = {"kind": kind, "n": [8], "samples": 2, "eta": [0.5] if "eta" in READS[kind] else []}
+    spec = ExperimentSpec.from_json(base)
+    assert ExperimentSpec.from_json(spec.to_json()) == spec
+    for name, value, shown in (("eta", [0.1], "['0.1']"), ("energy", [0.5], "[0.5]"),
+                               ("kappa", 1.0, "1.0")):
+        if name in READS[kind]:
+            ExperimentSpec.from_json({**base, name: value})
+            continue
+        message = re.escape(f"experiment kind '{kind}' takes no {name}, got {shown}")
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            ExperimentSpec.from_json({**base, name: value})
+
+
+# a spec of each kind, then another value for each field and extra key
+TABLE_SPECS = {
+    "dos": dict(eta=[0.5]),
+    "im_stieltjes": dict(eta=[0.5]),
+    "wegner": dict(eta=[0.5]),
+    "derivative": dict(eta=[{"over_n": 0.5}], extra={"delta_e": 0.01}),
+    "scale_sweep": dict(eta=[0.5]),
+    "delta_moments": dict(),
+    "spacing": dict(),
+}
+MOVED = {"energy": [0.3], "eta": [{"over_n": 0.25}], "delta_e": 0.02, "eps": 0.5,
+         "moment_orders": [0, 3], "deltas": [0.5, 0.2], "part2_order": 1, "window": [-0.5, 0.5]}
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_SPECS))
+def test_each_field_a_kind_reads_moves_its_csv(kind):
+    # the table is accurate: every field of energy and eta and every extra
+    # key that a kind declares changes its bytes, and kappa the energies
+    # it accepts
+    declared = experiments._KINDS[kind]
+    base = dict(TABLE_SPECS[kind], kind=kind, n=[16], samples=4, seed=3)
+    csv = run_experiment(ExperimentSpec.from_json(base)).to_csv()
+    changes = [{name: MOVED[name]} for name in ("energy", "eta") if name in declared.reads]
+    changes += [{"extra": {**base.get("extra", {}), key: MOVED[key]}} for key in declared.extra]
+    for change in changes:
+        assert run_experiment(ExperimentSpec.from_json({**base, **change})).to_csv() != csv, change
+    if "kappa" in declared.reads:
+        with pytest.raises(ConfigurationError, match="outside the bulk window"):
+            ExperimentSpec.from_json({**base, "energy": [1.6]})
+        ExperimentSpec.from_json({**base, "energy": [1.6], "kappa": 0.2})
 
 
 def test_eta_must_resolve_positive_with_finite_n_eta_at_every_size(monkeypatch):
