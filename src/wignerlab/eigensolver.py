@@ -77,8 +77,11 @@ def eigh(matrix: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
 def eigvalsh(matrix: HermitianMatrix) -> np.ndarray:
     """Ascending eigenvalues only; cheaper when no vectors are needed.
 
-    The packed matrix is dropped once unpacked, so a caller that keeps no
-    reference to it has it freed before LAPACK runs.  The LAPACK input,
+    The matrix is dropped once unpacked, so a caller that keeps no
+    reference to a packed one has it freed before LAPACK runs.  The stacks
+    of :mod:`~wignerlab.experiments` hold no packed triangle: their
+    ``dense`` draws the streams straight into the LAPACK input, so LAPACK
+    runs with nothing of the chunk alive but that input.  The LAPACK input,
     ``matrix.dense(lapack=True)``, never leaves this function (see
     :func:`_lapack_eigvalsh`).
     """

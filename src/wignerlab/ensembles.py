@@ -15,23 +15,26 @@ slicing a principal minor (:func:`minor`) all live here.  A matrix may
 carry leading batch axes: a stack of ``B`` matrices of one size is sampled,
 sliced, unpacked and diagonalised in one call each, with every matrix drawn
 from its own stream exactly as if sampled alone.
-:func:`sample_wigner` draws a stack into one raw buffer, a row per stream in
-its consumption order, and assembles it with stack-wide operations; with
-Gaussian laws a stream is a single generator call, which in a thread pool
-means a single GIL hand-off.
+
+The stream order lives in :func:`_draws`, which draws a stack piece by
+piece, one generator call per stream each (in a thread pool, one GIL
+hand-off).  :func:`sample_wigner` copies the pieces into a packed stack; a
+``_StreamStack``, which experiments diagonalise, writes them straight into
+LAPACK's input, so no packed stack is built.
 
 In the packed order, row ``j``'s pairs are one contiguous run (see
-:func:`_row_segment`), so unpacking and slicing copy the triangle one row
-segment at a time.  No index table is built, and nothing is kept per size or
-per minor.  Every array these functions return is new, and so is the LAPACK
-input that :meth:`HermitianMatrix.dense` writes for
+:func:`_row_segment`), so unpacking, slicing and writing a piece copy the
+triangle one row segment at a time.  No index table is built, and nothing
+is kept per size or per minor.  Every array these functions return is new,
+and so is the LAPACK input that :meth:`HermitianMatrix.dense` writes for
 :func:`~wignerlab.eigensolver.eigvalsh`; the module docstring of
-:mod:`~wignerlab.experiments` says where a cell's memory peaks.
+:mod:`~wignerlab.experiments` says where a chunk's memory peaks.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -42,6 +45,12 @@ from .errors import ConfigurationError, DomainError
 from .seeding import SeedSpec
 
 __all__ = ["HermitianMatrix", "minor", "sample_wigner", "sample_gue"]
+
+# A Gaussian stream is drawn in pieces of at most this many values (128 KiB),
+# cut at row ends (see :func:`_draws`): the whole stream up to N = 128, where
+# 2 m + N = 2^14, and at N = 512 a sixteenth of the 2 MiB triangle.
+_PIECE_VALUES = 2**14
+
 
 def _row_segment(n: int, j: int) -> slice:
     """Packed positions of row ``j``'s strict-upper pairs ``(j, j+1), ...,
@@ -107,25 +116,66 @@ class HermitianMatrix:
         :func:`~wignerlab.eigensolver.eigvalsh` asks for.  That array, read
         in column order, holds the matrix's lower triangle: each C-order row
         carries the real diagonal entry and, to its right, the conjugated
-        packed upper triangle.  Its C lower triangle is never written, which
-        halves the copy.
+        upper triangle.  Its C lower triangle is never written, which halves
+        the copy.
         """
         n = self.n
         h = np.empty(self.batch_shape + (n, n), np.complex128)
-        # indexing 2-D and 3-D views is cheaper than going through ``...``
+        # indexing 3-D views is cheaper than going through ``...``
         stack = h.reshape(-1, n, n)
+        self._write(stack, -1.0 if lapack else 1.0)
+        if not lapack:
+            for j in range(n - 1):
+                np.conjugate(stack[:, j, j + 1 :], out=stack[:, j + 1 :, j])
+        return h
+
+    def _write(self, stack: np.ndarray, sign: float) -> None:
+        """Write the ``(B, n, n)`` stack's diagonal and C upper triangle, the
+        latter conjugated when ``sign`` is negative."""
+        n = self.n
         packed = self.upper.reshape(len(stack), n * (n - 1) // 2)
         for j in range(n - 1):
-            row = packed[:, _row_segment(n, j)]
-            stack[:, j, j + 1 :] = row
-            if not lapack:
-                np.conjugate(row, out=stack[:, j + 1 :, j])
-        if lapack:
+            stack[:, j, j + 1 :] = packed[:, _row_segment(n, j)]
+        if sign < 0:
             # conjugate where the packed entries went, without a temporary
             # the size of the packed stack; the unwritten entries are never read
-            np.negative(h.imag, out=h.imag)
+            np.negative(stack.imag, out=stack.imag)
         stack.reshape(-1, n * n)[:, :: n + 1] = self.diagonal.reshape(-1, n)
-        return h
+
+
+class _StreamStack(HermitianMatrix):
+    """The Wigner matrices of the streams ``(master_seed, i)``, ``i`` in
+    ``indices``, or with ``drop_row`` their minors without row and column 0,
+    not yet drawn: each :meth:`dense` call draws them straight into the dense
+    stack, with the bytes of ``sample_wigner`` (then ``minor(., 0)``) then
+    ``dense``.  Its ``diagonal`` and ``upper`` are ``None``."""
+
+    def __init__(self, n: int, off_dist: DistributionSpec, diag_dist: DistributionSpec,
+                 master_seed: int, indices: range, drop_row: bool = False) -> None:
+        if drop_row and n == 1:
+            raise DomainError("a 1 x 1 matrix has no proper minor")
+        self.n, self.diagonal, self.upper = n - drop_row, None, None
+        self._streams = (n, off_dist, diag_dist, master_seed, indices, int(drop_row))
+
+    @property
+    def batch_shape(self) -> tuple:
+        return (len(self._streams[4]),)
+
+    def _write(self, stack: np.ndarray, sign: float) -> None:
+        n, off_dist, diag_dist, master_seed, indices, d = self._streams
+        rngs = [SeedSpec(master_seed, i).generator() for i in indices]
+        # the real parts, the imaginary parts and the (complex) diagonal
+        parts = (stack.real, stack.imag, stack.reshape(len(stack), -1)[:, :: self.n + 1])
+        for part, lo, hi, values in _draws(n, off_dist, diag_dist, rngs, sign):
+            if part == 2:
+                parts[2][...] = values[:, d:]
+                continue
+            target, at = parts[part], 0
+            for j in range(lo, hi):
+                end = at + n - 1 - j
+                if j >= d:
+                    target[:, j - d, j + 1 - d :] = values[:, at:end]
+                at = end
 
 
 def minor(matrix: HermitianMatrix, j: int) -> HermitianMatrix:
@@ -156,6 +206,70 @@ def minor(matrix: HermitianMatrix, j: int) -> HermitianMatrix:
     )
 
 
+def _pieces(n: int, laws: tuple) -> list:
+    """The draw calls of one stream, in order, each a list of part ranges
+    ``(part, lo, hi, width)``: rows ``lo .. hi - 1`` of the real (``part``
+    0) or imaginary (1) parts, or the whole diagonal (2, 0, 1)."""
+    gaussian = [law.normal_scale is not None for law in laws]
+    j = np.arange(n)
+    # where a call may end, in values from the part's start: at row ends, and
+    # after the whole diagonal
+    edges = [(j * n - j * (j + 1) // 2).tolist()] * 2 + [[0, n]]
+    pieces, free = [], 0  # free: the values the last call can still take
+    for part, edge in enumerate(edges):
+        if not all(gaussian):
+            free = 0  # each part starts a call of its own
+        lo = 0
+        while lo < len(edge) - 1:
+            hi = bisect_right(edge, edge[lo] + free) - 1
+            if hi <= lo:  # the next row does not fit: a new call takes at least it
+                pieces.append([])
+                free = _PIECE_VALUES if gaussian[part] else math.inf
+                hi = max(bisect_right(edge, edge[lo] + free) - 1, lo + 1)
+            pieces[-1].append((part, lo, hi, edge[hi] - edge[lo]))
+            free -= edge[hi] - edge[lo]
+            lo = hi
+    return pieces
+
+
+def _draws(
+    n: int, off_dist: DistributionSpec, diag_dist: DistributionSpec, rngs: list, imag_sign: float
+):
+    """Draw a stack from its streams ``rngs``: the upper triangle's real
+    parts in packed order, its imaginary parts, then the diagonal.
+
+    A part of a scaled standard normal law is drawn in pieces of whole rows
+    of at most ``_PIECE_VALUES`` values, one ``standard_normal`` call per
+    stream each, which run on across the parts when both laws are one.  Any
+    other law's part is one ``sample`` call, since ``sample`` draws all its
+    uniforms before its normals.  Yields ``(part, lo, hi, values)`` per part
+    range of a piece (see :func:`_pieces`), ``values[b]`` scaled by the law's
+    factor and then by ``1/sqrt(n)`` (``imag_sign/sqrt(n)`` for imaginary
+    parts); the next item overwrites it."""
+    laws = (off_dist, off_dist, diag_dist)
+    sds = [law.normal_scale for law in laws]
+    pieces = _pieces(n, laws)
+    buf = np.empty((len(rngs), max(sum(r[3] for r in piece) for piece in pieces)))
+    scale = 1.0 / math.sqrt(n)
+    for piece in pieces:
+        law, size = laws[piece[0][0]], sum(r[3] for r in piece)
+        for rng, row in zip(rngs, buf):
+            if sds[piece[0][0]] is None:
+                row[:size] = law.sample(rng, size)
+            else:
+                # numpy's ziggurat takes the stream one value at a time, so
+                # the pieces draw what one call per part would
+                rng.standard_normal(out=row[:size])
+        at = 0
+        for part, lo, hi, width in piece:
+            values = buf[:, at : at + width]
+            if sds[part] is not None:
+                values *= sds[part]
+            values *= imag_sign * scale if part == 1 else scale
+            yield part, lo, hi, values
+            at += width
+
+
 def sample_wigner(
     n: int,
     off_dist: DistributionSpec,
@@ -165,13 +279,14 @@ def sample_wigner(
     """Sample one Hermitian Wigner matrix, or a stack with one per stream.
 
     Each stream is consumed in a fixed order: all upper-triangle real parts,
-    then all upper-triangle imaginary parts, then the diagonal.  When both
-    laws are a scaled standard normal (see
-    :attr:`DistributionSpec.normal_scale`) the whole stream is one
-    ``standard_normal`` call, which yields the same values as one call per
-    part; any other law draws each part with its own ``sample`` call.  Each
-    value is scaled by its law's factor first and by ``1/sqrt(n)`` after.
-    That makes a matrix a pure function of
+    then all upper-triangle imaginary parts, then the diagonal (see
+    :func:`_draws`).  When both laws are a scaled standard normal (see
+    :attr:`DistributionSpec.normal_scale`) the stream is drawn by
+    ``standard_normal`` calls in pieces of whole rows: one call up to
+    ``N = 128``, about ``N^2 / 2^14`` calls at larger ``N``.  Those yield
+    the same values as one call per part, so the pieces never show in the
+    bytes.  Each value is scaled by its law's factor first and by
+    ``1/sqrt(n)`` after.  That makes a matrix a pure function of
     ``(n, off_dist, diag_dist, seed)``.  Given a sequence of seeds, matrix
     ``b`` of the returned ``(len(seed),)`` stack is drawn from ``seed[b]``
     and equals the single-seed sample bit for bit.
@@ -190,33 +305,12 @@ def sample_wigner(
     seeds = (seed,) if single else tuple(seed)
     if not all(isinstance(s, SeedSpec) for s in seeds):
         raise ConfigurationError("seed must be a SeedSpec or a sequence of SeedSpecs")
-    m = n * (n - 1) // 2
-    # ``upper`` first: the raw buffer, freed on return, is then the newest
-    # block, whose memory the next large allocation (the dense stack) can
-    # reuse; in the other order grid-n64 peak RSS rose 0.8 MB
-    upper = np.empty((len(seeds), m), dtype=np.complex128)
-    # one row per stream, in its consumption order: real parts, imaginary
-    # parts, diagonal; it is copied out below and never leaves this function
-    raw = np.empty((len(seeds), 2 * m + n), dtype=np.float64)
-    off_sd, diag_sd = off_dist.normal_scale, diag_dist.normal_scale
-    if off_sd is not None and diag_sd is not None:
-        # numpy's ziggurat takes the stream one value at a time, so one call
-        # draws what three would; in a thread pool each call is a GIL hand-off
-        for s, row in zip(seeds, raw):
-            s.generator().standard_normal(out=row)
-        raw[:, : 2 * m] *= off_sd
-        raw[:, 2 * m :] *= diag_sd
-    else:
-        for s, row in zip(seeds, raw):
-            rng = s.generator()
-            row[:m] = off_dist.sample(rng, m)
-            row[m : 2 * m] = off_dist.sample(rng, m)
-            row[2 * m :] = diag_dist.sample(rng, n)
-    upper.real = raw[:, :m]
-    upper.imag = raw[:, m : 2 * m]
-    scale = 1.0 / math.sqrt(n)
-    diagonal = raw[:, 2 * m :] * scale
-    upper *= scale
+    diagonal = np.empty((len(seeds), n))
+    upper = np.empty((len(seeds), n * (n - 1) // 2), dtype=np.complex128)
+    parts = (upper.real, upper.imag, diagonal)
+    for part, lo, hi, values in _draws(n, off_dist, diag_dist, [s.generator() for s in seeds], 1.0):
+        start = lo if part == 2 else _row_segment(n, lo).start
+        parts[part][:, start : start + values.shape[1]] = values
     if single:
         return HermitianMatrix(n=n, diagonal=diagonal[0], upper=upper[0])
     return HermitianMatrix(n=n, diagonal=diagonal, upper=upper)

@@ -14,13 +14,13 @@ compensated summation.  Results are therefore bit-identical for a fixed
 spec.
 
 Samples run in chunks.  A chunk of ``B`` samples is one
-:class:`HermitianMatrix` stack: it is sampled (each matrix from its own
-stream), sliced to its minors where the kind needs them, unpacked and
-diagonalised with one call each, giving a ``(B, N)`` array of eigenvalues.
-``B`` is set by a byte budget for the dense ``(B, N, N)`` stack (see
-:func:`_chunk_depth`).  The observables are evaluated on the whole chunk as
-``(B, P, N)`` array expressions, which keeps their temporaries small.  The
-bytes do not depend on ``B``.
+:class:`HermitianMatrix` stack: each matrix is drawn from its own stream,
+straight into LAPACK's input (as the minor without row and column 0 where
+the kind needs minors), and the stack is diagonalised with one call,
+giving a ``(B, N)`` array of eigenvalues.  ``B`` is set by a byte budget for
+the dense ``(B, N, N)`` stack (see :func:`_chunk_depth`).  The observables
+are evaluated on the whole chunk as ``(B, P, N)`` array expressions, which
+keeps their temporaries small.  The bytes do not depend on ``B``.
 
 Each chunk is one task: it is drawn, diagonalised and reduced to its
 observables in one go.  Up to ``N = 128`` each task runs on one OpenBLAS
@@ -32,21 +32,22 @@ matrices, and builds whose BLAS thread count cannot be set, run the chunks
 serially.  The bytes do not depend on the worker count either.
 
 Serial and pooled chunks handle memory alike: each allocates its own
-arrays and frees them when it is done.  A chunk's raw draw (``8 B N^2``
-bytes) is freed once copied into the packed stack (``8 B N^2``), and the
-packed stack once :func:`eigvalsh` has unpacked the LAPACK input
-(``16 B N^2``), which from ``N = 129`` LAPACK diagonalises in place.  A
-chunk's memory therefore peaks in the unpacking, at the packed stack plus
-the LAPACK input (``24 B N^2`` bytes), from the first chunk on: unpacking
-and slicing minors build no index tables and keep nothing per size or per
-minor (see :mod:`~wignerlab.ensembles`).  The allocator hands what one
-chunk freed to the next, so a warm serial ``spacing`` cell faults 0.8, 0.3
-and 0.9 pages per matrix at N = 200, 256 and 512.
+arrays and frees them when it is done.  A chunk allocates the LAPACK input
+(``16 B N^2`` bytes), which from ``N = 129`` LAPACK diagonalises in place,
+and draws its streams straight into it, one piece at a time (see
+:mod:`~wignerlab.ensembles`).  No packed stack, minor copy or raw draw is
+built, so a chunk's memory peaks at the LAPACK input plus one piece (at
+most ``B * 128`` KiB for Gaussian laws, a whole part of the stream for
+others), or, once the piece is freed, plus ``zheevd``'s workspace (270 KB
+at N = 512), from the first chunk on.  The allocator hands what one
+chunk freed to the next, so a warm serial ``spacing`` cell faults 0.7, 0.3
+and 1.0 pages per matrix at N = 200, 256 and 512.
 
 Kinds and core: ``_KINDS`` declares each kind once, with its step builder,
 the spec fields of ``energy``, ``kappa`` and ``eta`` it reads, and its
 ``extra`` keys with their defaults.  A field the kind does not read must
-keep its dataclass default (the spec refuses any other value), and an
+keep its dataclass default, compared as ``to_json`` writes it (the spec
+refuses any other value, -0.0 for 0.0 too), and an
 ``extra`` key it does not read is refused by :func:`_extra`.
 :func:`run_experiment` holds the one loop over sizes.  A kind's builder
 checks the whole spec, for every size, before anything is sampled and
@@ -64,6 +65,7 @@ module.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import time
@@ -77,9 +79,10 @@ import numpy as np
 from .diagnostics import good_event, select_indices
 from .distributions import DistributionSpec, gaussian_diag, gaussian_off
 from .eigensolver import _ONE_BLAS_THREAD_MAX_N, eigvalsh, one_blas_thread
-from .ensembles import minor, sample_wigner
+# ``minor`` and ``sample_wigner`` are no longer called here, but the
+# benchmark's tracer (``perfbench/tracer.py``) wraps them under these names
+from .ensembles import _StreamStack, minor, sample_wigner  # noqa: F401
 from .errors import ConfigurationError, _choice, _integer, _real
-from .seeding import SeedSpec
 from .spectral import F_sc, counting, im_stieltjes, rho_sc, unfolded_spacings, wigner_surmise_gue_cdf
 from .version import __version__
 
@@ -202,10 +205,12 @@ class ExperimentSpec:
         reads = _KINDS[self.kind].reads
         if "eta" in reads and not self.eta:
             raise ConfigurationError(f"experiment kind {self.kind!r} needs at least one eta")
-        # a field the kind does not read must keep its dataclass default
+        # a field the kind does not read must keep its dataclass default, in
+        # the JSON form ``to_json`` writes, where -0.0 is not 0.0
         shown = {"energy": list(self.energy), "kappa": self.kappa, "eta": [sch.label() for sch in self.eta]}
         for name, value in shown.items():
-            if name not in reads and getattr(self, name) != getattr(ExperimentSpec, name):
+            written = json.dumps(getattr(self, name), default=EtaSchedule.to_json)
+            if name not in reads and written != json.dumps(getattr(ExperimentSpec, name)):
                 raise ConfigurationError(f"experiment kind {self.kind!r} takes no {name}, got {value}")
         if not 0.0 < self.kappa < 2.0:
             raise ConfigurationError(f"kappa must lie in (0, 2), got {self.kappa}")
@@ -416,16 +421,13 @@ def _chunk_depth(n: int, size: Optional[int] = None) -> int:
 
 
 def _spectra(
-    n: int, off: DistributionSpec, diag: DistributionSpec, seeds: list, drop_row: bool
+    n: int, off: DistributionSpec, diag: DistributionSpec, seed: int, indices: range, drop_row: bool
 ) -> np.ndarray:
-    """``(B, N)`` ascending eigenvalues of the matrices drawn from ``seeds``,
-    row ``b`` from ``seeds[b]``; with ``drop_row`` those of the minors without
-    row and column 0."""
-    # no name here holds the packed stack, so eigvalsh frees it once unpacked
-    # and it is not alive while LAPACK runs
-    if drop_row:
-        return eigvalsh(minor(sample_wigner(n, off, diag, seeds), 0))
-    return eigvalsh(sample_wigner(n, off, diag, seeds))
+    """``(B, N)`` ascending eigenvalues of the matrices of the streams
+    ``(seed, i)``, row ``b`` from ``indices[b]``; with ``drop_row`` those of
+    the minors without row and column 0.  The matrices are drawn straight
+    into LAPACK's input (see :class:`~wignerlab.ensembles._StreamStack`)."""
+    return eigvalsh(_StreamStack(n, off, diag, seed, indices, drop_row))
 
 
 def _chunk_stats(
@@ -452,15 +454,15 @@ def _chunk_stats(
     m = spec.samples
     size = n - 1 if drop_row else n
     depth = _chunk_depth(n, size)
-    chunks = [[SeedSpec(spec.seed, cell * m + i) for i in range(lo, min(lo + depth, m))]
-              for lo in range(0, m, depth)]
+    first = cell * m
+    chunks = [range(first + lo, first + min(lo + depth, m)) for lo in range(0, m, depth)]
 
-    def task(seeds: list) -> object:
-        return stat(_spectra(n, off, diag, seeds, drop_row))
+    def task(indices: range) -> object:
+        return stat(_spectra(n, off, diag, spec.seed, indices, drop_row))
 
     with one_blas_thread() if size <= _ONE_BLAS_THREAD_MAX_N else nullcontext(False) as pinned:
         if not pinned or workers == 1 or depth * size <= _GIL_FREE_SIZE:
-            return [task(seeds) for seeds in chunks]
+            return [task(indices) for indices in chunks]
         from concurrent.futures import ThreadPoolExecutor
 
         # map yields in chunk order and cancels the queued chunks if one raises

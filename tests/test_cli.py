@@ -388,7 +388,7 @@ def test_deriv_eta_validation_exit():
 ], ids=["underflow", "overflow"])
 def test_eta_that_resolves_to_zero_or_infinite_n_eta_exits_two(command, eta, shown, capsys,
                                                                monkeypatch):
-    monkeypatch.setattr(experiments_module, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(experiments_module, "_spectra", lambda *a: pytest.fail("sampled"))
     assert main([command, "--n", "4", "--samples", "2"] + eta) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -399,9 +399,10 @@ def test_eta_that_resolves_to_zero_or_infinite_n_eta_exits_two(command, eta, sho
 
 def test_spacing_refuses_an_eta_before_sampling(capsys, monkeypatch):
     # spacing reads no eta, energy or kappa: its window is set by --window
-    monkeypatch.setattr(experiments_module, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(experiments_module, "_spectra", lambda *a: pytest.fail("sampled"))
     for flag, shown in ((["--eta", "0.1"], "eta, got ['0.1']"),
                         (["--energy", "0.5"], "energy, got [0.5]"),
+                        (["--energy", "-0"], "energy, got [-0.0]"),
                         (["--kappa", "1.0"], "kappa, got 1.0")):
         assert main(["spacing", "--n", "8", "--samples", "2"] + flag) == 2
         captured = capsys.readouterr()
@@ -425,7 +426,7 @@ def test_dos_at_a_tiny_eta_has_the_semicircle_reference(eta, capsys):
 
 
 def test_deriv_step_that_does_not_move_the_energy_exits_two(capsys, monkeypatch):
-    monkeypatch.setattr(experiments_module, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(experiments_module, "_spectra", lambda *a: pytest.fail("sampled"))
     assert main(["deriv", "--n", "8", "--samples", "4", "--eta-over-n", "0.5",
                  "--delta-e", "1e-320", "--energy", "0.3"]) == 2
     captured = capsys.readouterr()
@@ -436,7 +437,7 @@ def test_deriv_step_that_does_not_move_the_energy_exits_two(capsys, monkeypatch)
 
 def test_deriv_step_below_the_spectrum_resolution_exits_two(capsys, monkeypatch):
     # 1e-300 / 8 moves E = 0, but no mu - E for a bulk eigenvalue mu
-    monkeypatch.setattr(experiments_module, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(experiments_module, "_spectra", lambda *a: pytest.fail("sampled"))
     assert main(["deriv", "--n", "8", "--samples", "2", "--eta", "0.1",
                  "--delta-e-over-n", "1e-300"]) == 2
     captured = capsys.readouterr()

@@ -24,7 +24,8 @@ from wignerlab import (
     schur_resolvent_residual,
     unfolded_spacings,
 )
-from wignerlab import eigensolver
+from wignerlab import ensembles, eigensolver
+from wignerlab.ensembles import _StreamStack
 
 LAW_PAIRS = {
     "gaussian": (gaussian_off(), gaussian_diag()),
@@ -137,6 +138,8 @@ def test_single_entry_matrix():
     assert m.dense().shape == (1, 1)
     assert m.upper.size == 0
     assert abs(eigvalsh(m)[0] - m.diagonal[0]) < 1e-15
+    with pytest.raises(DomainError, match="no proper minor"):
+        _StreamStack(1, gaussian_off(), gaussian_diag(), 2, range(1), drop_row=True)
 
 
 def test_hermitian_matrix_shape_validation():
@@ -267,6 +270,99 @@ def test_generator_calls_per_stream(law, monkeypatch):
     assert calls == {s: STREAM_CALLS[law] for s in seeds}
     assert stack.diagonal.tobytes() == expected.diagonal.tobytes()
     assert stack.upper.tobytes() == expected.upper.tobytes()
+
+
+# the calls of one N = 200 stream: a Gaussian part is cut at row ends into
+# calls of at most 2^14 values, 16330 + (3570 + 12760) + (7140 + 200) when
+# both laws are Gaussian, and 16330 + 3570 per part otherwise
+STREAM_CALLS_IN_PIECES = {
+    "gaussian": ["standard_normal"] * 3,
+    "one_component_mixture": ["standard_normal"] * 3,
+    "mixture": ["random", "standard_normal"] * 3,
+    "smoothed_uniform": ["uniform", "standard_normal"] * 3,
+    "gaussian_off_mixture_diag": ["standard_normal"] * 4 + ["random", "standard_normal"],
+}
+
+
+@pytest.mark.parametrize("law", sorted(LAW_PAIRS))
+def test_generator_calls_per_stream_in_pieces(law, monkeypatch):
+    off, diag = LAW_PAIRS[law]
+    seeds = [SeedSpec(29, k) for k in range(2)]
+    diagonal, upper = _per_part_stack(200, off, diag, seeds)
+    calls = {}
+    generator = SeedSpec.generator
+    monkeypatch.setattr(
+        SeedSpec, "generator", lambda s: _RecordingGenerator(generator(s), calls.setdefault(s, []))
+    )
+    stack = sample_wigner(200, off, diag, seeds)
+    assert calls == {s: STREAM_CALLS_IN_PIECES[law] for s in seeds}
+    assert stack.diagonal.tobytes() == diagonal.tobytes()
+    assert stack.upper.tobytes() == upper.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("n, drop_row", [(n, drop_row) for n in (1, 2, 3, 17, 130, 513)
+                                         for drop_row in (False, True) if n > 1 or not drop_row])
+@pytest.mark.parametrize("law", sorted(LAW_PAIRS))
+def test_stream_stack_writes_the_packed_path_bytes(law, n, drop_row, batch):
+    # drawn straight into LAPACK's input, the stack has the bytes of
+    # sample_wigner, then minor(., 0), then dense(lapack=True): the
+    # diagonal and the C upper triangle, the only entries LAPACK reads
+    off, diag = LAW_PAIRS[law]
+    indices = range(11, 11 + batch)
+    packed = sample_wigner(n, off, diag, [SeedSpec(41, i) for i in indices])
+    if drop_row:
+        packed = minor(packed, 0)
+    streams = _StreamStack(n, off, diag, 41, indices, drop_row)
+    assert (streams.n, streams.batch_shape) == (packed.n, packed.batch_shape)
+    rows, cols = np.triu_indices(packed.n)
+    lower = streams.dense(lapack=True)
+    assert lower[:, rows, cols].tobytes() == packed.dense(lapack=True)[:, rows, cols].tobytes()
+    assert streams.dense().tobytes() == packed.dense().tobytes()
+
+
+@pytest.mark.parametrize("piece", [50, 200])
+@pytest.mark.parametrize("law", ["gaussian", "gaussian_off_mixture_diag"])
+def test_stream_stack_bytes_do_not_depend_on_the_pieces(law, piece, monkeypatch):
+    # an N = 17 stream holds 136 real parts, 136 imaginary ones and 17
+    # diagonal entries: 50 values cut it inside the real part, and with
+    # both laws Gaussian 200 values take its first imaginary rows along
+    off, diag = LAW_PAIRS[law]
+    whole = [_StreamStack(17, off, diag, 43, range(3), drop_row).dense(lapack=True)
+             for drop_row in (False, True)]
+    monkeypatch.setattr(ensembles, "_PIECE_VALUES", piece)
+    pieces = ensembles._pieces(17, (off, off, diag))
+    if piece == 50:
+        assert pieces[0] == [(0, 0, 3, 45)]
+    else:
+        straddles = [ranges for ranges in pieces if [r[0] for r in ranges] == [0, 1]]
+        assert straddles == ([[(0, 0, 16, 136), (1, 0, 4, 58)]] if law == "gaussian" else [])
+    for drop_row, expected in zip((False, True), whole):
+        lower = _StreamStack(17, off, diag, 43, range(3), drop_row).dense(lapack=True)
+        rows, cols = np.triu_indices(17 - drop_row)
+        assert lower[:, rows, cols].tobytes() == expected[:, rows, cols].tobytes()
+
+
+def test_stream_stack_peaks_at_the_lapack_input_plus_one_piece():
+    # one N = 383 chunk: drawn straight into LAPACK's input it peaks at that
+    # input and one piece; drawn packed and unpacked, it peaks at the packed
+    # stack plus the input, 24 N^2 bytes
+    n = 383
+    bound = 16 * n * n + 8 * ensembles._PIECE_VALUES + 64 * 1024
+
+    def peak(draw):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lower = draw()
+            assert lower.nbytes == 16 * n * n
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: _StreamStack(n, gaussian_off(), gaussian_diag(), 5, range(1)).dense(lapack=True)) <= bound
+    packed = peak(lambda: sample_wigner(n, gaussian_off(), gaussian_diag(), [SeedSpec(5, 0)]).dense(lapack=True))
+    assert packed > bound
 
 
 def _recording_lapack(monkeypatch):

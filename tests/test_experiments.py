@@ -7,7 +7,7 @@ import os
 import re
 import sys
 import threading
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,13 +479,25 @@ def test_kinds_that_read_no_eta_refuse_one(kind):
     spec = ExperimentSpec.from_json(base)
     assert ExperimentSpec.from_json(spec.to_json()) == spec
     for name, value, shown in (("eta", [0.1], "['0.1']"), ("energy", [0.5], "[0.5]"),
-                               ("kappa", 1.0, "1.0")):
+                               ("energy", -0.0, "[-0.0]"), ("kappa", 1.0, "1.0")):
         if name in READS[kind]:
             ExperimentSpec.from_json({**base, name: value})
             continue
         message = re.escape(f"experiment kind '{kind}' takes no {name}, got {shown}")
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
             ExperimentSpec.from_json({**base, name: value})
+
+
+@pytest.mark.parametrize("energy", [None, 0.0, [0.0], np.float64(0.0), (0.0,)])
+def test_an_unread_field_may_spell_its_default(energy):
+    # the rule compares the JSON forms, so every spelling of 0.0 passes and
+    # reads back, while -0.0, which to_json would write, does not
+    fields = {} if energy is None else {"energy": energy}
+    spec = ExperimentSpec(kind="spacing", n=8, samples=2, **fields)
+    assert spec.to_json()["energy"] == [0.0]
+    assert ExperimentSpec.from_json(spec.to_json()) == spec
+    with pytest.raises(ConfigurationError, match=re.escape("takes no energy, got [-0.0]")):
+        ExperimentSpec(kind="spacing", n=8, samples=2, energy=-0.0)
 
 
 # a spec of each kind, then another value for each field and extra key
@@ -521,7 +533,7 @@ def test_each_field_a_kind_reads_moves_its_csv(kind):
 
 
 def test_eta_must_resolve_positive_with_finite_n_eta_at_every_size(monkeypatch):
-    monkeypatch.setattr(experiments, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(experiments, "_spectra", lambda *a: pytest.fail("sampled"))
     # 1e-315 / N^1.5 is a positive subnormal at N = 4 and rounds to 0 at N = 10^6
     ExperimentSpec(kind="dos", n=[4], samples=2, eta=[{"over_n32": 1e-315}])
     with pytest.raises(ConfigurationError, match=r"resolves to eta=0 at N=1000000"):
@@ -535,7 +547,7 @@ def test_eta_must_resolve_positive_with_finite_n_eta_at_every_size(monkeypatch):
 
 
 def test_derivative_step_must_move_every_energy(monkeypatch):
-    monkeypatch.setattr(experiments, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(experiments, "_spectra", lambda *a: pytest.fail("sampled"))
     # 0.3 + 1e-320 == 0.3, while 0 + 1e-320 moves
     tiny = ExperimentSpec(kind="derivative", n=[8], samples=4, energy=[0.0, 0.3],
                           eta=[{"over_n": 0.5}], extra={"delta_e": 1e-320})
@@ -551,7 +563,7 @@ def test_derivative_step_must_move_the_spectrum(monkeypatch):
     ulp = float(np.spacing(2.0))
     spec = ExperimentSpec(kind="derivative", n=[8], samples=4, energy=[0.0, 1.0],
                           eta=[{"over_n": 0.5}], extra={"delta_e": ulp / 2})
-    monkeypatch.setattr(experiments, "sample_wigner", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(experiments, "_spectra", lambda *a: pytest.fail("sampled"))
     with pytest.raises(ConfigurationError, match=r"step 2\.22045e-16 is below the spectrum's "
                                                  r"resolution at N=8: it does not move 2\.0"):
         run_experiment(spec)
@@ -703,7 +715,7 @@ def test_invalid_spec_samples_nothing(spec, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a matrix was sampled before the spec was checked")
 
-    monkeypatch.setattr(experiments, "sample_wigner", refuse)
+    monkeypatch.setattr(experiments, "_spectra", refuse)
     with pytest.raises(ConfigurationError):
         run_experiment(ExperimentSpec(samples=40, energy=0.0, seed=1, **spec), workers=1)
 
@@ -951,8 +963,8 @@ def test_delta_moments_equal_a_per_sample_loop(part2_order):
     for ci, n in enumerate(spec.n):
         for ei, E in enumerate(energy):
             cell = ci * len(energy) + ei
-            seeds = [SeedSpec(spec.seed, cell * spec.samples + i) for i in range(spec.samples)]
-            spectra = experiments._spectra(n, *spec.dist, seeds, True)
+            streams = range(cell * spec.samples, (cell + 1) * spec.samples)
+            spectra = experiments._spectra(n, *spec.dist, spec.seed, streams, True)
             table = [_delta_moments_sample_stat(lam, n, E, eps, orders, deltas, part2_order)
                      for lam in spectra]
             expected.extend(_mean_stderr(column) for column in zip(*table))
@@ -960,34 +972,26 @@ def test_delta_moments_equal_a_per_sample_loop(part2_order):
 
 
 @pytest.mark.parametrize("drop_row", [False, True])
-def test_packed_stack_is_freed_before_lapack(monkeypatch, drop_row):
-    refs: list = []
-    draw, cut = experiments.sample_wigner, experiments.minor
-
-    def recording_draw(*args):
-        stack = draw(*args)
-        refs.append(weakref.ref(stack.upper))
-        return stack
-
-    def recording_minor(*args):
-        stack = cut(*args)
-        refs.append(weakref.ref(stack.upper))
-        return stack
-
+def test_only_the_lapack_input_is_alive_when_lapack_runs(monkeypatch, drop_row):
+    # the chunk is drawn straight into LAPACK's input: no packed stack or
+    # minor is built, and the piece buffer is gone before LAPACK runs
     lapack = eigensolver._lapack_eigvalsh
     alive: list = []
 
     def checked(a):
-        alive.extend(r() is not None for r in refs)
+        alive.append(tracemalloc.get_traced_memory()[0] - before - a.nbytes)
         return lapack(a)
 
-    monkeypatch.setattr(experiments, "sample_wigner", recording_draw)
-    monkeypatch.setattr(experiments, "minor", recording_minor)
+    experiments._spectra(128, gaussian_off(), gaussian_diag(), 7, range(4), drop_row)  # warm-up
     monkeypatch.setattr(eigensolver, "_lapack_eigvalsh", checked)
-    seeds = [SeedSpec(7, i) for i in range(4)]
-    mu = experiments._spectra(128, gaussian_off(), gaussian_diag(), seeds, drop_row)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mu = experiments._spectra(128, gaussian_off(), gaussian_diag(), 7, range(4), drop_row)
+    finally:
+        tracemalloc.stop()
     assert mu.shape == (4, 127 if drop_row else 128)
-    assert alive == [False] * (2 if drop_row else 1)
+    assert len(alive) == 1 and alive[0] <= 16 * 1024
 
 
 # -- serialization -------------------------------------------------------------------

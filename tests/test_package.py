@@ -66,6 +66,28 @@ def test_only_ensembles_knows_the_packed_layout():
     assert users == []
 
 
+def test_only_one_function_draws_from_the_streams():
+    # the stream order lives in ensembles._draws; a second function that
+    # calls a generator's samplers, or a law's ``sample``, forks that order.
+    # distributions.py holds the samplers themselves.
+    root = Path(__file__).resolve().parents[1] / "src" / "wignerlab"
+    draws = {"standard_normal", "random", "uniform", "sample"}
+    drawers = set()
+    for path in sorted(root.glob("*.py")):
+        if path.name == "distributions.py":
+            continue
+        tree = ast.parse(path.read_text())
+        calls = {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute) and node.func.attr in draws}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and calls & set(ast.walk(func)):
+                drawers.add(f"{path.stem}.{func.name}")
+                calls -= set(ast.walk(func))
+        if calls:
+            drawers.add(f"{path.stem} outside a function")
+    assert drawers == {"ensembles._draws"}
+
+
 def test_only_eigensolver_binds_the_bundled_openblas():
     # eigensolver._bundled() finds and binds the library once; a second
     # module that names it holds a second lookup
