@@ -20,7 +20,9 @@ The stream order lives in :func:`_draws`, which draws a stack piece by
 piece, one generator call per stream each (in a thread pool, one GIL
 hand-off).  :func:`sample_wigner` copies the pieces into a packed stack; a
 ``_StreamStack``, which experiments diagonalise, writes them straight into
-LAPACK's input, so no packed stack is built.
+LAPACK's input, so no packed stack is built.  An experiment cell makes one
+``_StreamStack`` and takes its chunks from it, so the piece plan is made
+once per cell.
 
 In the packed order, row ``j``'s pairs are one contiguous run (see
 :func:`_row_segment`), so unpacking, slicing and writing a piece copy the
@@ -33,6 +35,7 @@ and so is the LAPACK input that :meth:`HermitianMatrix.dense` writes for
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -155,18 +158,27 @@ class _StreamStack(HermitianMatrix):
         if drop_row and n == 1:
             raise DomainError("a 1 x 1 matrix has no proper minor")
         self.n, self.diagonal, self.upper = n - drop_row, None, None
-        self._streams = (n, off_dist, diag_dist, master_seed, indices, int(drop_row))
+        self._streams = (n, off_dist, diag_dist, master_seed, int(drop_row))
+        self._indices = indices
+        self._pieces = _pieces(n, (off_dist, off_dist, diag_dist))
+
+    def take(self, indices: range) -> "_StreamStack":
+        """The stack of the streams ``indices``, drawn with this stack's
+        piece plan, so a cell plans its pieces once for all its chunks."""
+        chunk = copy.copy(self)
+        chunk._indices = indices
+        return chunk
 
     @property
     def batch_shape(self) -> tuple:
-        return (len(self._streams[4]),)
+        return (len(self._indices),)
 
     def _write(self, stack: np.ndarray, sign: float) -> None:
-        n, off_dist, diag_dist, master_seed, indices, d = self._streams
-        rngs = [SeedSpec(master_seed, i).generator() for i in indices]
+        n, off_dist, diag_dist, master_seed, d = self._streams
+        rngs = [SeedSpec(master_seed, i).generator() for i in self._indices]
         # the real parts, the imaginary parts and the (complex) diagonal
         parts = (stack.real, stack.imag, stack.reshape(len(stack), -1)[:, :: self.n + 1])
-        for part, lo, hi, values in _draws(n, off_dist, diag_dist, rngs, sign):
+        for part, lo, hi, values in _draws(n, off_dist, diag_dist, rngs, sign, self._pieces):
             if part == 2:
                 parts[2][...] = values[:, d:]
                 continue
@@ -233,7 +245,8 @@ def _pieces(n: int, laws: tuple) -> list:
 
 
 def _draws(
-    n: int, off_dist: DistributionSpec, diag_dist: DistributionSpec, rngs: list, imag_sign: float
+    n: int, off_dist: DistributionSpec, diag_dist: DistributionSpec, rngs: list, imag_sign: float,
+    pieces: list,
 ):
     """Draw a stack from its streams ``rngs``: the upper triangle's real
     parts in packed order, its imaginary parts, then the diagonal.
@@ -243,12 +256,11 @@ def _draws(
     stream each, which run on across the parts when both laws are one.  Any
     other law's part is one ``sample`` call, since ``sample`` draws all its
     uniforms before its normals.  Yields ``(part, lo, hi, values)`` per part
-    range of a piece (see :func:`_pieces`), ``values[b]`` scaled by the law's
-    factor and then by ``1/sqrt(n)`` (``imag_sign/sqrt(n)`` for imaginary
-    parts); the next item overwrites it."""
+    range of ``pieces``, the plan of :func:`_pieces`, ``values[b]`` scaled
+    by the law's factor and then by ``1/sqrt(n)`` (``imag_sign/sqrt(n)``
+    for imaginary parts); the next item overwrites it."""
     laws = (off_dist, off_dist, diag_dist)
     sds = [law.normal_scale for law in laws]
-    pieces = _pieces(n, laws)
     buf = np.empty((len(rngs), max(sum(r[3] for r in piece) for piece in pieces)))
     scale = 1.0 / math.sqrt(n)
     for piece in pieces:
@@ -308,7 +320,8 @@ def sample_wigner(
     diagonal = np.empty((len(seeds), n))
     upper = np.empty((len(seeds), n * (n - 1) // 2), dtype=np.complex128)
     parts = (upper.real, upper.imag, diagonal)
-    for part, lo, hi, values in _draws(n, off_dist, diag_dist, [s.generator() for s in seeds], 1.0):
+    rngs, pieces = [s.generator() for s in seeds], _pieces(n, (off_dist, off_dist, diag_dist))
+    for part, lo, hi, values in _draws(n, off_dist, diag_dist, rngs, 1.0, pieces):
         start = lo if part == 2 else _row_segment(n, lo).start
         parts[part][:, start : start + values.shape[1]] = values
     if single:

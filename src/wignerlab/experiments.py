@@ -420,14 +420,12 @@ def _chunk_depth(n: int, size: Optional[int] = None) -> int:
     return depth
 
 
-def _spectra(
-    n: int, off: DistributionSpec, diag: DistributionSpec, seed: int, indices: range, drop_row: bool
-) -> np.ndarray:
-    """``(B, N)`` ascending eigenvalues of the matrices of the streams
-    ``(seed, i)``, row ``b`` from ``indices[b]``; with ``drop_row`` those of
-    the minors without row and column 0.  The matrices are drawn straight
-    into LAPACK's input (see :class:`~wignerlab.ensembles._StreamStack`)."""
-    return eigvalsh(_StreamStack(n, off, diag, seed, indices, drop_row))
+def _spectra(streams: _StreamStack, indices: range) -> np.ndarray:
+    """``(B, N)`` ascending eigenvalues of the matrices of ``streams`` drawn
+    from the streams ``indices``, row ``b`` from ``indices[b]``.  They are
+    drawn straight into LAPACK's input (see
+    :class:`~wignerlab.ensembles._StreamStack`)."""
+    return eigvalsh(streams.take(indices))
 
 
 def _chunk_stats(
@@ -456,9 +454,10 @@ def _chunk_stats(
     depth = _chunk_depth(n, size)
     first = cell * m
     chunks = [range(first + lo, first + min(lo + depth, m)) for lo in range(0, m, depth)]
+    streams = _StreamStack(n, off, diag, spec.seed, range(first, first + m), drop_row)
 
     def task(indices: range) -> object:
-        return stat(_spectra(n, off, diag, spec.seed, indices, drop_row))
+        return stat(_spectra(streams, indices))
 
     with one_blas_thread() if size <= _ONE_BLAS_THREAD_MAX_N else nullcontext(False) as pinned:
         if not pinned or workers == 1 or depth * size <= _GIL_FREE_SIZE:

@@ -26,11 +26,7 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        seed, index = self.master_seed, self.stream_index
-        # plain ints need no conversion: a chunk builds one spec per stream
-        if type(seed) is int and type(index) is int and seed >= 0 and index >= 0:
-            return
-        seed, index = _integer(seed, "master_seed"), _integer(index, "stream_index")
+        seed, index = _integer(self.master_seed, "master_seed"), _integer(self.stream_index, "stream_index")
         if seed < 0 or index < 0:
             raise ConfigurationError(f"master_seed and stream_index must be non-negative, got {seed}, {index}")
         object.__setattr__(self, "master_seed", seed)

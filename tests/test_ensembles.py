@@ -321,6 +321,17 @@ def test_stream_stack_writes_the_packed_path_bytes(law, n, drop_row, batch):
     assert streams.dense().tobytes() == packed.dense().tobytes()
 
 
+@pytest.mark.parametrize("drop_row", [False, True])
+def test_a_taken_stack_draws_its_own_streams(drop_row):
+    # a cell's stack hands its chunks their stream ranges and its piece plan
+    off, diag = LAW_PAIRS["gaussian"]
+    cell = _StreamStack(140, off, diag, 47, range(20, 26), drop_row)
+    chunk = cell.take(range(22, 24))
+    assert (chunk.n, chunk.batch_shape, cell.batch_shape) == (140 - drop_row, (2,), (6,))
+    alone = _StreamStack(140, off, diag, 47, range(22, 24), drop_row)
+    assert chunk.dense().tobytes() == alone.dense().tobytes()
+
+
 @pytest.mark.parametrize("piece", [50, 200])
 @pytest.mark.parametrize("law", ["gaussian", "gaussian_off_mixture_diag"])
 def test_stream_stack_bytes_do_not_depend_on_the_pieces(law, piece, monkeypatch):

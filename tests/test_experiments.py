@@ -33,6 +33,7 @@ from wignerlab import (
     worker_count,
 )
 from wignerlab import eigensolver, experiments
+from wignerlab.ensembles import _StreamStack
 from wignerlab.experiments import _mean_stderr
 
 
@@ -964,7 +965,7 @@ def test_delta_moments_equal_a_per_sample_loop(part2_order):
         for ei, E in enumerate(energy):
             cell = ci * len(energy) + ei
             streams = range(cell * spec.samples, (cell + 1) * spec.samples)
-            spectra = experiments._spectra(n, *spec.dist, spec.seed, streams, True)
+            spectra = experiments._spectra(_StreamStack(n, *spec.dist, spec.seed, streams, True), streams)
             table = [_delta_moments_sample_stat(lam, n, E, eps, orders, deltas, part2_order)
                      for lam in spectra]
             expected.extend(_mean_stderr(column) for column in zip(*table))
@@ -982,12 +983,13 @@ def test_only_the_lapack_input_is_alive_when_lapack_runs(monkeypatch, drop_row):
         alive.append(tracemalloc.get_traced_memory()[0] - before - a.nbytes)
         return lapack(a)
 
-    experiments._spectra(128, gaussian_off(), gaussian_diag(), 7, range(4), drop_row)  # warm-up
+    streams = _StreamStack(128, gaussian_off(), gaussian_diag(), 7, range(4), drop_row)
+    experiments._spectra(streams, range(4))  # warm-up
     monkeypatch.setattr(eigensolver, "_lapack_eigvalsh", checked)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        mu = experiments._spectra(128, gaussian_off(), gaussian_diag(), 7, range(4), drop_row)
+        mu = experiments._spectra(streams, range(4))
     finally:
         tracemalloc.stop()
     assert mu.shape == (4, 127 if drop_row else 128)
