@@ -17,8 +17,9 @@ Samples run in chunks.  A chunk of ``B`` samples is one
 :class:`HermitianMatrix` stack: each matrix is drawn from its own stream,
 straight into LAPACK's input (as the minor without row and column 0 where
 the kind needs minors), and the stack is diagonalised with one call,
-giving a ``(B, N)`` array of eigenvalues.  ``B`` is set by a byte budget for
-the dense ``(B, N, N)`` stack (see :func:`_chunk_depth`).  The observables
+giving a ``(B, N)`` array of eigenvalues.  ``B`` is set by one byte budget
+per run for the dense ``(B, N, N)`` stacks of the chunks in flight (see
+:func:`_chunk_depth`).  The observables
 are evaluated on the whole chunk as ``(B, P, N)`` array expressions, which
 keeps their temporaries small.  The bytes do not depend on ``B``.
 
@@ -32,7 +33,11 @@ matrices, and builds whose BLAS thread count cannot be set, run the chunks
 serially.  The bytes do not depend on the worker count either.
 
 Serial and pooled chunks handle memory alike: each allocates its own
-arrays and frees them when it is done.  A chunk allocates the LAPACK input
+arrays and frees them when it is done.  The chunks in flight share one
+stack budget per run, so a pooled chunk gets ``1 / workers`` of the budget
+of a serial one, or the GIL-free floor's depth where that is larger, and
+each worker does not add a whole serial chunk to the peak (see
+``_STACK_BYTES``).  A chunk allocates the LAPACK input
 (``16 B N^2`` bytes), which from ``N = 129`` LAPACK diagonalises in place,
 and draws its streams straight into it, one piece at a time (see
 :mod:`~wignerlab.ensembles`).  No packed stack, minor copy or raw draw is
@@ -100,10 +105,14 @@ __all__ = [
 # eta schedule kind -> (power of n it divides the coefficient by, label suffix)
 _ETA_KINDS = {"const": (0, ""), "over_n": (1, "/N"), "over_n32": (1.5, "/N^1.5")}
 
-# A chunk's dense (B, N, N) complex stack is kept near 1 MiB: B = 16 at
-# N = 64, 4 at N = 128 and 1 from N = 256.  At N = 128, 2 and 4 MiB stacks
-# ran at most a few percent faster, inside the run-to-run spread, but added
-# 2.4 and 7.5 MB to a 44.6 MB peak RSS.
+# The dense (B, N, N) complex stacks of the chunks in flight share one
+# budget of 1 MiB per run: serially B = 16 at N = 64, 4 at N = 128 and 1
+# from N = 256; pooled, B = 8 at N = 64 (half the budget at two workers,
+# the GIL-free floor below from four).  With a budget per chunk, peak RSS
+# grew by a whole chunk per worker (grid-n64: 40.2 MB at one worker,
+# 58.5 MB at eight; 47.8 MB with one budget per run).  At N = 128, 2
+# and 4 MiB stacks ran at most a few percent faster, inside the run-to-run
+# spread, but added 2.4 and 7.5 MB to a 44.6 MB peak RSS.
 _STACK_BYTES = 2**20
 _MAX_CHUNK = 32
 
@@ -372,8 +381,11 @@ def worker_count(requested: Optional[int] = None) -> int:
     sizes up to ``_ONE_BLAS_THREAD_MAX_N`` use more than one: there each
     chunk is drawn, diagonalised on one BLAS thread and reduced by its own
     pool task, so a pool of this many threads fills the cores instead of
-    oversubscribing them.  Larger matrices run serially on OpenBLAS's own
-    threads.  The result does not depend on this count.
+    oversubscribing them.  The chunks in flight share the run's one stack
+    budget, so more workers means smaller chunks, down to the GIL-free
+    floor (see :func:`_chunk_depth`), not more memory per worker.  Larger
+    matrices run serially on OpenBLAS's own threads.  The result does not
+    depend on this count.
     """
     if requested is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -407,13 +419,15 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / m)
 
 
-def _chunk_depth(n: int, size: Optional[int] = None) -> int:
-    """Matrices per chunk at size ``n``: as many ``16 n^2``-byte dense
-    matrices as fit in ``_STACK_BYTES``, between 1 and ``_MAX_CHUNK``.  Where
-    the diagonalised matrices (``size``, by default ``n``; ``n - 1`` for
-    minors) have at most ``_ONE_BLAS_THREAD_MAX_N`` rows, at least as many
-    as make ``B * size`` exceed ``_GIL_FREE_SIZE``, up to ``_MAX_CHUNK``."""
-    depth = max(1, min(_MAX_CHUNK, _STACK_BYTES // (16 * n * n)))
+def _chunk_depth(n: int, size: Optional[int] = None, in_flight: int = 1) -> int:
+    """Matrices per chunk at size ``n`` when ``in_flight`` chunks run at
+    once: as many ``16 n^2``-byte dense matrices as fit in that share of
+    ``_STACK_BYTES``, between 1 and ``_MAX_CHUNK``, so the run's stacks
+    together stay within the one budget.  Where the diagonalised matrices
+    (``size``, by default ``n``; ``n - 1`` for minors) have at most
+    ``_ONE_BLAS_THREAD_MAX_N`` rows, at least as many as make ``B * size``
+    exceed ``_GIL_FREE_SIZE``, up to ``_MAX_CHUNK``."""
+    depth = max(1, min(_MAX_CHUNK, _STACK_BYTES // (in_flight * 16 * n * n)))
     size = n if size is None else size
     if size <= _ONE_BLAS_THREAD_MAX_N:
         depth = max(depth, min(_MAX_CHUNK, _GIL_FREE_SIZE // size + 1))
@@ -445,22 +459,25 @@ def _chunk_stats(
     thread each, and on a pool of ``workers`` threads when the chunks are
     large enough to release the GIL; the calling thread then only gathers
     the results in chunk order, so ``stat`` must not write shared state.
+    The chunks in flight share one stack budget (see :func:`_chunk_depth`).
     Only the calling thread sets the BLAS thread count, and the pool is shut
     down before it is restored.
     """
     off, diag = spec.dist
     m = spec.samples
     size = n - 1 if drop_row else n
-    depth = _chunk_depth(n, size)
     first = cell * m
-    chunks = [range(first + lo, first + min(lo + depth, m)) for lo in range(0, m, depth)]
     streams = _StreamStack(n, off, diag, spec.seed, range(first, first + m), drop_row)
 
     def task(indices: range) -> object:
         return stat(_spectra(streams, indices))
 
     with one_blas_thread() if size <= _ONE_BLAS_THREAD_MAX_N else nullcontext(False) as pinned:
-        if not pinned or workers == 1 or depth * size <= _GIL_FREE_SIZE:
+        pooled = pinned and _chunk_depth(n, size, workers) * size > _GIL_FREE_SIZE
+        in_flight = workers if pooled else 1
+        depth = _chunk_depth(n, size, in_flight)
+        chunks = [range(first + lo, first + min(lo + depth, m)) for lo in range(0, m, depth)]
+        if in_flight == 1:
             return [task(indices) for indices in chunks]
         from concurrent.futures import ThreadPoolExecutor
 

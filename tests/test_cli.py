@@ -36,6 +36,31 @@ def test_dos_writes_deterministic_csv(tmp_path):
     assert rows[0].samples == 16
 
 
+def test_main_calls_in_one_process_match_separate_processes(capsys):
+    # main builds its parser once per process; a flag of one call must not
+    # reach the next, and a usage error still exits 2
+    calls = [
+        ["dos", "--n", "12", "--samples", "6", "--energy", "0", "0.5", "--eta", "0.3",
+         "--seed", "7", "--workers", "1"],
+        ["stieltjes", "--n", "12", "--samples", "6", "--eta-over-n", "1", "--seed", "7"],
+        ["dos", "--n", "12", "--samples", "6", "--eta-over-n", "2"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    separate = [subprocess.run([sys.executable, "-m", "wignerlab.cli", *argv], env=env,
+                               stdout=subprocess.PIPE, text=True, check=True, timeout=120).stdout
+                for argv in calls]
+    assert cli_module._build_parser() is cli_module._build_parser()
+    together = []
+    for argv in calls:
+        assert main(argv) == 0
+        together.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as exc:
+            main(["dos", "--n", "8", "--samples", "two"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+    assert together == separate
+
+
 def test_csv_parse_emit_round_trip(tmp_path):
     out = tmp_path / "r.csv"
     assert main(["dos", "--n", "16", "--samples", "4", "--energy", "0", "0.5",

@@ -763,41 +763,57 @@ def test_chunk_depth_releases_the_gil_up_to_n_128():
     assert [depth(n) for n in (129, 160, 256, 512)] == [3, 2, 1, 1]
     assert [depth(n, n - 1) for n in (116, 126, 127, 128)] == [5, 5, 4, 4]
     for n in range(16, experiments._ONE_BLAS_THREAD_MAX_N + 1):
-        assert depth(n) * n > experiments._GIL_FREE_SIZE
-        assert depth(n + 1, n) * n > experiments._GIL_FREE_SIZE
+        for in_flight in (1, 2, 8):
+            assert depth(n, n, in_flight) * n > experiments._GIL_FREE_SIZE
+            assert depth(n + 1, n, in_flight) * n > experiments._GIL_FREE_SIZE
     # below N = 16 the floor would pass _MAX_CHUNK, and those sizes stay serial
     assert depth(8) == depth(8, 7) == experiments._MAX_CHUNK
+    # the chunks in flight split one budget, then the floor applies: 11
+    # matrices at N = 48, 8 at N = 64 and 7 at N = 72
+    assert [depth(48, 48, w) for w in (1, 2, 4, 8)] == [28, 14, 11, 11]
+    assert [depth(64, 64, w) for w in (1, 2, 4, 8)] == [16, 8, 8, 8]
+    assert [depth(72, 72, w) for w in (1, 2, 4, 8)] == [12, 7, 7, 7]
+    assert [depth(128, 127, w) for w in (1, 2, 8)] == [4, 4, 4]
+    assert [depth(512, 512, w) for w in (1, 2, 8)] == [1, 1, 1]
 
 
 def _chunk_spec(kind):
-    # 37 samples at N = 16 and 72: chunks of 32 and 12 matrices (also for the
-    # delta_moments minors), B * N above the size at which the pool is used
+    # 37 samples at N = 16 and 72: serial chunks of 32 and 12 matrices (also
+    # for the delta_moments minors), B * N above the size at which the pool
+    # is used; pooled, the N = 72 chunks hold 7 matrices (8 minors)
     return ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[16, 72], samples=37,
                                          seed=29))
 
 
 @pytest.mark.parametrize("kind", sorted(CHUNK_SPECS))
 def test_csv_bytes_do_not_depend_on_workers(kind):
-    spec = _chunk_spec(kind)
+    # pooled chunks share one stack budget, so the chunk boundaries move with
+    # the worker count: 28, 14, 11 and 11 matrices at N = 48 for 1, 2, 4 and
+    # 8 workers, 16, 8, 8 and 8 at N = 64 (see
+    # test_chunk_depth_releases_the_gil_up_to_n_128)
+    spec = ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[16, 48, 64, 72],
+                                         samples=37, seed=29))
     serial = run_experiment(spec, workers=1).to_csv()
     assert run_experiment(spec, workers=2).to_csv() == serial
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        assert run_experiment(spec, workers=8).to_csv() == serial
+        for workers in (4, 8):
+            assert run_experiment(spec, workers=workers).to_csv() == serial
     finally:
         sys.setswitchinterval(interval)
 
 
 def _recording_eigvalsh(calls, fail_at=None):
-    """``eigvalsh`` that records (n, thread, BLAS threads) per call and
-    raises NumericError on call number ``fail_at``."""
+    """``eigvalsh`` that records (n, thread, BLAS threads, matrices) per call
+    and raises NumericError on call number ``fail_at``."""
     found = eigensolver._bundled()
     lock = threading.Lock()
 
     def wrapped(stack):
         with lock:
-            calls.append((stack.n, threading.get_ident(), found[0]() if found else None))
+            calls.append((stack.n, threading.get_ident(), found[0]() if found else None,
+                          stack.batch_shape[0]))
             count = len(calls)
         if count == fail_at:
             raise NumericError("synthetic failure")
@@ -826,14 +842,15 @@ def test_pool_runs_small_sizes_on_one_blas_thread(monkeypatch, blas_threads):
     before = blas_threads()
     calls: list = []
     monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(calls))
-    # N = 72 is pooled on one BLAS thread; N = 160 keeps OpenBLAS's threads
+    # N = 72 is pooled on one BLAS thread, 2 chunks of 7 in flight; N = 160
+    # keeps OpenBLAS's threads, serial chunks of 2
     spec = ExperimentSpec.from_json(dict(CHUNK_SPECS["dos"], kind="dos", n=[72, 160], samples=37,
                                          seed=3))
     run_experiment(spec, workers=2)
     assert blas_threads() == before
     small = [c for c in calls if c[0] == 72]
     large = [c for c in calls if c[0] == 160]
-    assert len(small) == 4 and len(large) == 19
+    assert len(small) == 6 and len(large) == 19
     assert {c[2] for c in small} == {1}
     assert any(c[1] != threading.get_ident() for c in small)
     assert {c[2] for c in large} == {before}
@@ -877,10 +894,10 @@ def test_serial_without_blas_thread_control(monkeypatch):
 
 def test_failed_chunk_cancels_queued_chunks(monkeypatch, blas_threads):
     before, threads = blas_threads(), threading.active_count()
-    # 16 chunks of 12 matrices at N = 72, all pooled
+    # 28 chunks of 7 matrices at N = 72, all pooled, 2 in flight
     spec = ExperimentSpec.from_json(dict(CHUNK_SPECS["dos"], kind="dos", n=[72], samples=192,
                                          seed=31))
-    chunks = -(-spec.samples // experiments._chunk_depth(72))
+    chunks = -(-spec.samples // experiments._chunk_depth(72, 72, 2))
     assert chunks >= 8
     calls: list = []
     monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(calls, fail_at=3))
@@ -889,6 +906,44 @@ def test_failed_chunk_cancels_queued_chunks(monkeypatch, blas_threads):
     assert len(calls) < chunks
     assert blas_threads() == before
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("kind, n, samples, depths", [
+    # grid-n64's size: 2 chunks of 8 in flight instead of 16 each
+    ("dos", 64, 40, {1: [16, 16, 8], 2: [8] * 5, 8: [8] * 5}),
+    # minor-mix-n128's minors keep the GIL-free floor of 4
+    ("delta_moments", 128, 10, {1: [4, 4, 2] * 2, 2: [4, 4, 2] * 2, 8: [4, 4, 2] * 2}),
+    # spacing-n512's size runs serially, one matrix per chunk
+    ("spacing", 512, 3, {1: [1] * 3, 2: [1] * 3, 8: [1] * 3}),
+])
+def test_chunk_sizes_handed_to_lapack(kind, n, samples, depths, monkeypatch, blas_threads):
+    calls: list = []
+    monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(calls))
+    spec = ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[n], samples=samples,
+                                         seed=11))
+    for workers, expected in depths.items():
+        calls.clear()
+        run_experiment(spec, workers=workers)
+        assert sorted(c[3] for c in calls) == sorted(expected), workers
+
+
+def test_pooled_dos_peaks_no_higher_than_serial(blas_threads):
+    # grid-n64's dos spec: two pooled chunks of 8 hold no more than one
+    # serial chunk of 16, where each used to hold as much as the serial one
+    spec = ExperimentSpec.from_json(dict(
+        kind="dos", n=[64], samples=64, seed=42,
+        energy=[round(-1.4 + 0.2 * k, 10) for k in range(15)],
+        eta=[{"over_n": k} for k in (0.1, 1.0, 2.0)]))
+    run_experiment(spec, workers=2)  # warm-up
+    peaks = {}
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            run_experiment(spec, workers=workers)
+            peaks[workers] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= peaks[1] + 512 * 1024, peaks
 
 
 def test_pool_runs_whole_chunks_off_the_calling_thread(monkeypatch, blas_threads):
@@ -906,9 +961,9 @@ def test_pool_runs_whole_chunks_off_the_calling_thread(monkeypatch, blas_threads
     monkeypatch.setattr(experiments, "_density", recording_density)
     assert run_experiment(spec, workers=2).to_csv() == serial
     main = threading.get_ident()
-    # both sizes are pooled: N = 16 in 2 chunks of up to 32, N = 72 in 4 of 12
-    assert sorted(c[0] for c in calls) == [16] * 2 + [72] * 4
-    assert sorted(n for n, _ in stat_threads) == [16] * 2 + [72] * 4
+    # both sizes are pooled: N = 16 in 2 chunks of up to 32, N = 72 in 6 of 7
+    assert sorted(c[0] for c in calls) == [16] * 2 + [72] * 6
+    assert sorted(n for n, _ in stat_threads) == [16] * 2 + [72] * 6
     assert main not in {c[1] for c in calls}
     assert main not in {t for _, t in stat_threads}
 
@@ -924,16 +979,21 @@ def test_observables_are_called_through_module_names_once_per_chunk(monkeypatch)
             return _call(*args)
 
         monkeypatch.setattr(experiments, name, recording)
-    # N = 16 in 2 chunks of up to 32, N = 72 in 4 of 12
-    chunks = 6
+    # one eigvalsh call per chunk; the chunk depth depends on whether the
+    # build lets the chunks be pooled
+    chunks: list = []
+    monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(chunks))
     for kind in ("dos", "wegner"):
         calls.clear()
+        chunks.clear()
         run_experiment(_chunk_spec(kind), workers=2)
-        assert calls == {"counting": chunks}
+        assert calls == {"counting": len(chunks)} and len(chunks) >= 6
     calls.clear()
+    chunks.clear()
     # delta_moments samples each of its 2 energies in cells of its own
     run_experiment(_chunk_spec("delta_moments"), workers=2)
-    assert calls == {"good_event": 2 * chunks, "select_indices": 2 * chunks}
+    assert calls == {"good_event": len(chunks), "select_indices": len(chunks)}
+    assert len(chunks) >= 2 * 6
 
 
 def _delta_moments_sample_stat(lam, n, E, eps, orders, deltas, part2_order):
