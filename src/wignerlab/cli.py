@@ -13,7 +13,7 @@ complement), on the suite's own seeds, sizes and bounds.
 Results are written as CSV (default) or JSON, with numbers in shortest
 round-trip decimal form so output bytes are stable across platforms.
 Exit codes: 0 success, 1 numeric failure or failed self-check, 2 usage
-or configuration error.
+or configuration error, or a matrix too large to allocate.
 """
 
 from __future__ import annotations
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
         if args.command == "regularity":
             return _run_regularity_command(args)
         return _run_experiment_command(args)
-    except (ConfigurationError, DomainError) as exc:
+    except (ConfigurationError, DomainError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

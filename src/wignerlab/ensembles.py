@@ -20,9 +20,10 @@ The stream order lives in :func:`_draws`, which draws a stack piece by
 piece, one generator call per stream each (in a thread pool, one GIL
 hand-off).  :func:`sample_wigner` copies the pieces into a packed stack; a
 ``_StreamStack``, which experiments diagonalise, writes them straight into
-LAPACK's input, so no packed stack is built.  An experiment cell makes one
-``_StreamStack`` and takes its chunks from it, so the piece plan is made
-once per cell.
+LAPACK's input, so no packed stack is built.  Each experiment chunk is its
+own ``_StreamStack``.  :func:`_draws` plans the pieces when it starts
+drawing, after its caller has allocated the target, so a size too large to
+allocate fails before anything is planned or drawn.
 
 In the packed order, row ``j``'s pairs are one contiguous run (see
 :func:`_row_segment`), so unpacking, slicing and writing a piece copy the
@@ -35,7 +36,6 @@ and so is the LAPACK input that :meth:`HermitianMatrix.dense` writes for
 
 from __future__ import annotations
 
-import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -62,7 +62,7 @@ def _row_segment(n: int, j: int) -> slice:
     return slice(start, start + n - 1 - j)
 
 
-@dataclass
+@dataclass(eq=False)
 class HermitianMatrix:
     """Packed Hermitian matrix, or stack of them: real diagonal plus
     row-major upper triangle.
@@ -151,7 +151,8 @@ class _StreamStack(HermitianMatrix):
     ``indices``, or with ``drop_row`` their minors without row and column 0,
     not yet drawn: each :meth:`dense` call draws them straight into the dense
     stack, with the bytes of ``sample_wigner`` (then ``minor(., 0)``) then
-    ``dense``.  Its ``diagonal`` and ``upper`` are ``None``."""
+    ``dense``.  Its ``diagonal`` and ``upper`` are ``None``.  An experiment
+    chunk is one such stack, built from the chunk's own stream range."""
 
     def __init__(self, n: int, off_dist: DistributionSpec, diag_dist: DistributionSpec,
                  master_seed: int, indices: range, drop_row: bool = False) -> None:
@@ -160,14 +161,6 @@ class _StreamStack(HermitianMatrix):
         self.n, self.diagonal, self.upper = n - drop_row, None, None
         self._streams = (n, off_dist, diag_dist, master_seed, int(drop_row))
         self._indices = indices
-        self._pieces = _pieces(n, (off_dist, off_dist, diag_dist))
-
-    def take(self, indices: range) -> "_StreamStack":
-        """The stack of the streams ``indices``, drawn with this stack's
-        piece plan, so a cell plans its pieces once for all its chunks."""
-        chunk = copy.copy(self)
-        chunk._indices = indices
-        return chunk
 
     @property
     def batch_shape(self) -> tuple:
@@ -178,7 +171,7 @@ class _StreamStack(HermitianMatrix):
         rngs = [SeedSpec(master_seed, i).generator() for i in self._indices]
         # the real parts, the imaginary parts and the (complex) diagonal
         parts = (stack.real, stack.imag, stack.reshape(len(stack), -1)[:, :: self.n + 1])
-        for part, lo, hi, values in _draws(n, off_dist, diag_dist, rngs, sign, self._pieces):
+        for part, lo, hi, values in _draws(n, off_dist, diag_dist, rngs, sign):
             if part == 2:
                 parts[2][...] = values[:, d:]
                 continue
@@ -245,8 +238,7 @@ def _pieces(n: int, laws: tuple) -> list:
 
 
 def _draws(
-    n: int, off_dist: DistributionSpec, diag_dist: DistributionSpec, rngs: list, imag_sign: float,
-    pieces: list,
+    n: int, off_dist: DistributionSpec, diag_dist: DistributionSpec, rngs: list, imag_sign: float
 ):
     """Draw a stack from its streams ``rngs``: the upper triangle's real
     parts in packed order, its imaginary parts, then the diagonal.
@@ -255,12 +247,15 @@ def _draws(
     of at most ``_PIECE_VALUES`` values, one ``standard_normal`` call per
     stream each, which run on across the parts when both laws are one.  Any
     other law's part is one ``sample`` call, since ``sample`` draws all its
-    uniforms before its normals.  Yields ``(part, lo, hi, values)`` per part
-    range of ``pieces``, the plan of :func:`_pieces`, ``values[b]`` scaled
-    by the law's factor and then by ``1/sqrt(n)`` (``imag_sign/sqrt(n)``
-    for imaginary parts); the next item overwrites it."""
+    uniforms before its normals.  The plan, :func:`_pieces`, is made when
+    the first item is asked for, after the caller has allocated its target.
+    Yields ``(part, lo, hi, values)`` per part range of the plan,
+    ``values[b]`` scaled by the law's factor and then by ``1/sqrt(n)``
+    (``imag_sign/sqrt(n)`` for imaginary parts); the next item overwrites
+    it."""
     laws = (off_dist, off_dist, diag_dist)
     sds = [law.normal_scale for law in laws]
+    pieces = _pieces(n, laws)
     buf = np.empty((len(rngs), max(sum(r[3] for r in piece) for piece in pieces)))
     scale = 1.0 / math.sqrt(n)
     for piece in pieces:
@@ -320,8 +315,8 @@ def sample_wigner(
     diagonal = np.empty((len(seeds), n))
     upper = np.empty((len(seeds), n * (n - 1) // 2), dtype=np.complex128)
     parts = (upper.real, upper.imag, diagonal)
-    rngs, pieces = [s.generator() for s in seeds], _pieces(n, (off_dist, off_dist, diag_dist))
-    for part, lo, hi, values in _draws(n, off_dist, diag_dist, rngs, 1.0, pieces):
+    rngs = [s.generator() for s in seeds]
+    for part, lo, hi, values in _draws(n, off_dist, diag_dist, rngs, 1.0):
         start = lo if part == 2 else _row_segment(n, lo).start
         parts[part][:, start : start + values.shape[1]] = values
     if single:

@@ -13,24 +13,26 @@ stored at its sample index, and reductions run in index order with
 compensated summation.  Results are therefore bit-identical for a fixed
 spec.
 
-Samples run in chunks.  A chunk of ``B`` samples is one
-:class:`HermitianMatrix` stack: each matrix is drawn from its own stream,
-straight into LAPACK's input (as the minor without row and column 0 where
-the kind needs minors), and the stack is diagonalised with one call,
-giving a ``(B, N)`` array of eigenvalues.  ``B`` is set by one byte budget
-per run for the dense ``(B, N, N)`` stacks of the chunks in flight (see
-:func:`_chunk_depth`).  The observables
-are evaluated on the whole chunk as ``(B, P, N)`` array expressions, which
-keeps their temporaries small.  The bytes do not depend on ``B``.
+Samples run in chunks.  A chunk of ``B`` samples is one stack, a
+:class:`~wignerlab.ensembles._StreamStack` of the chunk's own stream range:
+each matrix is drawn from its own stream, straight into LAPACK's input (as
+the minor without row and column 0 where the kind needs minors), and the
+stack is diagonalised with one call, giving a ``(B, N)`` array of
+eigenvalues.  ``B`` is set by one byte budget per run for the dense ``(B,
+N, N)`` stacks of the chunks in flight (see :func:`_chunk_depth`).  The
+observables are evaluated on the whole chunk as ``(B, P, N)`` array
+expressions, which keeps their temporaries small.  The bytes do not depend
+on ``B``.
 
 Each chunk is one task: it is drawn, diagonalised and reduced to its
 observables in one go.  Up to ``N = 128`` each task runs on one OpenBLAS
-thread, and a pool of :func:`worker_count` threads runs that many tasks at
-once, statistic included; the calling thread only gathers the results in
-chunk order.  The comments at ``eigensolver._ONE_BLAS_THREAD_MAX_N`` and
-``_GIL_FREE_SIZE`` give the measurements behind both limits.  Larger
-matrices, and builds whose BLAS thread count cannot be set, run the chunks
-serially.  The bytes do not depend on the worker count either.
+thread, and from 16 rows a pool of :func:`worker_count` threads runs that
+many tasks at once, statistic included; the calling thread only gathers
+the results in chunk order.  The comments at
+``eigensolver._ONE_BLAS_THREAD_MAX_N`` and ``_GIL_FREE_SIZE`` give the
+measurements behind both limits.  Other sizes, and builds whose BLAS thread
+count cannot be set, run the chunks serially.  The bytes do not depend on
+the worker count either.
 
 Serial and pooled chunks handle memory alike: each allocates its own
 arrays and frees them when it is done.  The chunks in flight share one
@@ -127,7 +129,9 @@ _MAX_CHUNK = 32
 # minors of N = 129; N = 64, 127 and 128 keep theirs.  At N = 120 that took
 # dos from 302 to 632 matrices/s on two cores.  Below 16 rows the floor would
 # pass ``_MAX_CHUNK``: pooled chunks of 34-501 matrices ran dos at N = 2 and 8
-# at 0.5-0.7x the serial speed, so those sizes stay serial.
+# at 0.5-0.7x the serial speed.  So a cell is pooled where the BLAS thread
+# count can be set and ``_MAX_CHUNK * size > _GIL_FREE_SIZE``, that is for
+# 16 to 128 rows; other sizes run serially.
 _GIL_FREE_SIZE = 500
 
 SUBMICRO_THRESHOLD = 0.05
@@ -434,14 +438,6 @@ def _chunk_depth(n: int, size: Optional[int] = None, in_flight: int = 1) -> int:
     return depth
 
 
-def _spectra(streams: _StreamStack, indices: range) -> np.ndarray:
-    """``(B, N)`` ascending eigenvalues of the matrices of ``streams`` drawn
-    from the streams ``indices``, row ``b`` from ``indices[b]``.  They are
-    drawn straight into LAPACK's input (see
-    :class:`~wignerlab.ensembles._StreamStack`)."""
-    return eigvalsh(streams.take(indices))
-
-
 def _chunk_stats(
     spec: ExperimentSpec,
     n: int,
@@ -454,27 +450,26 @@ def _chunk_stats(
 
     Row ``b`` of the chunk starting at sample ``lo`` holds the spectrum of
     sample ``lo + b``, drawn from stream ``(seed, cell * samples + lo + b)``
-    (see :func:`_spectra`).  A chunk is one task: draw, diagonalise, then
-    ``stat``.  Up to ``N = _ONE_BLAS_THREAD_MAX_N`` the tasks run on one BLAS
-    thread each, and on a pool of ``workers`` threads when the chunks are
-    large enough to release the GIL; the calling thread then only gathers
-    the results in chunk order, so ``stat`` must not write shared state.
-    The chunks in flight share one stack budget (see :func:`_chunk_depth`).
+    straight into LAPACK's input.  A chunk is one task: it builds the
+    :class:`~wignerlab.ensembles._StreamStack` of its own stream range, draws
+    and diagonalises it, then applies ``stat``.  Up to ``N =
+    _ONE_BLAS_THREAD_MAX_N`` the tasks run on one BLAS thread each, and on a
+    pool of ``workers`` threads where the chunks can release the GIL (see
+    ``_GIL_FREE_SIZE``); the calling thread then only gathers the results in
+    chunk order, so ``stat`` must not write shared state.  The chunks in
+    flight share one stack budget (see :func:`_chunk_depth`).
     Only the calling thread sets the BLAS thread count, and the pool is shut
     down before it is restored.
     """
-    off, diag = spec.dist
     m = spec.samples
     size = n - 1 if drop_row else n
     first = cell * m
-    streams = _StreamStack(n, off, diag, spec.seed, range(first, first + m), drop_row)
 
     def task(indices: range) -> object:
-        return stat(_spectra(streams, indices))
+        return stat(eigvalsh(_StreamStack(n, *spec.dist, spec.seed, indices, drop_row)))
 
     with one_blas_thread() if size <= _ONE_BLAS_THREAD_MAX_N else nullcontext(False) as pinned:
-        pooled = pinned and _chunk_depth(n, size, workers) * size > _GIL_FREE_SIZE
-        in_flight = workers if pooled else 1
+        in_flight = workers if pinned and _MAX_CHUNK * size > _GIL_FREE_SIZE else 1
         depth = _chunk_depth(n, size, in_flight)
         chunks = [range(first + lo, first + min(lo + depth, m)) for lo in range(0, m, depth)]
         if in_flight == 1:

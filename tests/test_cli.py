@@ -17,6 +17,7 @@ from wignerlab.distributions import DistributionSpec
 from wignerlab.experiments import EXPERIMENT_KINDS, EtaSchedule, ExperimentResult, ExperimentSpec, ResultRow
 
 import wignerlab.cli as cli_module
+import wignerlab.ensembles as ensembles_module
 import wignerlab.experiments as experiments_module
 import wignerlab.svgplot as svgplot
 
@@ -413,7 +414,7 @@ def test_deriv_eta_validation_exit():
 ], ids=["underflow", "overflow"])
 def test_eta_that_resolves_to_zero_or_infinite_n_eta_exits_two(command, eta, shown, capsys,
                                                                monkeypatch):
-    monkeypatch.setattr(experiments_module, "_spectra", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(experiments_module, "_StreamStack", lambda *a: pytest.fail("sampled"))
     assert main([command, "--n", "4", "--samples", "2"] + eta) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -424,7 +425,7 @@ def test_eta_that_resolves_to_zero_or_infinite_n_eta_exits_two(command, eta, sho
 
 def test_spacing_refuses_an_eta_before_sampling(capsys, monkeypatch):
     # spacing reads no eta, energy or kappa: its window is set by --window
-    monkeypatch.setattr(experiments_module, "_spectra", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(experiments_module, "_StreamStack", lambda *a: pytest.fail("sampled"))
     for flag, shown in ((["--eta", "0.1"], "eta, got ['0.1']"),
                         (["--energy", "0.5"], "energy, got [0.5]"),
                         (["--energy", "-0"], "energy, got [-0.0]"),
@@ -451,7 +452,7 @@ def test_dos_at_a_tiny_eta_has_the_semicircle_reference(eta, capsys):
 
 
 def test_deriv_step_that_does_not_move_the_energy_exits_two(capsys, monkeypatch):
-    monkeypatch.setattr(experiments_module, "_spectra", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(experiments_module, "_StreamStack", lambda *a: pytest.fail("sampled"))
     assert main(["deriv", "--n", "8", "--samples", "4", "--eta-over-n", "0.5",
                  "--delta-e", "1e-320", "--energy", "0.3"]) == 2
     captured = capsys.readouterr()
@@ -462,13 +463,44 @@ def test_deriv_step_that_does_not_move_the_energy_exits_two(capsys, monkeypatch)
 
 def test_deriv_step_below_the_spectrum_resolution_exits_two(capsys, monkeypatch):
     # 1e-300 / 8 moves E = 0, but no mu - E for a bulk eigenvalue mu
-    monkeypatch.setattr(experiments_module, "_spectra", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(experiments_module, "_StreamStack", lambda *a: pytest.fail("sampled"))
     assert main(["deriv", "--n", "8", "--samples", "2", "--eta", "0.1",
                  "--delta-e-over-n", "1e-300"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: finite-difference step 1.25e-301 is below the "
                                    "spectrum's resolution at N=8")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["dos", "--n", "8", "--samples", "1", "--eta", "0.1"], "run_experiment"),
+    (["diagnostics", "--n", "8"], "sample_wigner"),
+])
+def test_memory_error_exits_two_with_one_line(argv, name, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(cli_module, name, refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 149. GiB for an array\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dos", "--n", "134217728", "--samples", "1", "--eta", "0.1"],
+    ["diagnostics", "--n", "134217728"],
+])
+def test_an_impossible_size_fails_before_its_pieces_are_planned(argv, capsys, monkeypatch):
+    # the LAPACK input (2^58 bytes) and the packed triangle (2^57 bytes)
+    # exceed any 64-bit user address space (at most 2^56 bytes), so their
+    # allocation fails before anything is planned or drawn
+    monkeypatch.setattr(ensembles_module, "_pieces", lambda *a: pytest.fail("planned"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_regularity_prints_gaussian_integrals(capsys):

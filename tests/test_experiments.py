@@ -534,7 +534,7 @@ def test_each_field_a_kind_reads_moves_its_csv(kind):
 
 
 def test_eta_must_resolve_positive_with_finite_n_eta_at_every_size(monkeypatch):
-    monkeypatch.setattr(experiments, "_spectra", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(experiments, "_StreamStack", lambda *a: pytest.fail("sampled"))
     # 1e-315 / N^1.5 is a positive subnormal at N = 4 and rounds to 0 at N = 10^6
     ExperimentSpec(kind="dos", n=[4], samples=2, eta=[{"over_n32": 1e-315}])
     with pytest.raises(ConfigurationError, match=r"resolves to eta=0 at N=1000000"):
@@ -548,7 +548,7 @@ def test_eta_must_resolve_positive_with_finite_n_eta_at_every_size(monkeypatch):
 
 
 def test_derivative_step_must_move_every_energy(monkeypatch):
-    monkeypatch.setattr(experiments, "_spectra", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(experiments, "_StreamStack", lambda *a: pytest.fail("sampled"))
     # 0.3 + 1e-320 == 0.3, while 0 + 1e-320 moves
     tiny = ExperimentSpec(kind="derivative", n=[8], samples=4, energy=[0.0, 0.3],
                           eta=[{"over_n": 0.5}], extra={"delta_e": 1e-320})
@@ -564,7 +564,7 @@ def test_derivative_step_must_move_the_spectrum(monkeypatch):
     ulp = float(np.spacing(2.0))
     spec = ExperimentSpec(kind="derivative", n=[8], samples=4, energy=[0.0, 1.0],
                           eta=[{"over_n": 0.5}], extra={"delta_e": ulp / 2})
-    monkeypatch.setattr(experiments, "_spectra", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(experiments, "_StreamStack", lambda *a: pytest.fail("sampled"))
     with pytest.raises(ConfigurationError, match=r"step 2\.22045e-16 is below the spectrum's "
                                                  r"resolution at N=8: it does not move 2\.0"):
         run_experiment(spec)
@@ -716,7 +716,7 @@ def test_invalid_spec_samples_nothing(spec, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a matrix was sampled before the spec was checked")
 
-    monkeypatch.setattr(experiments, "_spectra", refuse)
+    monkeypatch.setattr(experiments, "_StreamStack", refuse)
     with pytest.raises(ConfigurationError):
         run_experiment(ExperimentSpec(samples=40, energy=0.0, seed=1, **spec), workers=1)
 
@@ -872,6 +872,22 @@ def test_pool_runs_n_120_chunks_off_the_calling_thread(kind, n, monkeypatch, bla
     assert threading.get_ident() not in {c[1] for c in calls}
 
 
+@pytest.mark.parametrize("kind, n, pooled", [
+    ("dos", 15, False), ("dos", 16, True),
+    # delta_moments diagonalises minors of n - 1 rows
+    ("delta_moments", 16, False), ("delta_moments", 17, True),
+])
+def test_pool_starts_at_16_rows(kind, n, pooled, monkeypatch, blas_threads):
+    calls: list = []
+    monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(calls))
+    spec = ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[n], samples=64, seed=5,
+                                         energy=[0.0]))
+    run_experiment(spec, workers=2)
+    assert len(calls) == 2  # chunks of 32
+    assert {c[2] for c in calls} == {1}
+    assert {c[1] == threading.get_ident() for c in calls} == {not pooled}
+
+
 def test_blas_threads_restored_when_a_chunk_fails(monkeypatch, blas_threads):
     before, threads = blas_threads(), threading.active_count()
     calls: list = []
@@ -1025,7 +1041,7 @@ def test_delta_moments_equal_a_per_sample_loop(part2_order):
         for ei, E in enumerate(energy):
             cell = ci * len(energy) + ei
             streams = range(cell * spec.samples, (cell + 1) * spec.samples)
-            spectra = experiments._spectra(_StreamStack(n, *spec.dist, spec.seed, streams, True), streams)
+            spectra = eigvalsh(_StreamStack(n, *spec.dist, spec.seed, streams, True))
             table = [_delta_moments_sample_stat(lam, n, E, eps, orders, deltas, part2_order)
                      for lam in spectra]
             expected.extend(_mean_stderr(column) for column in zip(*table))
@@ -1044,12 +1060,12 @@ def test_only_the_lapack_input_is_alive_when_lapack_runs(monkeypatch, drop_row):
         return lapack(a)
 
     streams = _StreamStack(128, gaussian_off(), gaussian_diag(), 7, range(4), drop_row)
-    experiments._spectra(streams, range(4))  # warm-up
+    eigvalsh(streams)  # warm-up
     monkeypatch.setattr(eigensolver, "_lapack_eigvalsh", checked)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        mu = experiments._spectra(streams, range(4))
+        mu = eigvalsh(streams)
     finally:
         tracemalloc.stop()
     assert mu.shape == (4, 127 if drop_row else 128)
