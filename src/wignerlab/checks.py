@@ -43,10 +43,11 @@ def semicircle_normalization_gap() -> float:
 
 def interlacing_gap(matrix: HermitianMatrix, j: int) -> float:
     """How far the spectrum of ``minor(matrix, j)`` is from interlacing the
-    spectrum ``mu`` of ``matrix`` (Cauchy: ``mu_k <= lambda_k <= mu_{k+1}``)."""
+    spectrum ``mu`` of ``matrix`` (Cauchy: ``mu_k <= lambda_k <= mu_{k+1}``),
+    the largest gap over the matrices of a stack."""
     mu = eigvalsh(matrix)
     lam = eigvalsh(minor(matrix, j))
-    return float(np.max(np.maximum(mu[:-1] - lam, lam - mu[1:]), initial=0.0))
+    return float(np.max(np.maximum(mu[..., :-1] - lam, lam - mu[..., 1:]), initial=0.0))
 
 
 def chain_violation(lam, E: float, eps: float, N: int) -> float:

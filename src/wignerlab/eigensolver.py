@@ -77,13 +77,13 @@ def eigh(matrix: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
 def eigvalsh(matrix: HermitianMatrix) -> np.ndarray:
     """Ascending eigenvalues only; cheaper when no vectors are needed.
 
-    The matrix is dropped once unpacked, so a caller that keeps no
-    reference to a packed one has it freed before LAPACK runs.  The stacks
-    of :mod:`~wignerlab.experiments` hold no packed triangle: their
-    ``dense`` draws the streams straight into the LAPACK input, so LAPACK
-    runs with nothing of the chunk alive but that input.  The LAPACK input,
-    ``matrix.dense(lapack=True)``, never leaves this function (see
-    :func:`_lapack_eigvalsh`).
+    The matrix is dropped once its LAPACK input is written, so a caller
+    that keeps no reference to a stored one has it freed before LAPACK
+    runs.  The stacks of :mod:`~wignerlab.experiments` store no matrix:
+    their ``dense`` draws the streams straight into the LAPACK input, so
+    LAPACK runs with nothing of the chunk alive but that input.  The
+    LAPACK input, ``matrix.dense(lapack=True)``, never leaves this function
+    (see :func:`_lapack_eigvalsh`).
     """
     n, lower = matrix.n, matrix.dense(lapack=True)
     del matrix

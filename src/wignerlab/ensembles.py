@@ -8,28 +8,22 @@ variance 1.  The lower triangle is the conjugate of the upper one, so the
 matrix is Hermitian by construction and its spectrum concentrates on
 ``[-2, 2]``.  Gaussian entry laws give the GUE.
 
-A :class:`HermitianMatrix` stores the diagonal and the row-major packed
-upper triangle; this module is the one that knows that packed order, so
-unpacking (:meth:`HermitianMatrix.dense`), packing (``from_dense``) and
-slicing a principal minor (:func:`minor`) all live here.  A matrix may
-carry leading batch axes: a stack of ``B`` matrices of one size is sampled,
-sliced, unpacked and diagonalised in one call each, with every matrix drawn
-from its own stream exactly as if sampled alone.
+A :class:`HermitianMatrix` stores one dense, exactly Hermitian
+``(..., n, n)`` complex array.  A matrix may carry leading batch axes: a stack of ``B`` matrices of
+one size is sampled, sliced and diagonalised in one call each, with every
+matrix drawn from its own stream exactly as if sampled alone.
 
 The stream order lives in :func:`_draws`, which draws a stack piece by
 piece, one generator call per stream each (in a thread pool, one GIL
-hand-off).  :func:`sample_wigner` copies the pieces into a packed stack; a
-``_StreamStack``, which experiments diagonalise, writes them straight into
-LAPACK's input, so no packed stack is built.  Each experiment chunk is its
-own ``_StreamStack``.  :func:`_draws` plans the pieces when it starts
-drawing, after its caller has allocated the target, so a size too large to
-allocate fails before anything is planned or drawn.
-
-In the packed order, row ``j``'s pairs are one contiguous run (see
-:func:`_row_segment`), so unpacking, slicing and writing a piece copy the
-triangle one row segment at a time.  No index table is built, and nothing
-is kept per size or per minor.  Every array these functions return is new,
-and so is the LAPACK input that :meth:`HermitianMatrix.dense` writes for
+hand-off), and ``_StreamStack._write`` is the one function that writes
+those pieces into a matrix.  A ``_StreamStack``, which experiments
+diagonalise, writes them straight into LAPACK's input;
+:func:`sample_wigner` has one write them into the matrix it returns.  Each
+experiment chunk is its own ``_StreamStack``.  :func:`_draws` plans the
+pieces when it starts drawing, after its caller has allocated the target,
+so a size too large to allocate fails before anything is planned or drawn.
+Every array these functions return is new, and so is the LAPACK input that
+:meth:`HermitianMatrix.dense` writes for
 :func:`~wignerlab.eigensolver.eigvalsh`; the module docstring of
 :mod:`~wignerlab.experiments` says where a chunk's memory peaks.
 """
@@ -55,123 +49,87 @@ __all__ = ["HermitianMatrix", "minor", "sample_wigner", "sample_gue"]
 _PIECE_VALUES = 2**14
 
 
-def _row_segment(n: int, j: int) -> slice:
-    """Packed positions of row ``j``'s strict-upper pairs ``(j, j+1), ...,
-    (j, n-1)``: a contiguous run, since the packed order is row-major."""
-    start = j * n - j * (j + 1) // 2
-    return slice(start, start + n - 1 - j)
-
-
 @dataclass(eq=False)
 class HermitianMatrix:
-    """Packed Hermitian matrix, or stack of them: real diagonal plus
-    row-major upper triangle.
+    """Hermitian matrix, or stack of them, stored dense.
 
-    ``upper[..., m]`` holds the entry ``(j, k)``, ``j < k``, with pairs
-    ordered row-major: ``(0,1), (0,2), ..., (0,n-1), (1,2), ...``.  Entries
-    are stored already scaled, i.e. including the ``1/sqrt(n)`` ensemble
-    factor.  ``diagonal`` has shape ``(..., n)`` and ``upper`` shape
-    ``(..., n(n-1)/2)``; their leading axes, ``batch_shape``, index the
-    matrices of a stack and are ``()`` for a single matrix.
+    ``array`` has shape ``(..., n, n)`` and must be exactly Hermitian; its
+    leading axes, ``batch_shape``, index the matrices of a stack and are
+    ``()`` for a single matrix.  Entries are stored already scaled, i.e.
+    including the ``1/sqrt(n)`` ensemble factor.
     """
 
     n: int
-    diagonal: np.ndarray
-    upper: np.ndarray
+    array: np.ndarray
 
     def __post_init__(self) -> None:
-        self.diagonal = np.asarray(self.diagonal, dtype=np.float64)
-        self.upper = np.asarray(self.upper, dtype=np.complex128)
+        self.array = np.asarray(self.array, dtype=np.complex128)
         if self.n < 1:
             raise DomainError(f"matrix dimension must be at least 1, got {self.n}")
-        if self.diagonal.shape[-1:] != (self.n,):
-            raise DomainError(
-                f"diagonal must have shape (..., {self.n}), got {self.diagonal.shape}"
-            )
-        m = self.n * (self.n - 1) // 2
-        if self.upper.shape != self.batch_shape + (m,):
-            raise DomainError(
-                f"upper triangle must have shape {self.batch_shape + (m,)}, got {self.upper.shape}"
-            )
+        if self.array.shape[-2:] != (self.n, self.n):
+            raise DomainError(f"array must have shape (..., {self.n}, {self.n}), got {self.array.shape}")
+        if not np.array_equal(self.array, self.array.conj().mT):
+            raise DomainError("matrix is not exactly Hermitian")
 
     @property
     def batch_shape(self) -> tuple:
         """Leading axes of a stack; ``()`` for a single matrix."""
-        return self.diagonal.shape[:-1]
+        return self.array.shape[:-2]
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray) -> "HermitianMatrix":
-        """Pack a dense matrix, requiring exact Hermitian symmetry."""
+        """Copy a dense matrix, requiring exact Hermitian symmetry."""
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {matrix.shape}")
-        matrix = matrix.astype(np.complex128, copy=False)
-        if not np.array_equal(matrix, matrix.conj().T):
-            raise DomainError("matrix is not exactly Hermitian")
-        n = matrix.shape[0]
-        upper = np.concatenate([matrix[j, j + 1 :] for j in range(n)])
-        return cls(n=n, diagonal=matrix.diagonal().real.copy(), upper=upper)
+        return cls(n=matrix.shape[0], array=matrix.astype(np.complex128))
 
     def dense(self, *, lapack: bool = False) -> np.ndarray:
-        """Materialise the full complex matrix, ``(..., n, n)`` for a stack.
+        """The full complex matrix, ``(..., n, n)`` for a stack, as a new array.
 
         With ``lapack`` it returns LAPACK's input instead, which only
         :func:`~wignerlab.eigensolver.eigvalsh` asks for.  That array, read
         in column order, holds the matrix's lower triangle: each C-order row
         carries the real diagonal entry and, to its right, the conjugated
-        upper triangle.  Its C lower triangle is never written, which halves
-        the copy.
+        upper triangle.  Its C lower triangle is never read.
         """
-        n = self.n
-        h = np.empty(self.batch_shape + (n, n), np.complex128)
-        # indexing 3-D views is cheaper than going through ``...``
-        stack = h.reshape(-1, n, n)
-        self._write(stack, -1.0 if lapack else 1.0)
-        if not lapack:
-            for j in range(n - 1):
-                np.conjugate(stack[:, j, j + 1 :], out=stack[:, j + 1 :, j])
+        h = np.empty(self.batch_shape + (self.n, self.n), np.complex128)
+        self._write(h, lapack)
         return h
 
-    def _write(self, stack: np.ndarray, sign: float) -> None:
-        """Write the ``(B, n, n)`` stack's diagonal and C upper triangle, the
-        latter conjugated when ``sign`` is negative."""
-        n = self.n
-        packed = self.upper.reshape(len(stack), n * (n - 1) // 2)
-        for j in range(n - 1):
-            stack[:, j, j + 1 :] = packed[:, _row_segment(n, j)]
-        if sign < 0:
-            # conjugate where the packed entries went, without a temporary
-            # the size of the packed stack; the unwritten entries are never read
-            np.negative(stack.imag, out=stack.imag)
-        stack.reshape(-1, n * n)[:, :: n + 1] = self.diagonal.reshape(-1, n)
+    def _write(self, h: np.ndarray, lapack: bool) -> None:
+        # the transpose of an exactly Hermitian matrix is its conjugate,
+        # with the diagonal's zero imaginary parts kept as they are
+        h[...] = self.array.mT if lapack else self.array
 
 
 class _StreamStack(HermitianMatrix):
-    """The Wigner matrices of the streams ``(master_seed, i)``, ``i`` in
-    ``indices``, or with ``drop_row`` their minors without row and column 0,
-    not yet drawn: each :meth:`dense` call draws them straight into the dense
-    stack, with the bytes of ``sample_wigner`` (then ``minor(., 0)``) then
-    ``dense``.  Its ``diagonal`` and ``upper`` are ``None``.  An experiment
-    chunk is one such stack, built from the chunk's own stream range."""
+    """The Wigner matrices of the streams ``seeds``, or with ``drop_row``
+    their minors without row and column 0, not yet drawn: each
+    :meth:`dense` call draws them straight into the dense stack, with the
+    bytes of ``sample_wigner`` (then ``minor(., 0)``) then ``dense``.  Its
+    ``array`` is ``None``.  An experiment chunk is one such stack, built
+    from the chunk's own stream range."""
 
     def __init__(self, n: int, off_dist: DistributionSpec, diag_dist: DistributionSpec,
-                 master_seed: int, indices: range, drop_row: bool = False) -> None:
+                 seeds: Sequence[SeedSpec], drop_row: bool = False) -> None:
         if drop_row and n == 1:
             raise DomainError("a 1 x 1 matrix has no proper minor")
-        self.n, self.diagonal, self.upper = n - drop_row, None, None
-        self._streams = (n, off_dist, diag_dist, master_seed, int(drop_row))
-        self._indices = indices
+        self.n, self.array = n - drop_row, None
+        self._streams = (n, off_dist, diag_dist, seeds, int(drop_row))
 
     @property
     def batch_shape(self) -> tuple:
-        return (len(self._indices),)
+        return (len(self._streams[3]),)
 
-    def _write(self, stack: np.ndarray, sign: float) -> None:
-        n, off_dist, diag_dist, master_seed, d = self._streams
-        rngs = [SeedSpec(master_seed, i).generator() for i in self._indices]
+    def _write(self, stack: np.ndarray, lapack: bool) -> None:
+        """Write the ``(B, n, n)`` stack's diagonal and C upper triangle, the
+        latter conjugated with ``lapack``, else mirrored into the lower one."""
+        n, off_dist, diag_dist, seeds, d = self._streams
+        rngs = [s.generator() for s in seeds]
         # the real parts, the imaginary parts and the (complex) diagonal
-        parts = (stack.real, stack.imag, stack.reshape(len(stack), -1)[:, :: self.n + 1])
-        for part, lo, hi, values in _draws(n, off_dist, diag_dist, rngs, sign):
+        parts = (stack.real, stack.imag, stack.reshape(len(stack), self.n**2)[:, :: self.n + 1])
+        for part, lo, hi, values in _draws(n, off_dist, diag_dist, rngs, -1.0 if lapack else 1.0):
             if part == 2:
                 parts[2][...] = values[:, d:]
                 continue
@@ -181,15 +139,16 @@ class _StreamStack(HermitianMatrix):
                 if j >= d:
                     target[:, j - d, j + 1 - d :] = values[:, at:end]
                 at = end
+        if not lapack:
+            for j in range(self.n - 1):
+                np.conjugate(stack[:, j, j + 1 :], out=stack[:, j + 1 :, j])
 
 
 def minor(matrix: HermitianMatrix, j: int) -> HermitianMatrix:
     """The ``(n-1) x (n-1)`` principal minor with row and column ``j`` removed.
 
     ``j`` is a 0-based index.  Entries keep their original scaling, so the
-    minor of an ``n``-scaled Wigner matrix stays ``n``-scaled.  The minor is
-    sliced from the packed storage: the upper-triangle pairs off row and
-    column ``j`` keep their row-major order, which is the minor's.  A stack
+    minor of an ``n``-scaled Wigner matrix stays ``n``-scaled.  A stack
     gives the stack of minors.
     """
     n = matrix.n
@@ -197,18 +156,8 @@ def minor(matrix: HermitianMatrix, j: int) -> HermitianMatrix:
         raise DomainError(f"minor index must lie in [0, {n}), got {j}")
     if n == 1:
         raise DomainError("a 1 x 1 matrix has no proper minor")
-    # the pairs to drop: (r, j) for each row r < j, then all of row j
-    upper, row, kept, start = matrix.upper, _row_segment(n, j), [], 0
-    for r in range(j):
-        col = _row_segment(n, r).start + j - r - 1
-        kept.append(upper[..., start:col])
-        start = col + 1
-    kept += [upper[..., start : row.start], upper[..., row.stop :]]
-    return HermitianMatrix(
-        n=n - 1,
-        diagonal=np.delete(matrix.diagonal, j, axis=-1),
-        upper=np.concatenate(kept, axis=-1),
-    )
+    keep = np.delete(np.arange(n), j)
+    return HermitianMatrix(n=n - 1, array=matrix.dense()[..., keep[:, None], keep])
 
 
 def _pieces(n: int, laws: tuple) -> list:
@@ -241,7 +190,7 @@ def _draws(
     n: int, off_dist: DistributionSpec, diag_dist: DistributionSpec, rngs: list, imag_sign: float
 ):
     """Draw a stack from its streams ``rngs``: the upper triangle's real
-    parts in packed order, its imaginary parts, then the diagonal.
+    parts in row-major order, its imaginary parts, then the diagonal.
 
     A part of a scaled standard normal law is drawn in pieces of whole rows
     of at most ``_PIECE_VALUES`` values, one ``standard_normal`` call per
@@ -312,16 +261,8 @@ def sample_wigner(
     seeds = (seed,) if single else tuple(seed)
     if not all(isinstance(s, SeedSpec) for s in seeds):
         raise ConfigurationError("seed must be a SeedSpec or a sequence of SeedSpecs")
-    diagonal = np.empty((len(seeds), n))
-    upper = np.empty((len(seeds), n * (n - 1) // 2), dtype=np.complex128)
-    parts = (upper.real, upper.imag, diagonal)
-    rngs = [s.generator() for s in seeds]
-    for part, lo, hi, values in _draws(n, off_dist, diag_dist, rngs, 1.0):
-        start = lo if part == 2 else _row_segment(n, lo).start
-        parts[part][:, start : start + values.shape[1]] = values
-    if single:
-        return HermitianMatrix(n=n, diagonal=diagonal[0], upper=upper[0])
-    return HermitianMatrix(n=n, diagonal=diagonal, upper=upper)
+    array = _StreamStack(n, off_dist, diag_dist, seeds).dense()
+    return HermitianMatrix(n=n, array=array[0] if single else array)
 
 
 def sample_gue(n: int, seed: SeedSpec) -> HermitianMatrix:

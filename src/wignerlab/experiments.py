@@ -42,11 +42,11 @@ each worker does not add a whole serial chunk to the peak (see
 ``_STACK_BYTES``).  A chunk allocates the LAPACK input
 (``16 B N^2`` bytes), which from ``N = 129`` LAPACK diagonalises in place,
 and draws its streams straight into it, one piece at a time (see
-:mod:`~wignerlab.ensembles`).  No packed stack, minor copy or raw draw is
-built, so a chunk's memory peaks at the LAPACK input plus one piece (at
-most ``B * 128`` KiB for Gaussian laws, a whole part of the stream for
-others), or, once the piece is freed, plus ``zheevd``'s workspace (270 KB
-at N = 512), from the first chunk on.  The allocator hands what one
+:mod:`~wignerlab.ensembles`).  No second copy of the stack, of a minor
+or of a raw draw is built, so a chunk's memory peaks at the LAPACK input
+plus one piece (at most ``B * 128`` KiB for Gaussian laws, a whole part of
+the stream for others), or, once the piece is freed, plus ``zheevd``'s
+workspace (270 KB at N = 512), from the first chunk on.  The allocator hands what one
 chunk freed to the next, so a warm serial ``spacing`` cell faults 0.7, 0.3
 and 1.0 pages per matrix at N = 200, 256 and 512.
 
@@ -87,9 +87,12 @@ from .diagnostics import good_event, select_indices
 from .distributions import DistributionSpec, gaussian_diag, gaussian_off
 from .eigensolver import _ONE_BLAS_THREAD_MAX_N, eigvalsh, one_blas_thread
 # ``minor`` and ``sample_wigner`` are no longer called here, but the
-# benchmark's tracer (``perfbench/tracer.py``) wraps them under these names
+# benchmark's tracer (``perfbench/tracer.py``) wraps them under these names;
+# it also wraps ``HermitianMatrix.dense``, which must stay the call that
+# draws a chunk
 from .ensembles import _StreamStack, minor, sample_wigner  # noqa: F401
 from .errors import ConfigurationError, _choice, _integer, _real
+from .seeding import SeedSpec
 from .spectral import F_sc, counting, im_stieltjes, rho_sc, unfolded_spacings, wigner_surmise_gue_cdf
 from .version import __version__
 
@@ -466,7 +469,8 @@ def _chunk_stats(
     first = cell * m
 
     def task(indices: range) -> object:
-        return stat(eigvalsh(_StreamStack(n, *spec.dist, spec.seed, indices, drop_row)))
+        seeds = [SeedSpec(spec.seed, i) for i in indices]
+        return stat(eigvalsh(_StreamStack(n, *spec.dist, seeds, drop_row)))
 
     with one_blas_thread() if size <= _ONE_BLAS_THREAD_MAX_N else nullcontext(False) as pinned:
         in_flight = workers if pinned and _MAX_CHUNK * size > _GIL_FREE_SIZE else 1

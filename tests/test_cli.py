@@ -492,9 +492,9 @@ def test_memory_error_exits_two_with_one_line(argv, name, capsys, monkeypatch):
     ["diagnostics", "--n", "134217728"],
 ])
 def test_an_impossible_size_fails_before_its_pieces_are_planned(argv, capsys, monkeypatch):
-    # the LAPACK input (2^58 bytes) and the packed triangle (2^57 bytes)
-    # exceed any 64-bit user address space (at most 2^56 bytes), so their
-    # allocation fails before anything is planned or drawn
+    # the LAPACK input and the sampled matrix (2^58 bytes each) exceed any
+    # 64-bit user address space (at most 2^56 bytes), so their allocation
+    # fails before anything is planned or drawn
     monkeypatch.setattr(ensembles_module, "_pieces", lambda *a: pytest.fail("planned"))
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -1,9 +1,10 @@
 """Pinned bytes of the sampled matrices, for every build of one numpy version.
 
 The draw is Philox plus numpy's samplers and a few elementwise products, none
-of which touch BLAS or LAPACK, so the SHA-256 of the packed stacks
-(``diagonal`` then ``upper``, little-endian) is keyed by the numpy version
-alone.  This checks the stream order and the sampled values on builds where
+of which touch BLAS or LAPACK, so the SHA-256 of the sampled stacks is
+keyed by the numpy version alone.  It hashes each stack's real diagonal, then
+its strict upper triangle in row-major order (the order the streams are
+drawn in), both little-endian.  This checks the stream order and the sampled values on builds where
 ``tests/test_golden.py`` has no pinned CSV digests.  On a numpy version with
 no digests the test skips and names the version; it never passes silently.
 
@@ -49,9 +50,10 @@ DRAW = {
 
 def draw_digest(law: str, n: int) -> str:
     off, diag = PAIRS[law]
-    stack = sample_wigner(n, off, diag, SEEDS)
-    digest = hashlib.sha256(stack.diagonal.astype("<f8").tobytes())
-    digest.update(stack.upper.astype("<c16").tobytes())
+    dense = sample_wigner(n, off, diag, SEEDS).dense()
+    rows, cols = np.triu_indices(n, 1)
+    digest = hashlib.sha256(np.diagonal(dense, axis1=-2, axis2=-1).real.astype("<f8").tobytes())
+    digest.update(dense[..., rows, cols].astype("<c16").tobytes())
     return digest.hexdigest()
 
 

@@ -25,6 +25,7 @@ from wignerlab import (
     unfolded_spacings,
 )
 from wignerlab import ensembles, eigensolver
+from wignerlab.checks import interlacing_gap
 from wignerlab.ensembles import _StreamStack
 
 LAW_PAIRS = {
@@ -57,6 +58,14 @@ STREAM_CALLS = {
     "smoothed_uniform": ["uniform", "standard_normal"] * 3,
     "gaussian_off_mixture_diag": ["standard_normal"] * 2 + ["random", "standard_normal"],
 }
+
+
+def _triangle(matrix: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The real diagonal and the row-major strict upper triangle of
+    ``matrix.dense()``: the entries in the order the streams draw them."""
+    dense = matrix.dense()
+    rows, cols = np.triu_indices(matrix.n, 1)
+    return np.diagonal(dense, axis1=-2, axis2=-1).real.copy(), dense[..., rows, cols]
 
 
 def test_from_dense_round_trip():
@@ -92,12 +101,11 @@ def test_gue_is_gaussian_wigner():
 
 def test_entry_scaling():
     n = 96
-    m = sample_gue(n, SeedSpec(21))
-    offs = m.upper
+    diagonal, offs = _triangle(sample_gue(n, SeedSpec(21)))
     # real and imaginary parts of off-diagonal entries have variance 1/(2N)
     assert abs(np.var(offs.real) * 2 * n - 1.0) < 0.15
     assert abs(np.var(offs.imag) * 2 * n - 1.0) < 0.15
-    assert abs(np.var(m.diagonal) * n - 1.0) < 0.4
+    assert abs(np.var(diagonal) * n - 1.0) < 0.4
 
 
 def test_role_validation():
@@ -136,17 +144,23 @@ def test_semicircle_histogram_large_n():
 def test_single_entry_matrix():
     m = sample_gue(1, SeedSpec(2))
     assert m.dense().shape == (1, 1)
-    assert m.upper.size == 0
-    assert abs(eigvalsh(m)[0] - m.diagonal[0]) < 1e-15
+    assert abs(eigvalsh(m)[0] - m.dense()[0, 0].real) < 1e-15
     with pytest.raises(DomainError, match="no proper minor"):
-        _StreamStack(1, gaussian_off(), gaussian_diag(), 2, range(1), drop_row=True)
+        _StreamStack(1, gaussian_off(), gaussian_diag(), [SeedSpec(2)], drop_row=True)
 
 
 def test_hermitian_matrix_shape_validation():
     with pytest.raises(DomainError):
-        HermitianMatrix(n=3, diagonal=np.zeros(2), upper=np.zeros(3, dtype=complex))
+        HermitianMatrix(n=3, array=np.zeros((2, 2)))
     with pytest.raises(DomainError):
-        HermitianMatrix(n=3, diagonal=np.zeros(3), upper=np.zeros(5, dtype=complex))
+        HermitianMatrix(n=3, array=np.zeros((3, 2)))
+    with pytest.raises(DomainError):
+        HermitianMatrix(n=3, array=np.zeros(9))
+    with pytest.raises(DomainError):
+        HermitianMatrix(n=0, array=np.zeros((0, 0)))
+    # the dense form holds both triangles, so a stack must be exactly Hermitian
+    with pytest.raises(DomainError, match="not exactly Hermitian"):
+        HermitianMatrix(n=2, array=np.array([np.eye(2), [[0.0, 1.0], [0.5, 0.0]]]))
 
 
 # -- stacks ---------------------------------------------------------------------
@@ -163,16 +177,12 @@ def test_stack_rows_equal_single_seed_calls(n, law):
     dense = stack.dense()
     assert dense.shape == (3, n, n)
     for b, single in enumerate(singles):
-        assert stack.diagonal[b].tobytes() == single.diagonal.tobytes()
-        assert stack.upper[b].tobytes() == single.upper.tobytes()
         assert dense[b].tobytes() == single.dense().tobytes()
     for j in (0, n // 2, n - 1):
         sub = minor(stack, j)
         assert (sub.n, sub.batch_shape) == (n - 1, (3,))
         for b, single in enumerate(singles):
-            one = minor(single, j)
-            assert sub.diagonal[b].tobytes() == one.diagonal.tobytes()
-            assert sub.upper[b].tobytes() == one.upper.tobytes()
+            assert sub.dense()[b].tobytes() == minor(single, j).dense().tobytes()
     values = eigvalsh(stack)
     assert values.shape == (3, n)
     for b, single in enumerate(singles):
@@ -185,16 +195,13 @@ def test_stack_shapes_and_reductions():
     singles = [sample_wigner(5, gaussian_off(), gaussian_diag(), s) for s in seeds]
     assert sample_wigner(5, gaussian_off(), gaussian_diag(), []).dense().shape == (0, 5, 5)
     # a 2 x 2 grid of matrices keeps both batch axes
-    grid = HermitianMatrix(n=5, diagonal=stack.diagonal[[0, 1, 2, 0]].reshape(2, 2, 5),
-                           upper=stack.upper[[0, 1, 2, 0]].reshape(2, 2, 10))
+    grid = HermitianMatrix(n=5, array=stack.dense()[[0, 1, 2, 0]].reshape(2, 2, 5, 5))
     np.testing.assert_array_equal(grid.dense()[1, 0], singles[2].dense())
     assert grid.batch_shape == (2, 2)
     with pytest.raises(DomainError):
-        HermitianMatrix(n=5, diagonal=np.zeros((3, 5)), upper=np.zeros((2, 10), dtype=complex))
+        HermitianMatrix(n=5, array=np.zeros((3, 5, 4)))
     with pytest.raises(DomainError):
-        HermitianMatrix(n=5, diagonal=np.zeros((3, 5)), upper=np.zeros(10, dtype=complex))
-    with pytest.raises(DomainError):
-        HermitianMatrix(n=5, diagonal=np.zeros(5), upper=np.zeros((3, 10), dtype=complex))
+        HermitianMatrix(n=5, array=np.zeros((3, 4, 5)))
     with pytest.raises(ConfigurationError):
         sample_wigner(5, gaussian_off(), gaussian_diag(), [SeedSpec(1), 2])
 
@@ -213,8 +220,9 @@ def test_single_matrix_observables_refuse_a_stack():
 
 
 def _per_part_stack(n, off, diag, seeds):
-    """The packed stack drawn one part at a time, the reference stream order:
-    real parts, imaginary parts, diagonal, then the ``1/sqrt(n)`` scaling."""
+    """The diagonal and row-major upper triangle drawn one part at a time,
+    the reference stream order: real parts, imaginary parts, diagonal, then
+    the ``1/sqrt(n)`` scaling."""
     m = n * (n - 1) // 2
     diagonal = np.empty((len(seeds), n))
     upper = np.empty((len(seeds), m), dtype=np.complex128)
@@ -235,9 +243,9 @@ def test_stack_matches_per_part_draw(n, law):
     off, diag = LAW_PAIRS[law]
     seeds = [SeedSpec(23, k) for k in (0, 5, 2)]
     diagonal, upper = _per_part_stack(n, off, diag, seeds)
-    stack = sample_wigner(n, off, diag, seeds)
-    assert stack.diagonal.tobytes() == diagonal.tobytes()
-    assert stack.upper.tobytes() == upper.tobytes()
+    drawn = _triangle(sample_wigner(n, off, diag, seeds))
+    assert drawn[0].tobytes() == diagonal.tobytes()
+    assert drawn[1].tobytes() == upper.tobytes()
 
 
 class _RecordingGenerator:
@@ -268,8 +276,7 @@ def test_generator_calls_per_stream(law, monkeypatch):
     )
     stack = sample_wigner(64, off, diag, seeds)
     assert calls == {s: STREAM_CALLS[law] for s in seeds}
-    assert stack.diagonal.tobytes() == expected.diagonal.tobytes()
-    assert stack.upper.tobytes() == expected.upper.tobytes()
+    assert stack.dense().tobytes() == expected.dense().tobytes()
 
 
 # the calls of one N = 200 stream: a Gaussian part is cut at row ends into
@@ -294,40 +301,59 @@ def test_generator_calls_per_stream_in_pieces(law, monkeypatch):
     monkeypatch.setattr(
         SeedSpec, "generator", lambda s: _RecordingGenerator(generator(s), calls.setdefault(s, []))
     )
-    stack = sample_wigner(200, off, diag, seeds)
+    drawn = _triangle(sample_wigner(200, off, diag, seeds))
     assert calls == {s: STREAM_CALLS_IN_PIECES[law] for s in seeds}
-    assert stack.diagonal.tobytes() == diagonal.tobytes()
-    assert stack.upper.tobytes() == upper.tobytes()
+    assert drawn[0].tobytes() == diagonal.tobytes()
+    assert drawn[1].tobytes() == upper.tobytes()
 
 
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("n, drop_row", [(n, drop_row) for n in (1, 2, 3, 17, 130, 513)
                                          for drop_row in (False, True) if n > 1 or not drop_row])
 @pytest.mark.parametrize("law", sorted(LAW_PAIRS))
-def test_stream_stack_writes_the_packed_path_bytes(law, n, drop_row, batch):
+def test_stream_stack_writes_the_sample_wigner_bytes(law, n, drop_row, batch):
     # drawn straight into LAPACK's input, the stack has the bytes of
     # sample_wigner, then minor(., 0), then dense(lapack=True): the
     # diagonal and the C upper triangle, the only entries LAPACK reads
     off, diag = LAW_PAIRS[law]
-    indices = range(11, 11 + batch)
-    packed = sample_wigner(n, off, diag, [SeedSpec(41, i) for i in indices])
+    seeds = [SeedSpec(41, i) for i in range(11, 11 + batch)]
+    stored = sample_wigner(n, off, diag, seeds)
     if drop_row:
-        packed = minor(packed, 0)
-    streams = _StreamStack(n, off, diag, 41, indices, drop_row)
-    assert (streams.n, streams.batch_shape) == (packed.n, packed.batch_shape)
-    rows, cols = np.triu_indices(packed.n)
+        stored = minor(stored, 0)
+    streams = _StreamStack(n, off, diag, seeds, drop_row)
+    assert (streams.n, streams.batch_shape) == (stored.n, stored.batch_shape)
+    rows, cols = np.triu_indices(stored.n)
     lower = streams.dense(lapack=True)
-    assert lower[:, rows, cols].tobytes() == packed.dense(lapack=True)[:, rows, cols].tobytes()
-    assert streams.dense().tobytes() == packed.dense().tobytes()
+    assert lower[:, rows, cols].tobytes() == stored.dense(lapack=True)[:, rows, cols].tobytes()
+    assert streams.dense().tobytes() == stored.dense().tobytes()
+
+
+@pytest.mark.parametrize("law", ["gaussian", "mixture"])
+def test_minors_and_interlacing_of_a_stream_stack(law):
+    # a stream stack stores no matrix, so its minor is cut from its dense
+    # form; it has the bytes of the minor of the stored sample
+    off, diag = LAW_PAIRS[law]
+    n, seeds = 9, [SeedSpec(47, i) for i in range(3)]
+    stored = sample_wigner(n, off, diag, seeds)
+    for j in (0, n // 2, n - 1):
+        sub = minor(_StreamStack(n, off, diag, seeds), j)
+        assert (sub.n, sub.batch_shape) == (n - 1, (3,))
+        assert sub.dense().tobytes() == minor(stored, j).dense().tobytes()
+    # the gap of a stack is the largest over its matrices, on one or three
+    for stack in (_StreamStack(n, off, diag, seeds[:1]), _StreamStack(n, off, diag, seeds)):
+        gap = interlacing_gap(stack, n // 2)
+        assert math.isfinite(gap) and 0.0 <= gap <= 1e-10
+    assert interlacing_gap(_StreamStack(n, off, diag, seeds), 2) == max(
+        interlacing_gap(sample_wigner(n, off, diag, s), 2) for s in seeds)
 
 
 def test_matrices_compare_by_identity():
     # a field-wise == would compare numpy arrays, and two stream stacks,
-    # whose fields are all None, would always compare equal
+    # whose arrays are both None, would compare equal at one size
     a, b = sample_gue(4, SeedSpec(1)), sample_gue(4, SeedSpec(1))
     assert a == a and a != b and len({a, b}) == 2
     off, diag = LAW_PAIRS["gaussian"]
-    assert _StreamStack(5, off, diag, 1, range(2)) != _StreamStack(7, off, diag, 2, range(3))
+    assert _StreamStack(5, off, diag, [SeedSpec(1)]) != _StreamStack(5, off, diag, [SeedSpec(2)])
 
 
 @pytest.mark.parametrize("piece", [50, 200])
@@ -337,7 +363,8 @@ def test_stream_stack_bytes_do_not_depend_on_the_pieces(law, piece, monkeypatch)
     # diagonal entries: 50 values cut it inside the real part, and with
     # both laws Gaussian 200 values take its first imaginary rows along
     off, diag = LAW_PAIRS[law]
-    whole = [_StreamStack(17, off, diag, 43, range(3), drop_row).dense(lapack=True)
+    seeds = [SeedSpec(43, i) for i in range(3)]
+    whole = [_StreamStack(17, off, diag, seeds, drop_row).dense(lapack=True)
              for drop_row in (False, True)]
     monkeypatch.setattr(ensembles, "_PIECE_VALUES", piece)
     pieces = ensembles._pieces(17, (off, off, diag))
@@ -347,15 +374,15 @@ def test_stream_stack_bytes_do_not_depend_on_the_pieces(law, piece, monkeypatch)
         straddles = [ranges for ranges in pieces if [r[0] for r in ranges] == [0, 1]]
         assert straddles == ([[(0, 0, 16, 136), (1, 0, 4, 58)]] if law == "gaussian" else [])
     for drop_row, expected in zip((False, True), whole):
-        lower = _StreamStack(17, off, diag, 43, range(3), drop_row).dense(lapack=True)
+        lower = _StreamStack(17, off, diag, seeds, drop_row).dense(lapack=True)
         rows, cols = np.triu_indices(17 - drop_row)
         assert lower[:, rows, cols].tobytes() == expected[:, rows, cols].tobytes()
 
 
 def test_stream_stack_peaks_at_the_lapack_input_plus_one_piece():
     # one N = 383 chunk: drawn straight into LAPACK's input it peaks at that
-    # input and one piece; drawn packed and unpacked, it peaks at the packed
-    # stack plus the input, 24 N^2 bytes
+    # input and one piece; sampled, then copied into LAPACK's input, it
+    # peaks at the stored stack plus the input, 32 N^2 bytes
     n = 383
     bound = 16 * n * n + 8 * ensembles._PIECE_VALUES + 64 * 1024
 
@@ -369,9 +396,10 @@ def test_stream_stack_peaks_at_the_lapack_input_plus_one_piece():
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: _StreamStack(n, gaussian_off(), gaussian_diag(), 5, range(1)).dense(lapack=True)) <= bound
-    packed = peak(lambda: sample_wigner(n, gaussian_off(), gaussian_diag(), [SeedSpec(5, 0)]).dense(lapack=True))
-    assert packed > bound
+    seeds = [SeedSpec(5, 0)]
+    assert peak(lambda: _StreamStack(n, gaussian_off(), gaussian_diag(), seeds).dense(lapack=True)) <= bound
+    stored = peak(lambda: sample_wigner(n, gaussian_off(), gaussian_diag(), seeds).dense(lapack=True))
+    assert stored > bound
 
 
 def _recording_lapack(monkeypatch):
@@ -404,10 +432,10 @@ def test_lapack_input_is_the_lower_triangle_in_column_order(law):
         # read in column order, as LAPACK reads it, it is the matrix
         assert _lower(lower.mT).tobytes() == _lower(full).tobytes()
         # the diagonal is real, and the C upper triangle is the
-        # conjugated packed triangle
+        # conjugated upper triangle
         assert not np.any(np.diagonal(lower, axis1=-2, axis2=-1).imag)
         rows, cols = np.triu_indices(7, 1)
-        assert lower[..., rows, cols].tobytes() == stack.upper.conj().tobytes()
+        assert lower[..., rows, cols].tobytes() == full[..., rows, cols].conj().tobytes()
 
 
 @pytest.mark.parametrize("law", ["gaussian", "mixture"])
@@ -417,7 +445,7 @@ def test_calls_outside_a_run_return_fresh_arrays(law, monkeypatch):
     a, b = sample_wigner(32, off, diag, seeds), sample_wigner(32, off, diag, seeds)
     inputs = _recording_lapack(monkeypatch)
     pairs = [
-        (a.upper, b.upper), (a.diagonal, b.diagonal), (a.dense(), a.dense()),
+        (a.array, b.array), (a.dense(), a.dense()),
         (a.dense(lapack=True), a.dense(lapack=True)), (eigvalsh(a), eigvalsh(b)),
     ]
     for x, y in pairs:
@@ -432,8 +460,9 @@ def test_calls_outside_a_run_return_fresh_arrays(law, monkeypatch):
     assert all(x.flags.owndata for x in inputs)
 
 
-def _packed_reference(n: int, batch: tuple, rng) -> tuple[HermitianMatrix, np.ndarray]:
-    """A random packed stack and its dense form, built from ``np.triu_indices``."""
+def _triu_reference(n: int, batch: tuple, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A random real diagonal, row-major upper triangle and the dense stack
+    they make, built from ``np.triu_indices``."""
     m = n * (n - 1) // 2
     upper = rng.standard_normal(batch + (m,)) + 1j * rng.standard_normal(batch + (m,))
     diagonal = rng.standard_normal(batch + (n,))
@@ -442,35 +471,33 @@ def _packed_reference(n: int, batch: tuple, rng) -> tuple[HermitianMatrix, np.nd
     dense[..., rows, cols] = upper
     dense[..., cols, rows] = upper.conj()
     dense[..., range(n), range(n)] = diagonal
-    return HermitianMatrix(n=n, diagonal=diagonal, upper=upper), dense
+    return diagonal, upper, dense
 
 
 @pytest.mark.parametrize("batch", [(), (3,), (2, 2), (0,)])
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 130])
-def test_packed_layout_matches_triu_indices(n, batch):
+def test_dense_layout_matches_triu_indices(n, batch):
     rng = np.random.default_rng([n, len(batch)])
-    matrix, dense = _packed_reference(n, batch, rng)
+    diagonal, upper, dense = _triu_reference(n, batch, rng)
+    matrix = HermitianMatrix(n=n, array=dense.copy())
     rows, cols = np.triu_indices(n, 1)
     assert matrix.dense().tobytes() == dense.tobytes()
-    # LAPACK's input: the conjugated packed triangle right of a real diagonal
+    # LAPACK's input: the conjugated upper triangle right of a real diagonal
     lower = matrix.dense(lapack=True)
-    assert lower[..., rows, cols].tobytes() == matrix.upper.conj().tobytes()
-    assert lower[..., range(n), range(n)].tobytes() == matrix.diagonal.astype(np.complex128).tobytes()
+    assert lower[..., rows, cols].tobytes() == upper.conj().tobytes()
+    assert lower[..., range(n), range(n)].tobytes() == diagonal.astype(np.complex128).tobytes()
     for j in range(n if n > 1 else 0):
         sub = np.delete(np.delete(dense, j, axis=-1), j, axis=-2)
-        r, c = np.triu_indices(n - 1, 1)
-        m = minor(matrix, j)
-        assert m.upper.tobytes() == sub[..., r, c].tobytes()
-        assert m.diagonal.tobytes() == np.delete(matrix.diagonal, j, axis=-1).tobytes()
+        assert minor(matrix, j).dense().tobytes() == sub.tobytes()
     for one in dense.reshape(-1, n, n):
-        packed = HermitianMatrix.from_dense(one)
-        assert packed.upper.tobytes() == one[rows, cols].tobytes()
-        assert packed.diagonal.tobytes() == one.diagonal().real.tobytes()
+        stored = HermitianMatrix.from_dense(one)
+        assert stored.dense().tobytes() == one.tobytes()
+        assert not np.shares_memory(stored.array, one)
 
 
 def test_unpacking_allocates_only_the_lapack_input():
     # a size no other test uses, so that a per-size cache filled by an earlier
-    # test could not hide what the first unpacking builds
+    # test could not hide what the first LAPACK input builds
     matrix = sample_gue(383, SeedSpec(5))
     tracemalloc.start()
     try:

@@ -1041,7 +1041,8 @@ def test_delta_moments_equal_a_per_sample_loop(part2_order):
         for ei, E in enumerate(energy):
             cell = ci * len(energy) + ei
             streams = range(cell * spec.samples, (cell + 1) * spec.samples)
-            spectra = eigvalsh(_StreamStack(n, *spec.dist, spec.seed, streams, True))
+            seeds = [SeedSpec(spec.seed, i) for i in streams]
+            spectra = eigvalsh(_StreamStack(n, *spec.dist, seeds, True))
             table = [_delta_moments_sample_stat(lam, n, E, eps, orders, deltas, part2_order)
                      for lam in spectra]
             expected.extend(_mean_stderr(column) for column in zip(*table))
@@ -1050,7 +1051,7 @@ def test_delta_moments_equal_a_per_sample_loop(part2_order):
 
 @pytest.mark.parametrize("drop_row", [False, True])
 def test_only_the_lapack_input_is_alive_when_lapack_runs(monkeypatch, drop_row):
-    # the chunk is drawn straight into LAPACK's input: no packed stack or
+    # the chunk is drawn straight into LAPACK's input: no stored stack or
     # minor is built, and the piece buffer is gone before LAPACK runs
     lapack = eigensolver._lapack_eigvalsh
     alive: list = []
@@ -1059,7 +1060,7 @@ def test_only_the_lapack_input_is_alive_when_lapack_runs(monkeypatch, drop_row):
         alive.append(tracemalloc.get_traced_memory()[0] - before - a.nbytes)
         return lapack(a)
 
-    streams = _StreamStack(128, gaussian_off(), gaussian_diag(), 7, range(4), drop_row)
+    streams = _StreamStack(128, gaussian_off(), gaussian_diag(), [SeedSpec(7, i) for i in range(4)], drop_row)
     eigvalsh(streams)  # warm-up
     monkeypatch.setattr(eigensolver, "_lapack_eigvalsh", checked)
     tracemalloc.start()

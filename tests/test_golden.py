@@ -1,25 +1,34 @@
-"""Pinned CSV bytes for every experiment kind at small budgets.
+"""Pinned CSV bytes for every experiment kind at small budgets, and pinned
+stdout of ``wignerlab check`` and two ``wignerlab diagnostics`` runs.
 
 Each spec has more samples than one sampling chunk holds (at most 32), so
-chunk boundaries are crossed.  The SHA-256 of each CSV is pinned per build:
+chunk boundaries are crossed.  The two commands sample single matrices and
+their minors outside the experiment chunks: ``check`` through ``sample_gue``,
+``minor``, ``eigh`` and ``eigvalsh``, ``diagnostics`` through
+``sample_wigner`` and ``minor`` with Gaussian and mixture laws.  The SHA-256
+of each output is pinned per build:
 ``eigvalsh`` bytes depend on numpy, the LAPACK build, OpenBLAS's run-time
 kernel and its thread count, so the digests are keyed by
 ``perfbench/environment.build_key`` and the test skips on any other build.
 
 To pin a new build, print the digests of this one with
-``PYTHONPATH=src python tests/test_golden.py`` and add them to ``GOLDEN``.
+``PYTHONPATH=src python tests/test_golden.py`` and add them to ``GOLDEN`` and
+``COMMANDS``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import sys
+from contextlib import redirect_stdout
 
 import pytest
 
 from wignerlab import ExperimentSpec, run_experiment
+from wignerlab.cli import main
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 
@@ -71,6 +80,22 @@ GOLDEN = {
     },
 }
 
+ARGV = {
+    "check": ["check"],
+    "diagnostics n=64": ["diagnostics", "--n", "64"],
+    "diagnostics n=40 mixture": ["diagnostics", "--n", "40", "--j", "7", "--energy", "0.3",
+                                 "--dist", "gaussian_mixture:0.5,-1,0.5,0.5,1,0.5"],
+}
+
+COMMANDS = {
+    "numpy 2.4.6 | scipy-openblas 0.3.31.188.0 | OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
+    "NO_AFFINITY SkylakeX MAX_THREADS=64 | threads 2": {
+        "check": "690022bf768fb0621ce7d5a7d9566bd2c4e1258b490ae16064f8e2c84af9ab42",
+        "diagnostics n=40 mixture": "041630aa5d531d17118e1997937097b363584e81ef61bb9e5013ce7276aae4f2",
+        "diagnostics n=64": "b440a593abe60d305399c590c2d7713a4833b4d44a72ae292a1fba18a7d20284",
+    },
+}
+
 
 def csv_digest(kind: str) -> str:
     spec = ExperimentSpec.from_json(dict(SPECS[kind], kind=kind, samples=SAMPLES, seed=11))
@@ -85,6 +110,22 @@ def test_csv_bytes_match_pinned_digest(kind):
     assert csv_digest(kind) == GOLDEN[key][kind]
 
 
+def stdout_digest(name: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(ARGV[name]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ARGV))
+def test_command_stdout_matches_pinned_digest(name):
+    key = environment.build_key(environment.record())
+    if key not in COMMANDS:
+        pytest.skip(f"no digests pinned for build {key!r}")
+    assert stdout_digest(name) == COMMANDS[key][name]
+
+
 if __name__ == "__main__":
     key = environment.build_key(environment.record())
     print(json.dumps({key: {kind: csv_digest(kind) for kind in sorted(SPECS)}}, indent=1))
+    print(json.dumps({key: {name: stdout_digest(name) for name in sorted(ARGV)}}, indent=1))

@@ -54,18 +54,6 @@ def test_package_keeps_its_earlier_names():
     assert "one_blas_thread" in wignerlab.__all__
 
 
-def test_only_ensembles_knows_the_packed_layout():
-    # the row-major packed order of the upper triangle is read through this
-    # helper; a second module that uses it re-derives the layout
-    root = Path(__file__).resolve().parents[1] / "src" / "wignerlab"
-    users = sorted(
-        path.name
-        for path in root.glob("*.py")
-        if path.name != "ensembles.py" and re.search(r"_row_segment", path.read_text())
-    )
-    assert users == []
-
-
 def test_only_one_function_draws_from_the_streams():
     # the stream order lives in ensembles._draws; a second function that
     # calls a generator's samplers, or a law's ``sample``, forks that order.
