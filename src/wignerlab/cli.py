@@ -219,60 +219,41 @@ def _build_spec(args) -> ExperimentSpec:
     return ExperimentSpec.from_json(obj)
 
 
-def _sweep_axis(rows) -> tuple[str, list]:
-    ns = {row.n for row in rows}
-    energies = {row.energy for row in rows}
-    etas = {row.eta for row in rows}
-    if len(ns) > 1:
-        return "N", [float(row.n) for row in rows]
-    if len(energies) > 1:
-        return "E", [row.energy for row in rows]
-    if len(etas) > 1:
-        return "eta", [row.eta for row in rows]
-    return "E", [row.energy for row in rows]
-
-
 def emit_plot(result: ExperimentResult, out: str) -> None:
-    """Write an SVG plot of estimate vs. the swept parameter."""
+    """Write an SVG plot of estimate vs. the swept parameter to ``out``.
+
+    The x axis is the first of N (``n``), E (``energy``) and eta (``eta``)
+    that takes more than one value over the rows, or E when none does.  Rows
+    form one series per ``series`` or ``statistic`` extra (``estimate`` when
+    a row has neither); a NaN stderr is drawn as a zero error bar.  One finite
+    reference shared by every row that has one is a dashed line; differing
+    finite references are a series of their own, ``reference``.  Raises
+    :class:`DomainError` when there is nothing to plot.
+    """
     rows = result.rows
     if not rows:
         raise DomainError("nothing to plot: result has no rows")
-    x_label, xs = _sweep_axis(rows)
+    axes = {"N": "n", "E": "energy", "eta": "eta"}
+    x_label = next((label for label, name in axes.items()
+                    if len({getattr(row, name) for row in rows}) > 1), "E")
+    xs = [float(getattr(row, axes[x_label])) for row in rows]
 
     groups: dict = {}
     for row, x in zip(rows, xs):
         key = row.extras.get("series") or row.extras.get("statistic") or "estimate"
         groups.setdefault(key, []).append((x, row))
+    series = [
+        Series(str(label), [x for x, _ in pairs], [row.mean for _, row in pairs],
+               [0.0 if math.isnan(row.stderr) else row.stderr for _, row in pairs])
+        for label, pairs in groups.items()
+    ]
 
-    series = []
-    for label, pairs in groups.items():
-        series.append(
-            Series(
-                label=str(label),
-                x=[p[0] for p in pairs],
-                y=[p[1].mean for p in pairs],
-                yerr=[0.0 if math.isnan(p[1].stderr) else p[1].stderr for p in pairs],
-            )
-        )
-
-    refs = [row.reference for row in rows if math.isfinite(row.reference)]
-    reference = None
-    if refs and len(set(refs)) == 1:
-        reference = refs[0]
-    elif refs:
-        ref_pairs = [(x, row.reference) for row, x in zip(rows, xs) if math.isfinite(row.reference)]
-        series.append(
-            Series(label="reference", x=[p[0] for p in ref_pairs], y=[p[1] for p in ref_pairs])
-        )
-
-    svg = render_plot(
-        series,
-        title=f"{result.spec.kind} (seed {result.spec.seed})",
-        x_label=x_label,
-        y_label="estimate",
-        reference=reference,
-    )
-    _write(svg, out)
+    refs = [(x, row.reference) for row, x in zip(rows, xs) if math.isfinite(row.reference)]
+    reference = refs[0][1] if len({ref for _, ref in refs}) == 1 else None
+    if reference is None and refs:
+        series.append(Series("reference", [x for x, _ in refs], [ref for _, ref in refs]))
+    title = f"{result.spec.kind} (seed {result.spec.seed})"
+    _write(render_plot(series, title=title, x_label=x_label, y_label="estimate", reference=reference), out)
 
 
 def _check_out(out) -> None:
@@ -308,7 +289,12 @@ def _run_experiment_command(args) -> int:
     for note in result.warnings:
         print(f"warning: {note}", file=sys.stderr)
     if args.plot:
-        emit_plot(result, os.path.splitext(args.out)[0] + ".svg")
+        # the run succeeded and its table is written: a result with no finite
+        # point to draw is a warning, not a usage error
+        try:
+            emit_plot(result, os.path.splitext(args.out)[0] + ".svg")
+        except DomainError as exc:
+            print(f"warning: {exc}", file=sys.stderr)
     return 0
 
 

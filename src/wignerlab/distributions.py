@@ -66,8 +66,9 @@ def _integrate(f, lo: float, hi: float, breaks: Sequence[float] = ()) -> np.ndar
 
     The points of ``breaks`` inside ``(lo, hi)`` cut it into pieces that each
     get the same number of panels, so a feature as narrow as its piece is
-    resolved with the rest.  Raises :class:`NumericError` if the passes still
-    disagree at ``_QUAD_MAX_PANELS`` panels.
+    resolved with the rest.  Raises :class:`NumericError` at the first pass
+    whose value is not finite, which no further pass can mend, or if the
+    passes still disagree at ``_QUAD_MAX_PANELS`` panels.
     """
     # numpy loads np.polynomial on first access, so sampling runs never do
     nodes, weights = np.polynomial.legendre.leggauss(16)
@@ -79,12 +80,16 @@ def _integrate(f, lo: float, hi: float, breaks: Sequence[float] = ()) -> np.ndar
             half = (b - a) / (2 * panels)
             mids = a + half * (2 * np.arange(panels) + 1.0)
             value = value + half * (f((mids[:, None] + half * nodes).ravel()) @ np.tile(weights, panels))
+        if not np.all(np.isfinite(value)):
+            raise NumericError(
+                f"quadrature on [{lo}, {hi}] is not finite at {panels} panels: {value.tolist()}"
+            )
         if last is not None and np.all(np.abs(value - last) <= _QUAD_RTOL * np.abs(value)):
             return value
         panels, last = 2 * panels, value
     raise NumericError(
         f"quadrature on [{lo}, {hi}] did not reach relative tolerance {_QUAD_RTOL} "
-        f"with {_QUAD_MAX_PANELS} panels (last passes {last!r})"
+        f"with {_QUAD_MAX_PANELS} panels (last passes {last.tolist()})"
     )
 
 

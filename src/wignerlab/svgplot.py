@@ -1,12 +1,19 @@
 """Minimal standalone SVG line plots for result tables.
 
-The writer emits a self-contained SVG document with no external assets,
-so output files are byte-stable for identical inputs.  Series are drawn
-as polylines with optional error bars, an optional dashed horizontal
-reference line, and a legend.  The x axis switches to a log scale when
-the data span more than two decades.  Text is escaped by a local
-``_escape``, so the module needs only ``math`` and ``dataclasses`` from the
-standard library.
+The writer emits a self-contained SVG document with no external assets.
+Series are drawn as polylines with optional error bars, an optional dashed
+horizontal reference line, and a legend.  The x axis switches to a log
+scale when the data span more than two decades.
+
+Every element but the root ``<svg>`` is written by one element writer,
+``_tag``, which owns the formatting rules: attributes in the order given,
+with ``_`` in a keyword written as ``-``; floats to one decimal; text
+content escaped by a local ``_escape``.  Attribute values are numbers,
+colours and fixed strings, and are written unescaped.  A plot is made from
+float arithmetic and string formatting alone, so its bytes are the same for
+identical inputs on every build (``tests/test_plot_digest.py`` pins them),
+and the module needs only ``math`` and ``dataclasses`` from the standard
+library.
 """
 
 from __future__ import annotations
@@ -88,6 +95,17 @@ def _fmt_tick(v: float) -> str:
     return f"{v:g}"
 
 
+def _tag(name: str, text: str = None, **attrs) -> str:
+    """One SVG element: attributes in the order given, ``_`` in a keyword
+    written as ``-``, floats to one decimal, and ``text``, if any, escaped
+    as content."""
+    head = name
+    for key, value in attrs.items():
+        value = f"{value:.1f}" if isinstance(value, float) else value
+        head += f' {key.replace("_", "-")}="{value}"'
+    return f"<{head}/>" if text is None else f"<{head}>{_escape(text)}</{name}>"
+
+
 def render_plot(
     series: list,
     title: str = "",
@@ -101,30 +119,30 @@ def render_plot(
     all_x = _finite([v for s in series for v in s.x])
     all_y = _finite([v for s in series for v in s.y])
     for s in series:
-        if s.yerr:
-            all_y.extend(_finite([yv - ev for yv, ev in zip(s.y, s.yerr)]))
-            all_y.extend(_finite([yv + ev for yv, ev in zip(s.y, s.yerr)]))
+        all_y += _finite([yv - ev for yv, ev in zip(s.y, s.yerr)])
+        all_y += _finite([yv + ev for yv, ev in zip(s.y, s.yerr)])
     if not all_x or not all_y:
         raise DomainError("nothing to plot: series contain no finite points")
-    if reference is not None and math.isfinite(reference):
-        all_y.append(float(reference))
+    reference = float(reference) if reference is not None and math.isfinite(reference) else None
+    if reference is not None:
+        all_y.append(reference)
 
     x_lo, x_hi = min(all_x), max(all_x)
     log_x = x_lo > 0.0 and x_hi / x_lo > 100.0
     if log_x:
         x_lo, x_hi = math.log10(x_lo), math.log10(x_hi)
-    y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    y_lo, y_hi = min(all_y), max(all_y)
     if y_hi == y_lo:
         pad = 0.5 if y_lo == 0 else abs(y_lo) * 0.1
-        y_lo, y_hi = y_lo - pad, y_hi + pad
     else:
         pad = 0.06 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi = y_lo - pad, y_hi + pad
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+    x_axis = _MARGIN_T + plot_h
 
     def px(v: float) -> float:
         t = math.log10(v) if log_x else v
@@ -133,104 +151,68 @@ def render_plot(
     def py(v: float) -> float:
         return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
 
+    # x is log only when the smallest finite x is > 0, so no finite point
+    # needs a sign check
+    def drawable(xv: float, yv: float) -> bool:
+        return math.isfinite(xv) and math.isfinite(yv)
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-        'fill="none" stroke="#333" stroke-width="1"/>',
+        _tag("rect", width=_WIDTH, height=_HEIGHT, fill="white"),
+        _tag("rect", x=_MARGIN_L, y=_MARGIN_T, width=plot_w, height=plot_h,
+             fill="none", stroke="#333", stroke_width=1),
     ]
-
-    font = 'font-family="sans-serif"'
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="{_MARGIN_T - 14}" text-anchor="middle" '
-            f'{font} font-size="16">{_escape(title)}</text>'
-        )
-    if x_label:
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-            f'{font} font-size="13">{_escape(x_label)}</text>'
-        )
-    if y_label:
-        cx, cy = 18, _MARGIN_T + plot_h / 2
-        parts.append(
-            f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" {font} font-size="13" '
-            f'transform="rotate(-90 {cx} {cy:.1f})">{_escape(y_label)}</text>'
-        )
+    cy = _MARGIN_T + plot_h / 2
+    for text, x, y, size, extra in (
+        (title, _WIDTH / 2, _MARGIN_T - 14, 16, {}),
+        (x_label, _MARGIN_L + plot_w / 2, _HEIGHT - 12, 13, {}),
+        (y_label, 18, cy, 13, {"transform": f"rotate(-90 18 {cy:.1f})"}),
+    ):
+        if text:
+            parts.append(_tag("text", text, x=x, y=y, text_anchor="middle",
+                              font_family="sans-serif", font_size=size, **extra))
 
     # axis ticks
     if log_x:
-        lo_dec, hi_dec = math.floor(x_lo), math.ceil(x_hi)
-        x_ticks = [10.0**d for d in range(int(lo_dec), int(hi_dec) + 1) if x_lo <= d <= x_hi]
+        x_ticks = [10.0**d for d in range(math.floor(x_lo), math.ceil(x_hi) + 1) if x_lo <= d <= x_hi]
     else:
         x_ticks = _ticks(x_lo, x_hi)
     for t in x_ticks:
-        x = px(t)
-        parts.append(
-            f'<line x1="{x:.1f}" y1="{_MARGIN_T + plot_h}" x2="{x:.1f}" '
-            f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{x:.1f}" y="{_MARGIN_T + plot_h + 20}" text-anchor="middle" '
-            f'{font} font-size="11">{_escape(_fmt_tick(t))}</text>'
-        )
+        parts += [
+            _tag("line", x1=px(t), y1=x_axis, x2=px(t), y2=x_axis + 5, stroke="#333"),
+            _tag("text", _fmt_tick(t), x=px(t), y=x_axis + 20, text_anchor="middle",
+                 font_family="sans-serif", font_size=11),
+        ]
     for t in _ticks(y_lo, y_hi):
-        y = py(t)
-        parts.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{y:.1f}" x2="{_MARGIN_L}" y2="{y:.1f}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 9}" y="{y + 4:.1f}" text-anchor="end" '
-            f'{font} font-size="11">{_escape(_fmt_tick(t))}</text>'
-        )
+        parts += [
+            _tag("line", x1=_MARGIN_L - 5, y1=py(t), x2=_MARGIN_L, y2=py(t), stroke="#333"),
+            _tag("text", _fmt_tick(t), x=_MARGIN_L - 9, y=py(t) + 4, text_anchor="end",
+                 font_family="sans-serif", font_size=11),
+        ]
 
-    if reference is not None and math.isfinite(reference):
-        y = py(float(reference))
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{y:.1f}" x2="{_MARGIN_L + plot_w}" y2="{y:.1f}" '
-            'stroke="#777" stroke-width="1" stroke-dasharray="6,4"/>'
-        )
+    if reference is not None:
+        parts.append(_tag("line", x1=_MARGIN_L, y1=py(reference), x2=_MARGIN_L + plot_w, y2=py(reference),
+                          stroke="#777", stroke_width=1, stroke_dasharray="6,4"))
 
+    legend = []
     for idx, s in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = [
-            (px(xv), py(yv))
-            for xv, yv in zip(s.x, s.y)
-            if math.isfinite(xv) and math.isfinite(yv) and (not log_x or xv > 0)
-        ]
-        if s.yerr:
-            for (xv, yv, ev) in zip(s.x, s.y, s.yerr):
-                if not (math.isfinite(xv) and math.isfinite(yv) and math.isfinite(ev)):
-                    continue
-                if log_x and xv <= 0:
-                    continue
-                x = px(xv)
-                parts.append(
-                    f'<line x1="{x:.1f}" y1="{py(yv - ev):.1f}" x2="{x:.1f}" '
-                    f'y2="{py(yv + ev):.1f}" stroke="{color}" stroke-width="1"/>'
-                )
+        for xv, yv, ev in zip(s.x, s.y, s.yerr):
+            if drawable(xv, yv) and math.isfinite(ev):
+                parts.append(_tag("line", x1=px(xv), y1=py(yv - ev), x2=px(xv), y2=py(yv + ev),
+                                  stroke=color, stroke_width=1))
+        pts = [(px(xv), py(yv)) for xv, yv in zip(s.x, s.y) if drawable(xv, yv)]
         if len(pts) > 1:
             path = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
-            parts.append(
-                f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
-        for x, y in pts:
-            parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="{color}"/>')
+            parts.append(_tag("polyline", points=path, fill="none", stroke=color, stroke_width="1.5"))
+        parts += [_tag("circle", cx=x, cy=y, r=3, fill=color) for x, y in pts]
+        ly = _MARGIN_T + 10 + 18 * idx
+        legend += [
+            _tag("line", x1=_MARGIN_L + plot_w - 150, y1=ly, x2=_MARGIN_L + plot_w - 126, y2=ly,
+                 stroke=color, stroke_width=2),
+            _tag("text", s.label, x=_MARGIN_L + plot_w - 120, y=ly + 4,
+                 font_family="sans-serif", font_size=12),
+        ]
 
-    # legend
-    ly = _MARGIN_T + 10
-    for idx, s in enumerate(series):
-        color = _PALETTE[idx % len(_PALETTE)]
-        parts.append(
-            f'<line x1="{_MARGIN_L + plot_w - 150}" y1="{ly}" x2="{_MARGIN_L + plot_w - 126}" '
-            f'y2="{ly}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w - 120}" y="{ly + 4}" {font} '
-            f'font-size="12">{_escape(s.label)}</text>'
-        )
-        ly += 18
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return "\n".join(parts + legend + ["</svg>"]) + "\n"

@@ -140,6 +140,26 @@ def test_emit_plot_axis_and_reference(energies, etas, refs, axis, tmp_path, monk
         assert (extra.label, list(zip(extra.x, extra.y))) == ("reference", finite)
 
 
+def test_plot_with_no_finite_point_warns_and_exits_zero(tmp_path, capsys):
+    # the run succeeded and its CSV is written, so nothing to draw is a
+    # warning and no SVG, not a usage error; library callers still get the
+    # DomainError
+    out = tmp_path / "r.csv"
+    assert main(["spacing", "--n", "1", "--samples", "2", "--out", str(out), "--plot"]) == 0
+    assert len(rows_from_csv(out.read_text())) == 1
+    assert not (tmp_path / "r.svg").exists()
+    assert capsys.readouterr().err == (
+        "warning: no eigenvalues fell inside the spacing window at N=1\n"
+        "warning: nothing to plot: series contain no finite points\n"
+    )
+    nan = float("nan")
+    result = ExperimentResult(ExperimentSpec(kind="spacing", n=1, samples=2),
+                              [ResultRow(1, 0.0, 1.6, nan, nan, 0, 1.0, nan)], 0.0)
+    with pytest.raises(DomainError, match="nothing to plot"):
+        emit_plot(result, str(tmp_path / "lib.svg"))
+    assert not (tmp_path / "lib.svg").exists()
+
+
 def test_plot_requires_out(capsys):
     assert main(["dos", "--n", "12", "--samples", "2", "--energy", "0",
                  "--eta", "0.5", "--seed", "1", "--plot"]) == 2
@@ -592,6 +612,18 @@ def test_regularity_overflow_is_a_numeric_failure(capsys):
         "numeric failure: regularity integrals I6, I4, I2pp must be finite and positive, "
         "got [0.0, 0.0, 0.0]\n"
     )
+
+
+@pytest.mark.filterwarnings("error")
+def test_regularity_non_finite_integrand_is_one_numeric_failure(capsys):
+    # a component 1e-300 wide makes the integrands NaN; quadrature stops at
+    # its first pass and prints the passes as plain floats
+    assert main(["regularity", "--dist", "gaussian_mixture:1,0,1e-300,1,1,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("numeric failure: ") and "not finite" in line
+    assert "array(" not in line
 
 
 def test_check_suite_passes():

@@ -316,6 +316,20 @@ def test_integrate_refuses_an_integrand_it_cannot_resolve():
         _integrate(lambda x: np.sign(x - 0.1234), -1.0, 1.0)
 
 
+def test_integrate_stops_at_the_first_pass_that_is_not_finite():
+    # no finer pass can mend a NaN, so the first one is refused
+    calls = []
+
+    def nan_integrand(x):
+        calls.append(x.size)
+        return np.full_like(x, np.nan)
+
+    with pytest.raises(NumericError, match="not finite") as exc:
+        _integrate(nan_integrand, 0.0, 1.0)
+    assert calls == [8 * 16]
+    assert str(exc.value).endswith("is not finite at 8 panels: nan")
+
+
 def test_variance_one_gaussian_regularity_scales():
     # target variance 1 doubles the scale relative to variance 1/2:
     # I6 = 15/sigma^6, I4 = 3/sigma^4, I2pp = 2/sigma^4

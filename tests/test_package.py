@@ -76,6 +76,38 @@ def test_only_one_function_draws_from_the_streams():
     assert drawers == {"ensembles._draws"}
 
 
+def test_only_the_element_writer_builds_svg_markup():
+    # svgplot._tag owns the attribute, number and escaping rules of every
+    # element; render_plot writes only the root <svg ...> and its close.
+    # Markup is a string that opens a tag: "<" then a name, "/" or an
+    # f-string field (written "{}" here), so _escape's bare "<" is not.
+    path = Path(__file__).resolve().parents[1] / "src" / "wignerlab" / "svgplot.py"
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.JoinedStr):
+            parts = node.values
+            text = "".join(p.value if isinstance(p, ast.Constant) else "{}" for p in parts)
+            children = [p.value for p in parts if isinstance(p, ast.FormattedValue)]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text, children = node.value, []
+        else:
+            text, children = "", list(ast.iter_child_nodes(node))
+        if re.match(r"<[\w/{]", text):
+            found.append((where, text))
+        for child in children:
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "svgplot")
+    assert {where for where, _ in found} == {"_tag", "render_plot"}
+    assert sorted(text for where, text in found if where == "render_plot") == [
+        "</svg>",
+        '<svg xmlns="http://www.w3.org/2000/svg" width="{}" height="{}" viewBox="0 0 {} {}">',
+    ]
+
+
 def test_only_eigensolver_binds_the_bundled_openblas():
     # eigensolver._bundled() finds and binds the library once; a second
     # module that names it holds a second lookup
