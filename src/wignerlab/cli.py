@@ -225,10 +225,11 @@ def emit_plot(result: ExperimentResult, out: str) -> None:
     The x axis is the first of N (``n``), E (``energy``) and eta (``eta``)
     that takes more than one value over the rows, or E when none does.  Rows
     form one series per ``series`` or ``statistic`` extra (``estimate`` when
-    a row has neither); a NaN stderr is drawn as a zero error bar.  One finite
-    reference shared by every row that has one is a dashed line; differing
-    finite references are a series of their own, ``reference``.  Raises
-    :class:`DomainError` when there is nothing to plot.
+    a row has neither); a point whose stderr is NaN (one sample) gets no
+    error bar.  One finite reference shared by every row that has one is a
+    dashed line; differing finite references are a series of their own,
+    ``reference``.  Raises :class:`DomainError` when there is nothing to
+    plot.
     """
     rows = result.rows
     if not rows:
@@ -244,7 +245,7 @@ def emit_plot(result: ExperimentResult, out: str) -> None:
         groups.setdefault(key, []).append((x, row))
     series = [
         Series(str(label), [x for x, _ in pairs], [row.mean for _, row in pairs],
-               [0.0 if math.isnan(row.stderr) else row.stderr for _, row in pairs])
+               [row.stderr for _, row in pairs])
         for label, pairs in groups.items()
     ]
 

@@ -130,14 +130,9 @@ class DistributionSpec:
         _choice(self.kind, _KINDS, "distribution kind")
         _choice(self.role, _ROLE_VARIANCE, "role")
         target = self.target_variance
-        if self.kind == "gaussian":
-            if self.params:
-                raise ConfigurationError("gaussian takes no parameters")
-            mix = (np.array([1.0]), np.array([0.0]), np.array([math.sqrt(target)]))
-            object.__setattr__(self, "_mix", mix)
-        elif self.kind == "gaussian_mixture":
-            object.__setattr__(self, "_mix", _normalise_mixture(self.params, target))
-        else:  # smoothed_uniform
+        if self.kind == "gaussian" and self.params:
+            raise ConfigurationError("gaussian takes no parameters")
+        if self.kind == "smoothed_uniform":
             if len(self.params) != 1:
                 raise ConfigurationError("smoothed_uniform takes exactly one parameter, the smoothing width")
             w = self.params[0]
@@ -147,6 +142,10 @@ class DistributionSpec:
                 )
             object.__setattr__(self, "_smooth_w", w)
             object.__setattr__(self, "_half_width", math.sqrt(3.0 * (target - w * w)))
+        else:
+            # the gaussian is the one-component mixture, which normalises to the role gaussian
+            params = self.params if self.kind == "gaussian_mixture" else (1.0, 0.0, 1.0)
+            object.__setattr__(self, "_mix", _normalise_mixture(params, target))
 
     # -- basic properties ------------------------------------------------
 
@@ -196,8 +195,9 @@ class DistributionSpec:
 
     # -- density and derivatives ------------------------------------------
 
-    def density(self, x) -> np.ndarray:
-        """Probability density, positive on all of R."""
+    def _derivatives(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The density and its first two derivatives at ``x``, one evaluation
+        of the law."""
         x = np.asarray(x, dtype=float)
         if self.kind == "smoothed_uniform":
             a, w = self._half_width, self._smooth_w
@@ -207,31 +207,29 @@ class DistributionSpec:
             # so evaluate at |x| where both terms are tails
             t = np.abs(x)
             u, v = (t - a) / w * math.sqrt(0.5), (t + a) / w * math.sqrt(0.5)
-            return (_elementwise(math.erfc, u) - _elementwise(math.erfc, v)) / (4.0 * a)
+            tp, tm = (x + a) / w, (x - a) / w
+            phi_p, phi_m = _phi(tp), _phi(tm)
+            return ((_elementwise(math.erfc, u) - _elementwise(math.erfc, v)) / (4.0 * a),
+                    (phi_p - phi_m) / (2.0 * a * w),
+                    (-tp * phi_p + tm * phi_m) / (2.0 * a * w * w))
         wts, mus, sds = self._mix
         t = (x[..., None] - mus) / sds
-        return np.sum(wts / sds * _phi(t), axis=-1)
+        phi = _phi(t)
+        return (np.sum(wts / sds * phi, axis=-1),
+                np.sum(wts / sds**2 * (-t) * phi, axis=-1),
+                np.sum(wts / sds**3 * (t * t - 1.0) * phi, axis=-1))
+
+    def density(self, x) -> np.ndarray:
+        """Probability density, positive on all of R."""
+        return self._derivatives(x)[0]
 
     def density_d1(self, x) -> np.ndarray:
         """First derivative of the density."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "smoothed_uniform":
-            a, w = self._half_width, self._smooth_w
-            return (_phi((x + a) / w) - _phi((x - a) / w)) / (2.0 * a * w)
-        wts, mus, sds = self._mix
-        t = (x[..., None] - mus) / sds
-        return np.sum(wts / sds**2 * (-t) * _phi(t), axis=-1)
+        return self._derivatives(x)[1]
 
     def density_d2(self, x) -> np.ndarray:
         """Second derivative of the density."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "smoothed_uniform":
-            a, w = self._half_width, self._smooth_w
-            tp, tm = (x + a) / w, (x - a) / w
-            return (-tp * _phi(tp) + tm * _phi(tm)) / (2.0 * a * w * w)
-        wts, mus, sds = self._mix
-        t = (x[..., None] - mus) / sds
-        return np.sum(wts / sds**3 * (t * t - 1.0) * _phi(t), axis=-1)
+        return self._derivatives(x)[2]
 
     # -- sampling ----------------------------------------------------------
 
@@ -338,10 +336,9 @@ def regularity_integrals(dist: DistributionSpec) -> dict:
     """
 
     def integrands(x):
-        h = dist.density(x)
+        h, d1, d2 = dist._derivatives(x)
         # h underflows to 0 far in the tails, where the integrands tend to 0 too
-        score, curvature = (np.divide(d, h, out=np.zeros_like(h), where=h > 0.0)
-                            for d in (dist.density_d1(x), dist.density_d2(x)))
+        score, curvature = (np.divide(d, h, out=np.zeros_like(h), where=h > 0.0) for d in (d1, d2))
         return np.stack([score**6 * h, score**4 * h, curvature**2 * h])
 
     L = dist._support_bound()

@@ -13,15 +13,14 @@ A :class:`HermitianMatrix` stores one dense, exactly Hermitian
 one size is sampled, sliced and diagonalised in one call each, with every
 matrix drawn from its own stream exactly as if sampled alone.
 
-The stream order lives in :func:`_draws`, which draws a stack piece by
-piece, one generator call per stream each (in a thread pool, one GIL
-hand-off), and ``_StreamStack._write`` is the one function that writes
-those pieces into a matrix.  A ``_StreamStack``, which experiments
-diagonalise, writes them straight into LAPACK's input;
-:func:`sample_wigner` has one write them into the matrix it returns.  Each
-experiment chunk is its own ``_StreamStack``.  :func:`_draws` plans the
-pieces when it starts drawing, after its caller has allocated the target,
-so a size too large to allocate fails before anything is planned or drawn.
+The stream order lives in ``_StreamStack._write``, the one function that
+plans, draws, scales and writes a stack piece by piece, one generator call
+per stream each (in a thread pool, one GIL hand-off).  A ``_StreamStack``,
+which experiments diagonalise, writes the pieces straight into LAPACK's
+input; :func:`sample_wigner` has one write them into the matrix it returns.
+Each experiment chunk is its own ``_StreamStack``.  ``_write`` plans the
+pieces after :meth:`HermitianMatrix.dense` has allocated the target, so a
+size too large to allocate fails before anything is planned or drawn.
 Every array these functions return is new, and so is the LAPACK input that
 :meth:`HermitianMatrix.dense` writes for
 :func:`~wignerlab.eigensolver.eigvalsh`; the module docstring of
@@ -44,8 +43,9 @@ from .seeding import SeedSpec
 __all__ = ["HermitianMatrix", "minor", "sample_wigner", "sample_gue"]
 
 # A Gaussian stream is drawn in pieces of at most this many values (128 KiB),
-# cut at row ends (see :func:`_draws`): the whole stream up to N = 128, where
-# 2 m + N = 2^14, and at N = 512 a sixteenth of the 2 MiB triangle.
+# cut at row ends (see ``_StreamStack._write``): the whole stream up to
+# N = 128, where 2 m + N = 2^14, and at N = 512 a sixteenth of the 2 MiB
+# triangle.
 _PIECE_VALUES = 2**14
 
 
@@ -75,14 +75,6 @@ class HermitianMatrix:
     def batch_shape(self) -> tuple:
         """Leading axes of a stack; ``()`` for a single matrix."""
         return self.array.shape[:-2]
-
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray) -> "HermitianMatrix":
-        """Copy a dense matrix, requiring exact Hermitian symmetry."""
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DomainError(f"expected a square matrix, got shape {matrix.shape}")
-        return cls(n=matrix.shape[0], array=matrix.astype(np.complex128))
 
     def dense(self, *, lapack: bool = False) -> np.ndarray:
         """The full complex matrix, ``(..., n, n)`` for a stack, as a new array.
@@ -116,29 +108,59 @@ class _StreamStack(HermitianMatrix):
         if drop_row and n == 1:
             raise DomainError("a 1 x 1 matrix has no proper minor")
         self.n, self.array = n - drop_row, None
-        self._streams = (n, off_dist, diag_dist, seeds, int(drop_row))
+        self._streams = (n, (off_dist, off_dist, diag_dist), seeds, int(drop_row))
 
     @property
     def batch_shape(self) -> tuple:
-        return (len(self._streams[3]),)
+        return (len(self._streams[2]),)
 
     def _write(self, stack: np.ndarray, lapack: bool) -> None:
-        """Write the ``(B, n, n)`` stack's diagonal and C upper triangle, the
-        latter conjugated with ``lapack``, else mirrored into the lower one."""
-        n, off_dist, diag_dist, seeds, d = self._streams
+        """Draw the streams into the ``(B, n, n)`` stack: its diagonal and C
+        upper triangle, the latter conjugated with ``lapack``, else mirrored
+        into the lower one.
+
+        Each stream is drawn in one order: the upper triangle's real parts in
+        row-major order, its imaginary parts, then the diagonal.  A part of a
+        scaled standard normal law is drawn in pieces of whole rows of at most
+        ``_PIECE_VALUES`` values, one ``standard_normal`` call per stream
+        each, which run on across the parts when both laws are one.  Any other
+        law's part is one ``sample`` call, since ``sample`` draws all its
+        uniforms before its normals.  The plan, :func:`_pieces`, is made here,
+        after :meth:`dense` has allocated the stack.  Each value is scaled by
+        its law's factor and then by ``1/sqrt(n)``, negated for an imaginary
+        part with ``lapack``, stack-wide, and written row by row."""
+        n, laws, seeds, d = self._streams
         rngs = [s.generator() for s in seeds]
+        sds = [law.normal_scale for law in laws]
+        pieces = _pieces(n, laws)
+        buf = np.empty((len(rngs), max(sum(r[3] for r in piece) for piece in pieces)))
+        scale = 1.0 / math.sqrt(n)
         # the real parts, the imaginary parts and the (complex) diagonal
         parts = (stack.real, stack.imag, stack.reshape(len(stack), self.n**2)[:, :: self.n + 1])
-        for part, lo, hi, values in _draws(n, off_dist, diag_dist, rngs, -1.0 if lapack else 1.0):
-            if part == 2:
-                parts[2][...] = values[:, d:]
-                continue
-            target, at = parts[part], 0
-            for j in range(lo, hi):
-                end = at + n - 1 - j
-                if j >= d:
-                    target[:, j - d, j + 1 - d :] = values[:, at:end]
-                at = end
+        for piece in pieces:
+            law, size = laws[piece[0][0]], sum(r[3] for r in piece)
+            for rng, row in zip(rngs, buf):
+                if sds[piece[0][0]] is None:
+                    row[:size] = law.sample(rng, size)
+                else:
+                    # numpy's ziggurat takes the stream one value at a time, so
+                    # the pieces draw what one call per part would
+                    rng.standard_normal(out=row[:size])
+            at = 0  # a piece's ranges lie back to back in buf, the diagonal last
+            for part, lo, hi, width in piece:
+                values = buf[:, at : at + width]
+                if sds[part] is not None:
+                    values *= sds[part]
+                values *= -scale if part == 1 and lapack else scale
+                if part == 2:
+                    parts[2][...] = values[:, d:]
+                    continue
+                target = parts[part]
+                for j in range(lo, hi):
+                    end = at + n - 1 - j
+                    if j >= d:
+                        target[:, j - d, j + 1 - d :] = buf[:, at:end]
+                    at = end
         if not lapack:
             for j in range(self.n - 1):
                 np.conjugate(stack[:, j, j + 1 :], out=stack[:, j + 1 :, j])
@@ -186,46 +208,6 @@ def _pieces(n: int, laws: tuple) -> list:
     return pieces
 
 
-def _draws(
-    n: int, off_dist: DistributionSpec, diag_dist: DistributionSpec, rngs: list, imag_sign: float
-):
-    """Draw a stack from its streams ``rngs``: the upper triangle's real
-    parts in row-major order, its imaginary parts, then the diagonal.
-
-    A part of a scaled standard normal law is drawn in pieces of whole rows
-    of at most ``_PIECE_VALUES`` values, one ``standard_normal`` call per
-    stream each, which run on across the parts when both laws are one.  Any
-    other law's part is one ``sample`` call, since ``sample`` draws all its
-    uniforms before its normals.  The plan, :func:`_pieces`, is made when
-    the first item is asked for, after the caller has allocated its target.
-    Yields ``(part, lo, hi, values)`` per part range of the plan,
-    ``values[b]`` scaled by the law's factor and then by ``1/sqrt(n)``
-    (``imag_sign/sqrt(n)`` for imaginary parts); the next item overwrites
-    it."""
-    laws = (off_dist, off_dist, diag_dist)
-    sds = [law.normal_scale for law in laws]
-    pieces = _pieces(n, laws)
-    buf = np.empty((len(rngs), max(sum(r[3] for r in piece) for piece in pieces)))
-    scale = 1.0 / math.sqrt(n)
-    for piece in pieces:
-        law, size = laws[piece[0][0]], sum(r[3] for r in piece)
-        for rng, row in zip(rngs, buf):
-            if sds[piece[0][0]] is None:
-                row[:size] = law.sample(rng, size)
-            else:
-                # numpy's ziggurat takes the stream one value at a time, so
-                # the pieces draw what one call per part would
-                rng.standard_normal(out=row[:size])
-        at = 0
-        for part, lo, hi, width in piece:
-            values = buf[:, at : at + width]
-            if sds[part] is not None:
-                values *= sds[part]
-            values *= imag_sign * scale if part == 1 else scale
-            yield part, lo, hi, values
-            at += width
-
-
 def sample_wigner(
     n: int,
     off_dist: DistributionSpec,
@@ -236,8 +218,8 @@ def sample_wigner(
 
     Each stream is consumed in a fixed order: all upper-triangle real parts,
     then all upper-triangle imaginary parts, then the diagonal (see
-    :func:`_draws`).  When both laws are a scaled standard normal (see
-    :attr:`DistributionSpec.normal_scale`) the stream is drawn by
+    ``_StreamStack._write``).  When both laws are a scaled standard normal
+    (see :attr:`DistributionSpec.normal_scale`) the stream is drawn by
     ``standard_normal`` calls in pieces of whole rows: one call up to
     ``N = 128``, about ``N^2 / 2^14`` calls at larger ``N``.  Those yield
     the same values as one call per part, so the pieces never show in the

@@ -477,8 +477,9 @@ def test_deriv_step_that_does_not_move_the_energy_exits_two(capsys, monkeypatch)
                  "--delta-e", "1e-320", "--energy", "0.3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    # 0.3 + 1e-320 == 0.3: refused by the one check, that the step moves 2.0
     assert captured.err.startswith("error: finite-difference step ")
-    assert "does not move energy 0.3" in captured.err
+    assert "is below the spectrum's resolution at N=8: it does not move 2.0" in captured.err
 
 
 def test_deriv_step_below_the_spectrum_resolution_exits_two(capsys, monkeypatch):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +25,10 @@ from wignerlab import (
 )
 from wignerlab.checks import regularity_gap
 from wignerlab.distributions import _integrate
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+
+import environment  # noqa: E402
 
 LAWS = [
     gaussian_off(),
@@ -127,6 +135,7 @@ def test_from_json_rejects_unknown_fields():
 
 
 @pytest.mark.parametrize("params", [
+    (),  # no component: not the role gaussian
     (1.0, 0.0, math.nan, 1.0, 0.0, 1.0),
     (1.0, 0.0, math.inf, 1.0, 0.0, 1.0),
     (math.inf, 0.0, 1.0, 1.0, 0.0, 1.0),
@@ -337,3 +346,73 @@ def test_variance_one_gaussian_regularity_scales():
     assert abs(values["I6"] - 15.0) < 1e-6 * 15.0
     assert abs(values["I4"] - 3.0) < 1e-6 * 3.0
     assert abs(values["I2pp"] - 2.0) < 1e-6 * 2.0
+
+
+# The law bytes: SHA-256 of density, density_d1 and density_d2 on NODES, and
+# the repr of regularity_integrals, per LAWS entry.  numpy's SIMD exp and the
+# quadrature's matrix product may differ between builds, so the values are
+# keyed by perfbench/environment.build_key as in tests/test_golden.py.  Print
+# this build's values with ``PYTHONPATH=src python tests/test_distributions.py``.
+NODES = np.linspace(-6.0, 6.0, 97)
+
+LAW_BYTES = {
+    "numpy 2.4.6 | scipy-openblas 0.3.31.188.0 | OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH"
+    " NO_AFFINITY SkylakeX MAX_THREADS=64 | threads 2": {
+        "gaussian () off_diagonal": [
+            "028e1c4dfa33cad7d0436717e07350d854881760c33d98040ac284b9ffa55873",
+            "{'I6': 119.99999999999987, 'I4': 11.999999999999979, 'I2pp': 7.9999999999999964}",
+        ],
+        "gaussian () diagonal": [
+            "70d63227940441768ed28b60d242a2fa68292fcaba35747dec0681b2cc977bd3",
+            "{'I6': 15.000000000000004, 'I4': 3.0, 'I2pp': 2.0}",
+        ],
+        "gaussian_mixture (0.3, -1.0, 0.5, 0.7, 0.4, 0.8) off_diagonal": [
+            "20f35f49897b0c3cb04b7d53978a7375aedab54569e3290c0c97c9614f7c4b75",
+            "{'I6': 1078.002301594774, 'I4': 37.32020156354297, 'I2pp': 23.772541865599656}",
+        ],
+        "gaussian_mixture (1.0, 2.0, 1.5) diagonal": [
+            "70d63227940441768ed28b60d242a2fa68292fcaba35747dec0681b2cc977bd3",
+            "{'I6': 15.000000000000004, 'I4': 3.0, 'I2pp': 2.0}",
+        ],
+        "gaussian_mixture (0.5, -1.0, 1.0, 0.5, 2.0, 30.0) diagonal": [
+            "c188c6ec194b6875cb15afe164ccb578bbfbabe22fa2f351ba68ff687b4a022a",
+            "{'I6': 117037291.21502255, 'I4': 133069.98111597338, 'I2pp': 134479.4957528922}",
+        ],
+        "smoothed_uniform (0.4,) off_diagonal": [
+            "34dff16bd30e8881d92489f0361ba852b6dd7e78ee892ee72c2ffa633820e991",
+            "{'I6': 780.0394163677862, 'I4': 30.255104614162036, 'I2pp': 17.117394149214668}",
+        ],
+        "smoothed_uniform (0.25,) diagonal": [
+            "bb6752adea7ae120e8583c6996e9cc7623ade84d8cde997e2fc37edf5785e5f8",
+            "{'I6': 4925.728438961993, 'I4': 74.63037110818243, 'I2pp': 42.110800205125216}",
+        ],
+        "smoothed_uniform (0.05,) off_diagonal": [
+            "0ae5c9465b119d1cc0d8e865662b2379221bab5163c5b81002362a1dd88ec4e6",
+            "{'I6': 21130490.692020867, 'I4': 12806.035749513077, 'I2pp': 7225.910910796887}",
+        ],
+    },
+}
+
+
+def _law_label(dist: DistributionSpec) -> str:
+    return f"{dist.kind} {dist.params} {dist.role}"
+
+
+def law_bytes(dist: DistributionSpec) -> list:
+    digest = hashlib.sha256()
+    for values in (dist.density(NODES), dist.density_d1(NODES), dist.density_d2(NODES)):
+        digest.update(values.astype("<f8").tobytes())
+    return [digest.hexdigest(), repr(regularity_integrals(dist))]
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=_law_label)
+def test_law_bytes_match_pinned_values(dist):
+    key = environment.build_key(environment.record())
+    if key not in LAW_BYTES:
+        pytest.skip(f"no law bytes pinned for build {key!r}")
+    assert law_bytes(dist) == LAW_BYTES[key][_law_label(dist)]
+
+
+if __name__ == "__main__":
+    key = environment.build_key(environment.record())
+    print(json.dumps({key: {_law_label(dist): law_bytes(dist) for dist in LAWS}}, indent=1))

@@ -22,14 +22,14 @@ from wignerlab.checks import interlacing_gap
 
 def test_known_two_by_two():
     # [[0, 1], [1, 0]] has eigenvalues -1, 1
-    m = HermitianMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    m = HermitianMatrix(n=2, array=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     mu, _ = eigh(m)
     np.testing.assert_allclose(mu, [-1.0, 1.0], atol=1e-15)
 
 
 def test_diagonal_matrix_sorted():
     d = np.array([3.0, -1.0, 2.0])
-    m = HermitianMatrix.from_dense(np.diag(d).astype(complex))
+    m = HermitianMatrix(n=3, array=np.diag(d).astype(complex))
     np.testing.assert_allclose(eigvalsh(m), np.sort(d), atol=0.0)
 
 

@@ -68,21 +68,13 @@ def _triangle(matrix: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     return np.diagonal(dense, axis1=-2, axis2=-1).real.copy(), dense[..., rows, cols]
 
 
-def test_from_dense_round_trip():
+def test_stored_matrix_round_trip():
     rng = SeedSpec(1).generator()
     raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     dense = (raw + raw.conj().T) / 2.0
-    m = HermitianMatrix.from_dense(dense)
+    m = HermitianMatrix(n=6, array=dense)
     np.testing.assert_array_equal(m.dense(), dense)
     assert m.n == 6
-
-
-def test_from_dense_rejects_non_hermitian():
-    bad = np.array([[0.0, 1.0], [0.5, 0.0]])
-    with pytest.raises(DomainError):
-        HermitianMatrix.from_dense(bad)
-    with pytest.raises(DomainError):
-        HermitianMatrix.from_dense(np.array([[1j]]))
 
 
 def test_sampling_deterministic_in_seed():
@@ -155,12 +147,19 @@ def test_hermitian_matrix_shape_validation():
     with pytest.raises(DomainError):
         HermitianMatrix(n=3, array=np.zeros((3, 2)))
     with pytest.raises(DomainError):
+        HermitianMatrix(n=2, array=np.zeros((2, 3)))
+    with pytest.raises(DomainError):
         HermitianMatrix(n=3, array=np.zeros(9))
     with pytest.raises(DomainError):
         HermitianMatrix(n=0, array=np.zeros((0, 0)))
     # the dense form holds both triangles, so a stack must be exactly Hermitian
     with pytest.raises(DomainError, match="not exactly Hermitian"):
         HermitianMatrix(n=2, array=np.array([np.eye(2), [[0.0, 1.0], [0.5, 0.0]]]))
+    with pytest.raises(DomainError, match="not exactly Hermitian"):
+        HermitianMatrix(n=2, array=np.array([[0.0, 1.0], [0.5, 0.0]]))
+    # a diagonal entry must be real
+    with pytest.raises(DomainError, match="not exactly Hermitian"):
+        HermitianMatrix(n=1, array=np.array([[1j]]))
 
 
 # -- stacks ---------------------------------------------------------------------
@@ -490,9 +489,9 @@ def test_dense_layout_matches_triu_indices(n, batch):
         sub = np.delete(np.delete(dense, j, axis=-1), j, axis=-2)
         assert minor(matrix, j).dense().tobytes() == sub.tobytes()
     for one in dense.reshape(-1, n, n):
-        stored = HermitianMatrix.from_dense(one)
+        stored = HermitianMatrix(n=n, array=one)
         assert stored.dense().tobytes() == one.tobytes()
-        assert not np.shares_memory(stored.array, one)
+        assert not np.shares_memory(stored.dense(), one)
 
 
 def test_unpacking_allocates_only_the_lapack_input():

@@ -549,14 +549,30 @@ def test_eta_must_resolve_positive_with_finite_n_eta_at_every_size(monkeypatch):
 
 def test_derivative_step_must_move_every_energy(monkeypatch):
     monkeypatch.setattr(experiments, "_StreamStack", lambda *a: pytest.fail("sampled"))
-    # 0.3 + 1e-320 == 0.3, while 0 + 1e-320 moves
+    # 0.3 + 1e-320 == 0.3, while 0 + 1e-320 moves; neither moves 2.0, and the
+    # one check on 2.0 refuses both (see the next test for why it suffices)
     tiny = ExperimentSpec(kind="derivative", n=[8], samples=4, energy=[0.0, 0.3],
                           eta=[{"over_n": 0.5}], extra={"delta_e": 1e-320})
-    with pytest.raises(ConfigurationError, match=r"does not move energy 0.3 at N=8"):
+    with pytest.raises(ConfigurationError, match=r"below the spectrum's resolution at N=8"):
         run_experiment(tiny)
-    # nor does it move mu - E for any eigenvalue mu in the bulk
     with pytest.raises(ConfigurationError, match=r"below the spectrum's resolution at N=8"):
         run_experiment(dataclasses.replace(tiny, energy=(0.0,)))
+
+
+def test_a_step_that_moves_two_moves_every_bulk_energy():
+    # the smallest step that moves 2.0 is just above 2**-52, since 2 + 2**-52
+    # rounds back to 2 on the tie; half an ulp of any |E| < 2 is at most 2**-53
+    step = np.nextafter(np.spacing(2.0) / 2, 1.0)
+    assert 2.0 + step != 2.0 and 2.0 + np.spacing(2.0) / 2 == 2.0
+    below = np.nextafter(2.0, 0.0)
+    powers = np.ldexp(1.0, np.arange(-1074, 1))
+    energies = np.concatenate([
+        np.linspace(-below, below, 200_001), [0.0, 0.5, 1.0, 1.5, below],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, 2.0),
+    ])
+    energies = np.concatenate([energies, -energies])
+    assert np.all(np.abs(energies) < 2.0)
+    assert np.all(energies + step != energies) and np.all(energies - step != energies)
 
 
 def test_derivative_step_must_move_the_spectrum(monkeypatch):

@@ -55,9 +55,9 @@ def test_package_keeps_its_earlier_names():
 
 
 def test_only_one_function_draws_from_the_streams():
-    # the stream order lives in ensembles._draws; a second function that
-    # calls a generator's samplers, or a law's ``sample``, forks that order.
-    # distributions.py holds the samplers themselves.
+    # the stream order lives in ensembles._StreamStack._write; a second
+    # function that calls a generator's samplers, or a law's ``sample``, forks
+    # that order.  distributions.py holds the samplers themselves.
     root = Path(__file__).resolve().parents[1] / "src" / "wignerlab"
     draws = {"standard_normal", "random", "uniform", "sample"}
     drawers = set()
@@ -67,13 +67,15 @@ def test_only_one_function_draws_from_the_streams():
         tree = ast.parse(path.read_text())
         calls = {node for node in ast.walk(tree) if isinstance(node, ast.Call)
                  and isinstance(node.func, ast.Attribute) and node.func.attr in draws}
+        methods = {func: f"{cls.name}.{func.name}" for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for func in cls.body if isinstance(func, ast.FunctionDef)}
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and calls & set(ast.walk(func)):
-                drawers.add(f"{path.stem}.{func.name}")
+                drawers.add(f"{path.stem}.{methods.get(func, func.name)}")
                 calls -= set(ast.walk(func))
         if calls:
             drawers.add(f"{path.stem} outside a function")
-    assert drawers == {"ensembles._draws"}
+    assert drawers == {"ensembles._StreamStack._write"}
 
 
 def test_only_the_element_writer_builds_svg_markup():

@@ -128,8 +128,8 @@ EMIT_DIGESTS = {
     "eta-axis-nan-reference": "7e42ba7434167d50ae106afe96456b8f287ebe783333484ff7de55985122a4fb",
     "eta-axis-nan-references-differ": "51b6c9577f13c172b435e6c8154161486a4107fe5ae254877c56f841c7a5e1c3",
     "n-axis-series-groups": "cb84799edfc330a8455220407a899a855bda58d7715c6e86b9676ca61cbc7468",
-    "single-row-fallback": "d0af891778c92a1afd168662f063b9d70d6cf29a660e229be89d2a01a1eae922",
-    "statistic-groups-nan-stderr": "7ab24a9719bc9492a3720f50c752667a78924d62053a6c7798d58b9bf35921fe",
+    "single-row-fallback": "7da48770956fe5a6c50e8dd02c50a05c42aa32a0c00ff40ed7c987e6e8b70833",
+    "statistic-groups-nan-stderr": "e4079ff25ae913d20cbb07338a572c075bd5b18c6987efa1540ceee9e55de65d",
 }
 
 
