@@ -56,14 +56,16 @@ class HermitianMatrix:
     ``array`` has shape ``(..., n, n)`` and must be exactly Hermitian; its
     leading axes, ``batch_shape``, index the matrices of a stack and are
     ``()`` for a single matrix.  Entries are stored already scaled, i.e.
-    including the ``1/sqrt(n)`` ensemble factor.
+    including the ``1/sqrt(n)`` ensemble factor.  The constructor stores a
+    copy of ``array``, so a later edit of the caller's array cannot break
+    the symmetry it checked.
     """
 
     n: int
     array: np.ndarray
 
     def __post_init__(self) -> None:
-        self.array = np.asarray(self.array, dtype=np.complex128)
+        self.array = np.array(self.array, dtype=np.complex128)
         if self.n < 1:
             raise DomainError(f"matrix dimension must be at least 1, got {self.n}")
         if self.array.shape[-2:] != (self.n, self.n):

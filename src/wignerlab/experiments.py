@@ -8,7 +8,9 @@ laws, and a master seed.  :func:`run_experiment` evaluates it into an
 :class:`ExperimentResult` table with one row per parameter point.
 
 Reproducibility contract: sample ``i`` of cell ``k`` always draws from the
-stream ``(master_seed, k * samples + i)``, every per-sample statistic is
+stream ``(master_seed, k * samples + i)``.  A cell is one size for the grid
+kinds and ``spacing`` and one (size, energy) pair for ``delta_moments``,
+numbered in that order over ``spec.n``.  Every per-sample statistic is
 stored at its sample index, and reductions run in index order with
 compensated summation.  Results are therefore bit-identical for a fixed
 spec.
@@ -55,17 +57,20 @@ the spec fields of ``energy``, ``kappa`` and ``eta`` it reads, and its
 ``extra`` keys with their defaults.  A field the kind does not read must
 keep its dataclass default, compared as ``to_json`` writes it (the spec
 refuses any other value, -0.0 for 0.0 too), and an
-``extra`` key it does not read is refused by :func:`_extra`.
-:func:`run_experiment` holds the one loop over sizes.  A kind's builder
-checks the whole spec, for every size, before anything is sampled and
-returns the step that samples one size and builds its rows.
+``extra`` key it does not read is refused by :func:`_extra`.  A kind's
+builder checks the whole spec, for every size, before anything is sampled
+and returns the step that builds one size's rows.  :func:`run_experiment`
+holds the one loop over sizes and cells: it hands each step a sampler that
+samples the run's next cell, numbers it and returns its per-sample values,
+so no kind numbers a cell or sees the worker count.
 
 The grid kinds (``dos``, ``scale_sweep``, ``im_stieltjes``, ``derivative``,
-``wegner``) share :func:`_grid_step`: a chunk statistic over the
-energy-major (energy, eta) grid plus a row builder per point, one shared by
-the mean kinds (:func:`_mean_kind`).  ``delta_moments`` loops over
-energies, one cell each; ``spacing`` pools ragged spacings.  The
-statistics call the stacked observables of :mod:`~wignerlab.spectral` and
+``wegner``) share :func:`_grid_step`: one cell per size, a chunk statistic
+over the energy-major (energy, eta) grid plus a row builder per point, one
+shared by the mean kinds (:func:`_mean_kind`).  ``delta_moments`` asks for
+one cell per energy and writes its rows from one table of columns;
+``spacing`` pools the ragged spacings of one cell per size.  The statistics
+call the stacked observables of :mod:`~wignerlab.spectral` and
 :mod:`~wignerlab.diagnostics` once per chunk, through their names in this
 module.
 """
@@ -78,7 +83,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+from itertools import count, repeat
 from typing import Callable, NamedTuple, Optional, Sequence, get_type_hints
 
 import numpy as np
@@ -446,10 +451,12 @@ def _chunk_stats(
     n: int,
     cell: int,
     workers: int,
-    stat: Callable[[np.ndarray], object],
+    stat: Callable[[np.ndarray], Sequence],
     drop_row: bool = False,
 ) -> list:
-    """``stat`` of each ``(B, N)`` chunk of one cell's spectra, in chunk order.
+    """Per-sample values of cell number ``cell``: ``stat`` maps each ``(B,
+    N)`` chunk of spectra to its ``B`` values, and item ``i`` of the list is
+    the value of sample ``i``.  Only :func:`run_experiment` numbers cells.
 
     Row ``b`` of the chunk starting at sample ``lo`` holds the spectrum of
     sample ``lo + b``, drawn from stream ``(seed, cell * samples + lo + b)``
@@ -477,26 +484,12 @@ def _chunk_stats(
         depth = _chunk_depth(n, size, in_flight)
         chunks = [range(first + lo, first + min(lo + depth, m)) for lo in range(0, m, depth)]
         if in_flight == 1:
-            return [task(indices) for indices in chunks]
+            return [value for indices in chunks for value in task(indices)]
         from concurrent.futures import ThreadPoolExecutor
 
         # map yields in chunk order and cancels the queued chunks if one raises
         with ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(task, chunks))
-
-
-def _table(
-    spec: ExperimentSpec,
-    n: int,
-    cell: int,
-    workers: int,
-    stat: Callable[[np.ndarray], np.ndarray],
-    drop_row: bool = False,
-) -> np.ndarray:
-    """Per-sample statistics of one cell: ``stat`` maps a ``(B, N)`` chunk of
-    spectra to its ``(B, ...)`` rows, and row ``i`` belongs to sample ``i``."""
-    chunks = _chunk_stats(spec, n, cell, workers, stat, drop_row)
-    return np.concatenate([np.asarray(rows, dtype=np.float64) for rows in chunks])
+            return [value for values in pool.map(task, chunks) for value in values]
 
 
 def _density(mu: np.ndarray, E: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -518,16 +511,19 @@ def _submicro_extras(
     return {"sample_max": float(np.max(column))}
 
 
-# A step runs one matrix size: step(n, cell, workers, warnings) samples the
-# size's cells on up to ``workers`` threads and returns its rows, appending
-# any warnings.
-_Step = Callable[[int, int, int, list], list]
+# A step runs one matrix size: step(n, cell, warnings) samples the size's
+# cells and returns its rows, appending any warnings.  Each call
+# ``cell(stat, drop_row=False)`` samples the run's next cell and returns its
+# per-sample values (see :func:`_chunk_stats`).
+_Step = Callable[[int, Callable[..., list], list], list]
 
 
 def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> ExperimentResult:
     """Run one experiment and assemble the result table.
 
-    The whole spec is checked before the first sample is drawn.
+    The whole spec is checked before the first sample is drawn.  This is
+    the one loop over cells: each size's step asks for its cells in turn,
+    and they are numbered 0, 1, ... in that order over ``spec.n``.
     ``workers`` caps the chunks processed at once (see
     :func:`worker_count`); the result does not depend on it.  Runs up to
     ``N = 128`` set OpenBLAS's process-wide thread count for their
@@ -536,10 +532,15 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> Exper
     t0 = time.perf_counter()
     threads = worker_count(workers)
     step = _KINDS[spec.kind].build(spec, _extra(spec))
+    cells = count()
     rows: list = []
     warnings: list = []
-    for ci, n in enumerate(spec.n):
-        rows.extend(step(n, ci, threads, warnings))
+    for n in spec.n:
+
+        def cell(stat: Callable[[np.ndarray], Sequence], drop_row: bool = False) -> list:
+            return _chunk_stats(spec, n, next(cells), threads, stat, drop_row)
+
+        rows.extend(step(n, cell, warnings))
     return ExperimentResult(spec, rows, time.perf_counter() - t0, __version__, warnings)
 
 
@@ -572,11 +573,11 @@ def _grid_step(
     ...)`` values of one point into its rows.
     """
 
-    def step(n: int, cell: int, workers: int, warnings: list) -> list:
+    def step(n: int, cell: Callable[..., list], warnings: list) -> list:
         points = [(E, sch, sch.resolve(n)) for E in spec.energy for sch in spec.eta]
         Es = np.array([p[0] for p in points])
         etas = np.array([p[2] for p in points])
-        table = _table(spec, n, cell, workers, lambda mu: stat(mu, Es, etas))
+        table = np.array(cell(lambda mu: stat(mu, Es, etas)))
         rows: list = []
         for k, (E, sch, eta) in enumerate(points):
             rows.extend(row(n, E, sch, eta, table[:, k], warnings))
@@ -676,21 +677,15 @@ def _wegner(spec: ExperimentSpec, extra: dict) -> _Step:
         return np.stack([counts, counts**2], axis=-1)
 
     def row(n, E, sch, eta, values, warnings):
-        counts, squares = values[:, 0], values[:, 1]
-        mean_c, se_c = _mean_stderr(counts)
-        mean_s, se_s = _mean_stderr(squares)
-        base_extras = _submicro_extras(n, eta, counts, warnings, f"wegner at E={E:g}")
-        ref_count = n * _window(E, eta)[0]
-        return [
-            ResultRow(
-                n, E, eta, mean_c, se_c, spec.samples, ref_count, mean_c / (n * eta),
-                {"statistic": "count_mean", **base_extras},
-            ),
-            ResultRow(
-                n, E, eta, mean_s, se_s, spec.samples, float("nan"), mean_s / (n * eta),
-                {"statistic": "count_sq_mean", **base_extras},
-            ),
-        ]
+        extras = _submicro_extras(n, eta, values[:, 0], warnings, f"wegner at E={E:g}")
+        refs = {"count_mean": n * _window(E, eta)[0], "count_sq_mean": float("nan")}
+        rows = []
+        for (statistic, ref), column in zip(refs.items(), values.T, strict=True):
+            mean, se = _mean_stderr(column)
+            rows.append(ResultRow(
+                n, E, eta, mean, se, spec.samples, ref, mean / (n * eta), {"statistic": statistic, **extras},
+            ))
+        return rows
 
     return _grid_step(spec, stat, row)
 
@@ -769,32 +764,23 @@ def _delta_moments(spec: ExperimentSpec, extra: dict) -> _Step:
             columns += [np.where(omega, powers[-1] * cnt * cnt, 0.0), dist.min(axis=-1) <= d]
         return np.stack(columns, axis=-1)
 
-    def step(n: int, ci: int, workers: int, warnings: list) -> list:
+    # (eta, ratio divisor, extras) of the row of each of ``stat``'s columns
+    nan = float("nan")
+    heads = [(eps, nan, {"statistic": "omega_delta_moment", "order": k, "eps": eps}) for k in orders]
+    for d in deltas:
+        heads += [
+            (d, d, {"statistic": "delta_moment_count_sq", "order": part2_order, "delta": d, "eps": eps}),
+            (d, d, {"statistic": "nearest_eigenvalue_prob", "delta": d, "eps": eps}),
+        ]
+
+    def step(n: int, cell: Callable[..., list], warnings: list) -> list:
         rows: list = []
-        for ei, E in enumerate(spec.energy):
+        for E in spec.energy:
             # one cell per (n, E) pair so each energy gets fresh streams
-            cell = ci * len(spec.energy) + ei
-            table = _table(spec, n, cell, workers, lambda mu: stat(mu, n, E), drop_row=True)
-            moments = iter([_mean_stderr(column) for column in table.T])
-            nan = float("nan")
-            for k in orders:
-                mean, se = next(moments)
-                rows.append(ResultRow(
-                    n, E, eps, mean, se, spec.samples, nan, nan,
-                    {"statistic": "omega_delta_moment", "order": k, "eps": eps},
-                ))
-            for d in deltas:
-                mean, se = next(moments)
-                rows.append(ResultRow(
-                    n, E, d, mean, se, spec.samples, nan, mean / d,
-                    {"statistic": "delta_moment_count_sq", "order": part2_order, "delta": d,
-                     "eps": eps},
-                ))
-                mean, se = next(moments)
-                rows.append(ResultRow(
-                    n, E, d, mean, se, spec.samples, nan, mean / d,
-                    {"statistic": "nearest_eigenvalue_prob", "delta": d, "eps": eps},
-                ))
+            table = np.array(cell(lambda mu: stat(mu, n, E), drop_row=True))
+            for values, (eta, divisor, extras) in zip(table.T, heads, strict=True):
+                mean, se = _mean_stderr(values)
+                rows.append(ResultRow(n, E, eta, mean, se, spec.samples, nan, mean / divisor, dict(extras)))
         return rows
 
     return step
@@ -815,12 +801,8 @@ def _spacing(spec: ExperimentSpec, extra: dict) -> _Step:
     if not (-2.0 < lo < hi < 2.0):
         raise ConfigurationError(f"spacing window must satisfy -2 < lo < hi < 2, got {window}")
 
-    def step(n: int, cell: int, workers: int, warnings: list) -> list:
-        per_chunk = _chunk_stats(
-            spec, n, cell, workers,
-            lambda chunk: [unfolded_spacings(mu, window) for mu in chunk],
-        )
-        per_sample = [s for chunk in per_chunk for s in chunk]
+    def step(n: int, cell: Callable[..., list], warnings: list) -> list:
+        per_sample = cell(lambda chunk: [unfolded_spacings(mu, window) for mu in chunk])
         means = [float(np.mean(s)) for s in per_sample if s.size > 0]
         pooled = np.concatenate(per_sample)
         if means:

@@ -162,6 +162,16 @@ def test_hermitian_matrix_shape_validation():
         HermitianMatrix(n=1, array=np.array([[1j]]))
 
 
+def test_hermitian_matrix_owns_its_array():
+    # an edit of the caller's array after the symmetry check must not reach
+    # the matrix: eigvalsh reads one triangle and would not notice
+    a = np.eye(2, dtype=complex)
+    m = HermitianMatrix(n=2, array=a)
+    a[0, 1] = 5
+    assert np.array_equal(m.dense(), np.eye(2))
+    assert np.array_equal(eigvalsh(m), [1.0, 1.0])
+
+
 # -- stacks ---------------------------------------------------------------------
 
 

@@ -1,19 +1,23 @@
-"""Pinned CSV bytes for every experiment kind at small budgets, and pinned
-stdout of ``wignerlab check`` and two ``wignerlab diagnostics`` runs.
+"""Pinned CSV and JSON bytes for every experiment kind at small budgets, and
+pinned stdout of ``wignerlab check`` and two ``wignerlab diagnostics`` runs.
 
-Each spec has more samples than one sampling chunk holds (at most 32), so
-chunk boundaries are crossed.  The two commands sample single matrices and
-their minors outside the experiment chunks: ``check`` through ``sample_gue``,
-``minor``, ``eigh`` and ``eigvalsh``, ``diagnostics`` through
-``sample_wigner`` and ``minor`` with Gaussian and mixture laws.  The SHA-256
+Each ``SPECS`` entry has more samples than one sampling chunk holds (at
+most 32), so chunk boundaries are crossed.  The CSV does not show ``extras``
+or ``warnings``; the JSON record does, so its digests (without the wall time)
+also cover ``EDGES``, specs that take the rarer paths: a NaN stderr, the
+sub-microscopic warning, an empty spacing window and ``delta_moments`` rows
+of deltas only.  The two commands sample single matrices and their minors
+outside the experiment chunks: ``check`` through ``sample_gue``, ``minor``,
+``eigh`` and ``eigvalsh``, ``diagnostics`` through ``sample_wigner`` and
+``minor`` with Gaussian and mixture laws.  The SHA-256
 of each output is pinned per build:
 ``eigvalsh`` bytes depend on numpy, the LAPACK build, OpenBLAS's run-time
 kernel and its thread count, so the digests are keyed by
 ``perfbench/environment.build_key`` and the test skips on any other build.
 
 To pin a new build, print the digests of this one with
-``PYTHONPATH=src python tests/test_golden.py`` and add them to ``GOLDEN`` and
-``COMMANDS``.
+``PYTHONPATH=src python tests/test_golden.py`` and add them to ``GOLDEN``,
+``JSON`` and ``COMMANDS``.
 """
 
 from __future__ import annotations
@@ -80,6 +84,35 @@ GOLDEN = {
     },
 }
 
+EDGES = {
+    "dos one sample": dict(kind="dos", n=[12, 20], samples=1, energy=[0.2], eta=[0.5]),
+    "im_stieltjes sub-microscopic": dict(
+        kind="im_stieltjes", n=[20], samples=3, energy=[0.3], eta=[{"over_n": 0.001}],
+    ),
+    "spacing n=1,3": dict(kind="spacing", n=[1, 3], samples=3),
+    "delta_moments deltas only": dict(
+        kind="delta_moments", n=[16, 24], samples=5, energy=[0.0, 0.4],
+        extra={"moment_orders": [], "deltas": [0.5, 0.1]},
+    ),
+}
+
+JSON = {
+    "numpy 2.4.6 | scipy-openblas 0.3.31.188.0 | OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
+    "NO_AFFINITY SkylakeX MAX_THREADS=64 | threads 2": {
+        "delta_moments": "e73c842cf2bd93a1e3663467a9d10f7115f9c50d17473bde71677cafd4b50dfa",
+        "delta_moments deltas only": "9c678a68caca31c15f623bc87b11ca8da2f3bdd7a1708b7ced5d55624126969d",
+        "derivative": "e4bf5193f41784be94f247748d5ccf4b482cbaae9620b6ec33a6af9950e743f8",
+        "dos": "80f7bb4360423ed4b2ac86b305711d717ed456940dcc519a4ef7c9feacdf7b6e",
+        "dos one sample": "294586d9764e6f1525889a2d645a40be28a96d1e28335b3920724af92cbee85a",
+        "im_stieltjes": "6f299adc03467a3d2230f94a4a37c419e677d8802e01e67c16838c292da5650f",
+        "im_stieltjes sub-microscopic": "66858fa2128fb624b1e279ffa8bb82916e46f25beb7018dd2557d350ac8e7da3",
+        "scale_sweep": "dbcb47d0bb1e2fb01489f0fbc139d4237db469d67c15ce0007971231815cb6df",
+        "spacing": "a7c99e85004e9e7d5b0c1fca7708876925d6fe526e103302acde2b8f0bfe275c",
+        "spacing n=1,3": "7808a006971487dcd38be6f09333aafcadfc149c17c1ef5334894a5dfefbedfa",
+        "wegner": "0b89bcfe07645fecd52a29a343119c9adc680e88eeadfb728c75ac992b8a8bf0",
+    },
+}
+
 ARGV = {
     "check": ["check"],
     "diagnostics n=64": ["diagnostics", "--n", "64"],
@@ -97,9 +130,19 @@ COMMANDS = {
 }
 
 
+def result(name: str):
+    """The result of a ``SPECS`` kind or an ``EDGES`` spec."""
+    spec = EDGES[name] if name in EDGES else dict(SPECS[name], kind=name, samples=SAMPLES, seed=11)
+    return run_experiment(ExperimentSpec.from_json(spec))
+
+
 def csv_digest(kind: str) -> str:
-    spec = ExperimentSpec.from_json(dict(SPECS[kind], kind=kind, samples=SAMPLES, seed=11))
-    return hashlib.sha256(run_experiment(spec).to_csv().encode()).hexdigest()
+    return hashlib.sha256(result(kind).to_csv().encode()).hexdigest()
+
+
+def json_digest(res) -> str:
+    record = {k: v for k, v in res.to_json().items() if k != "wall_time_s"}
+    return hashlib.sha256(json.dumps(record, sort_keys=True, allow_nan=False).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
@@ -108,6 +151,17 @@ def test_csv_bytes_match_pinned_digest(kind):
     if key not in GOLDEN:
         pytest.skip(f"no digests pinned for build {key!r}")
     assert csv_digest(kind) == GOLDEN[key][kind]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS) + sorted(EDGES))
+def test_json_bytes_match_pinned_digest(name):
+    res = result(name)
+    # a dict shared by two rows would carry an edit of one row into the other
+    assert len({id(row.extras) for row in res.rows}) == len(res.rows)
+    key = environment.build_key(environment.record())
+    if key not in JSON:
+        pytest.skip(f"no digests pinned for build {key!r}")
+    assert json_digest(res) == JSON[key][name]
 
 
 def stdout_digest(name: str) -> str:
@@ -128,4 +182,6 @@ def test_command_stdout_matches_pinned_digest(name):
 if __name__ == "__main__":
     key = environment.build_key(environment.record())
     print(json.dumps({key: {kind: csv_digest(kind) for kind in sorted(SPECS)}}, indent=1))
+    names = sorted(SPECS) + sorted(EDGES)
+    print(json.dumps({key: {name: json_digest(result(name)) for name in names}}, indent=1))
     print(json.dumps({key: {name: stdout_digest(name) for name in sorted(ARGV)}}, indent=1))

@@ -78,6 +78,25 @@ def test_only_one_function_draws_from_the_streams():
     assert drawers == {"ensembles._StreamStack._write"}
 
 
+def test_only_run_experiment_numbers_and_samples_cells():
+    # run_experiment's cell loop is the one place that numbers cells and
+    # hands out the worker count; a kind that called _chunk_stats itself, or
+    # took ``workers``, would fork the stream numbering of the reproducibility
+    # contract
+    path = Path(__file__).resolve().parents[1] / "src" / "wignerlab" / "experiments.py"
+    callers, takers = [], set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_chunk_stats":
+                callers.append(top.name)
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if "workers" in {arg.arg for arg in args}:
+                    takers.add(getattr(node, "name", "<lambda>"))
+    assert callers == ["run_experiment"]
+    assert takers == {"_chunk_stats", "run_experiment"}
+
+
 def test_only_the_element_writer_builds_svg_markup():
     # svgplot._tag owns the attribute, number and escaping rules of every
     # element; render_plot writes only the root <svg ...> and its close.
