@@ -27,7 +27,7 @@ import numpy as np
 
 from .eigensolver import eigh
 from .ensembles import HermitianMatrix, minor
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _integer
 
 __all__ = [
     "GOOD_EVENT_COUNT",
@@ -86,7 +86,7 @@ def schur_resolvent_residual(matrix: HermitianMatrix, j: int, z: complex) -> flo
     if not z.imag > 0.0:
         raise DomainError(f"resolvent comparison needs Im z > 0, got z = {z}")
     _require_single(matrix)
-    if not 0 <= j < matrix.n:
+    if not 0 <= _integer(j, "row index") < matrix.n:
         raise DomainError(f"row index must lie in [0, {matrix.n}), got {j}")
     dense = matrix.dense()
     n = matrix.n

@@ -37,7 +37,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .distributions import DistributionSpec, gaussian_diag, gaussian_off
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, _integer
 from .seeding import SeedSpec
 
 __all__ = ["HermitianMatrix", "minor", "sample_wigner", "sample_gue"]
@@ -66,7 +66,7 @@ class HermitianMatrix:
 
     def __post_init__(self) -> None:
         self.array = np.array(self.array, dtype=np.complex128)
-        if self.n < 1:
+        if _integer(self.n, "matrix dimension") < 1:
             raise DomainError(f"matrix dimension must be at least 1, got {self.n}")
         if self.array.shape[-2:] != (self.n, self.n):
             raise DomainError(f"array must have shape (..., {self.n}, {self.n}), got {self.array.shape}")
@@ -176,7 +176,7 @@ def minor(matrix: HermitianMatrix, j: int) -> HermitianMatrix:
     gives the stack of minors.
     """
     n = matrix.n
-    if not 0 <= j < n:
+    if not 0 <= _integer(j, "minor index") < n:
         raise DomainError(f"minor index must lie in [0, {n}), got {j}")
     if n == 1:
         raise DomainError("a 1 x 1 matrix has no proper minor")
@@ -231,7 +231,7 @@ def sample_wigner(
     ``b`` of the returned ``(len(seed),)`` stack is drawn from ``seed[b]``
     and equals the single-seed sample bit for bit.
     """
-    if n < 1:
+    if _integer(n, "matrix dimension") < 1:
         raise DomainError(f"matrix dimension must be at least 1, got {n}")
     if off_dist.role != "off_diagonal":
         raise ConfigurationError(

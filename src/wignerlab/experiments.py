@@ -20,37 +20,32 @@ Samples run in chunks.  A chunk of ``B`` samples is one stack, a
 each matrix is drawn from its own stream, straight into LAPACK's input (as
 the minor without row and column 0 where the kind needs minors), and the
 stack is diagonalised with one call, giving a ``(B, N)`` array of
-eigenvalues.  ``B`` is set by one byte budget per run for the dense ``(B,
-N, N)`` stacks of the chunks in flight (see :func:`_chunk_depth`).  The
-observables are evaluated on the whole chunk as ``(B, P, N)`` array
-expressions, which keeps their temporaries small.  The bytes do not depend
-on ``B``.
+eigenvalues.  The observables are evaluated on the whole chunk as ``(B, P,
+N)`` array expressions, which keeps their temporaries small.
 
-Each chunk is one task: it is drawn, diagonalised and reduced to its
-observables in one go.  Up to ``N = 128`` each task runs on one OpenBLAS
-thread, and from 16 rows a pool of :func:`worker_count` threads runs that
-many tasks at once, statistic included; the calling thread only gathers
-the results in chunk order.  The comments at
-``eigensolver._ONE_BLAS_THREAD_MAX_N`` and ``_GIL_FREE_SIZE`` give the
-measurements behind both limits.  Other sizes, and builds whose BLAS thread
-count cannot be set, run the chunks serially.  The bytes do not depend on
-the worker count either.
+The chunk plan is :func:`_chunk_stats`, which pools a cell's chunks or runs
+them serially, and :func:`_chunk_depth`, which sets ``B`` from the chunks in
+flight by two rules: the stack budget (``_STACK_BYTES``) and, for pooled
+chunks only, the GIL-free floor (``_GIL_FREE_SIZE``).  Each chunk is one
+task, drawn, diagonalised and reduced to its observables in one go, so a
+pool thread carries a chunk from draw to statistic.  The comment at
+``eigensolver._ONE_BLAS_THREAD_MAX_N`` gives the measurements behind the
+pool's upper size limit.  The bytes depend neither on ``B`` nor on the
+worker count.
 
 Serial and pooled chunks handle memory alike: each allocates its own
-arrays and frees them when it is done.  The chunks in flight share one
-stack budget per run, so a pooled chunk gets ``1 / workers`` of the budget
-of a serial one, or the GIL-free floor's depth where that is larger, and
-each worker does not add a whole serial chunk to the peak (see
-``_STACK_BYTES``).  A chunk allocates the LAPACK input
-(``16 B N^2`` bytes), which from ``N = 129`` LAPACK diagonalises in place,
-and draws its streams straight into it, one piece at a time (see
-:mod:`~wignerlab.ensembles`).  No second copy of the stack, of a minor
-or of a raw draw is built, so a chunk's memory peaks at the LAPACK input
-plus one piece (at most ``B * 128`` KiB for Gaussian laws, a whole part of
-the stream for others), or, once the piece is freed, plus ``zheevd``'s
-workspace (270 KB at N = 512), from the first chunk on.  The allocator hands what one
-chunk freed to the next, so a warm serial ``spacing`` cell faults 0.7, 0.3
-and 1.0 pages per matrix at N = 200, 256 and 512.
+arrays and frees them when it is done, and with one budget for the
+chunks in flight a worker does not add a whole serial chunk to the peak.
+A chunk allocates the LAPACK input (``16 B N^2`` bytes), which from
+``N = 129`` LAPACK diagonalises in place, and draws its streams straight
+into it, one piece at a time (see :mod:`~wignerlab.ensembles`).  No second
+copy of the stack, of a minor or of a raw draw is built, so a chunk's
+memory peaks at the LAPACK input plus one piece (at most ``B * 128`` KiB
+for Gaussian laws, a whole part of the stream for others), or, once the
+piece is freed, plus ``zheevd``'s workspace (270 KB at N = 512), from the
+first chunk on.  The allocator hands what one chunk freed to the next, so
+a warm serial ``spacing`` cell faults 0.7, 0.3 and 1.0 pages per matrix at
+N = 200, 256 and 512.
 
 Kinds and core: ``_KINDS`` declares each kind once, with its step builder,
 the spec fields of ``energy``, ``kappa`` and ``eta`` it reads, and its
@@ -115,31 +110,30 @@ __all__ = [
 # eta schedule kind -> (power of n it divides the coefficient by, label suffix)
 _ETA_KINDS = {"const": (0, ""), "over_n": (1, "/N"), "over_n32": (1.5, "/N^1.5")}
 
-# The dense (B, N, N) complex stacks of the chunks in flight share one
-# budget of 1 MiB per run: serially B = 16 at N = 64, 4 at N = 128 and 1
-# from N = 256; pooled, B = 8 at N = 64 (half the budget at two workers,
-# the GIL-free floor below from four).  With a budget per chunk, peak RSS
-# grew by a whole chunk per worker (grid-n64: 40.2 MB at one worker,
-# 58.5 MB at eight; 47.8 MB with one budget per run).  At N = 128, 2
-# and 4 MiB stacks ran at most a few percent faster, inside the run-to-run
+# The stack budget: the dense (B, size, size) complex stacks that LAPACK
+# gets from the chunks in flight share 1 MiB per run, size being N - 1 for
+# minors.  Serially that is B = 16 at N = 64, 4 at N = 128 and 1 from
+# N = 256; at two workers, B = 8 at N = 64.  With a budget per chunk, peak
+# RSS grew by a whole chunk per worker (grid-n64: 40.2 MB at one worker,
+# 58.5 MB at eight; 47.8 MB with one budget per run).  At N = 128, 2 and
+# 4 MiB stacks ran at most a few percent faster, inside the run-to-run
 # spread, but added 2.4 and 7.5 MB to a 44.6 MB peak RSS.
 _STACK_BYTES = 2**20
 _MAX_CHUNK = 32
 
-# numpy's stacked ``eigvalsh`` releases the GIL only when B * N exceeds this,
-# so smaller chunks would serialise on the GIL and the pool would only add
-# overhead: on two cores two threads ran 0.8-0.9x as fast as one at N = 64,
-# B = 7 and 1.5-2.1x at B = 8.  For matrices of 16 to 128 rows the stack
-# budget above gives B * N > 500 except at N = 115-125 (B = 4, B * N =
-# 460-500), so up to ``_ONE_BLAS_THREAD_MAX_N`` the depth is raised to the
-# smallest B with B * size > 500, size being that of the diagonalised
-# matrices: 5 at N = 115-125 and for the minors of N = 115-126, 4 for the
-# minors of N = 129; N = 64, 127 and 128 keep theirs.  At N = 120 that took
-# dos from 302 to 632 matrices/s on two cores.  Below 16 rows the floor would
-# pass ``_MAX_CHUNK``: pooled chunks of 34-501 matrices ran dos at N = 2 and 8
-# at 0.5-0.7x the serial speed.  So a cell is pooled where the BLAS thread
-# count can be set and ``_MAX_CHUNK * size > _GIL_FREE_SIZE``, that is for
-# 16 to 128 rows; other sizes run serially.
+# The GIL-free floor: numpy's stacked ``eigvalsh`` releases the GIL only
+# when B * size exceeds this, so smaller pooled chunks would serialise on
+# the GIL and the pool would only add overhead: on two cores two threads
+# ran 0.8-0.9x as fast as one at N = 64, B = 7 and 1.5-2.1x at B = 8.  So a
+# pooled chunk holds at least the smallest B with B * size > 500, even past
+# its share of the stack budget.  The floor sets the depth at every size
+# from 65 rows at two workers (B = 7 at N = 72, 5 at N = 120), from 33 at
+# four and from 17 at eight.  Raising B from 4 to 5 at N = 120 took dos
+# from 302 to 632 matrices/s on two cores.  A serial chunk has no other
+# thread to release the GIL for and keeps to the budget.  Below 16 rows the
+# floor would pass ``_MAX_CHUNK``: pooled chunks of 34-501 matrices ran dos
+# at N = 2 and 8 at 0.5-0.7x the serial speed, so those sizes run serially
+# (see :func:`_chunk_stats`).
 _GIL_FREE_SIZE = 500
 
 SUBMICRO_THRESHOLD = 0.05
@@ -390,14 +384,12 @@ def worker_count(requested: Optional[int] = None) -> int:
 
     The default is one per CPU the process may run on.  Both the default
     and a request are cut to 8, so no run starts more pool threads.  Only
-    sizes up to ``_ONE_BLAS_THREAD_MAX_N`` use more than one: there each
-    chunk is drawn, diagonalised on one BLAS thread and reduced by its own
-    pool task, so a pool of this many threads fills the cores instead of
-    oversubscribing them.  The chunks in flight share the run's one stack
-    budget, so more workers means smaller chunks, down to the GIL-free
-    floor (see :func:`_chunk_depth`), not more memory per worker.  Larger
-    matrices run serially on OpenBLAS's own threads.  The result does not
-    depend on this count.
+    pooled cells (see :func:`_chunk_stats`) use more than one: there each
+    chunk runs on one BLAS thread, so a pool of this many threads fills the
+    cores instead of oversubscribing them.  More workers share the run's
+    one stack budget, so they make smaller chunks, not more memory per
+    worker (see :func:`_chunk_depth`).  The result does not depend on this
+    count.
     """
     if requested is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -431,19 +423,13 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / m)
 
 
-def _chunk_depth(n: int, size: Optional[int] = None, in_flight: int = 1) -> int:
-    """Matrices per chunk at size ``n`` when ``in_flight`` chunks run at
-    once: as many ``16 n^2``-byte dense matrices as fit in that share of
-    ``_STACK_BYTES``, between 1 and ``_MAX_CHUNK``, so the run's stacks
-    together stay within the one budget.  Where the diagonalised matrices
-    (``size``, by default ``n``; ``n - 1`` for minors) have at most
-    ``_ONE_BLAS_THREAD_MAX_N`` rows, at least as many as make ``B * size``
-    exceed ``_GIL_FREE_SIZE``, up to ``_MAX_CHUNK``."""
-    depth = max(1, min(_MAX_CHUNK, _STACK_BYTES // (in_flight * 16 * n * n)))
-    size = n if size is None else size
-    if size <= _ONE_BLAS_THREAD_MAX_N:
-        depth = max(depth, min(_MAX_CHUNK, _GIL_FREE_SIZE // size + 1))
-    return depth
+def _chunk_depth(size: int, in_flight: int) -> int:
+    """Matrices per chunk of ``size``-row matrices when ``in_flight`` chunks
+    run at once: their share of the stack budget (``_STACK_BYTES``), at
+    least one matrix, or for pooled chunks the GIL-free floor
+    (``_GIL_FREE_SIZE``), and at most ``_MAX_CHUNK``."""
+    floor = _GIL_FREE_SIZE // size + 1 if in_flight > 1 else 1
+    return min(_MAX_CHUNK, max(floor, _STACK_BYTES // (in_flight * 16 * size * size)))
 
 
 def _chunk_stats(
@@ -462,14 +448,18 @@ def _chunk_stats(
     sample ``lo + b``, drawn from stream ``(seed, cell * samples + lo + b)``
     straight into LAPACK's input.  A chunk is one task: it builds the
     :class:`~wignerlab.ensembles._StreamStack` of its own stream range, draws
-    and diagonalises it, then applies ``stat``.  Up to ``N =
-    _ONE_BLAS_THREAD_MAX_N`` the tasks run on one BLAS thread each, and on a
-    pool of ``workers`` threads where the chunks can release the GIL (see
-    ``_GIL_FREE_SIZE``); the calling thread then only gathers the results in
-    chunk order, so ``stat`` must not write shared state.  The chunks in
-    flight share one stack budget (see :func:`_chunk_depth`).
-    Only the calling thread sets the BLAS thread count, and the pool is shut
-    down before it is restored.
+    and diagonalises it, then applies ``stat``.
+
+    The pool rule: up to ``_ONE_BLAS_THREAD_MAX_N`` rows (``n - 1`` for
+    minors) the tasks run on one BLAS thread each, and where that thread
+    count could be set and a chunk of ``_MAX_CHUNK`` clears the GIL-free
+    floor (``_GIL_FREE_SIZE``), that is from 16 rows, ``workers`` of them
+    run at once on a pool.  The calling thread then only gathers the
+    results in chunk order, so ``stat`` must not write shared state.  Every
+    other cell runs one chunk at a time, above ``_ONE_BLAS_THREAD_MAX_N``
+    rows on OpenBLAS's own threads.  :func:`_chunk_depth` sizes the chunks
+    for the number in flight.  Only the calling thread sets the BLAS thread
+    count, and the pool is shut down before it is restored.
     """
     m = spec.samples
     size = n - 1 if drop_row else n
@@ -481,7 +471,7 @@ def _chunk_stats(
 
     with one_blas_thread() if size <= _ONE_BLAS_THREAD_MAX_N else nullcontext(False) as pinned:
         in_flight = workers if pinned and _MAX_CHUNK * size > _GIL_FREE_SIZE else 1
-        depth = _chunk_depth(n, size, in_flight)
+        depth = _chunk_depth(size, in_flight)
         chunks = [range(first + lo, first + min(lo + depth, m)) for lo in range(0, m, depth)]
         if in_flight == 1:
             return [value for indices in chunks for value in task(indices)]

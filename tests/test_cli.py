@@ -818,5 +818,10 @@ def test_render_plot_rejects_empty():
         render_plot([])
     with pytest.raises(DomainError):
         render_plot([Series("s", [], [])])
+    # finite points whose axis range, padded, overflows to inf
+    for x, y, yerr in (([1, 2], [1e308, -1e308], []), ([1, 2], [0.0, 1.79e308], []),
+                       ([1], [1.7e308], []), ([-1e308, 1e308], [1, 2], []), ([1], [0.0], [1.7e308])):
+        with pytest.raises(DomainError, match="nothing to plot"):
+            render_plot([Series("a", x, y, yerr)])
     with pytest.raises(DomainError):
         Series("s", [1.0], [1.0, 2.0])

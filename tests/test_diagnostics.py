@@ -8,6 +8,7 @@ import pytest
 
 from wignerlab import (
     GOOD_EVENT_COUNT,
+    ConfigurationError,
     DomainError,
     SeedSpec,
     coefficients,
@@ -219,6 +220,17 @@ def test_schur_residual_requires_upper_half_plane():
 def test_overlaps_minimum_dimension():
     with pytest.raises(DomainError):
         overlaps(sample_gue(1, SeedSpec(45)), 0)
+
+
+@pytest.mark.parametrize("j", [1.0, True])
+def test_removed_row_must_be_an_integer(j):
+    m = sample_gue(6, SeedSpec(45))
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        overlaps(m, j)
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        minor_diagnostics(m, j, 0.0, 1.0)
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        schur_resolvent_residual(m, j, 0.1j)
 
 
 def test_selected_coefficient_chains():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wignerlab import (
+    ConfigurationError,
     DomainError,
     HermitianMatrix,
     NumericError,
@@ -94,6 +95,9 @@ def test_minor_validation():
         minor(m, 4)
     with pytest.raises(DomainError):
         minor(sample_gue(1, SeedSpec(9)), 0)
+    for j in (1.0, True):
+        with pytest.raises(ConfigurationError, match="minor index must be an integer"):
+            minor(m, j)
 
 
 @pytest.mark.parametrize("trial", range(6))

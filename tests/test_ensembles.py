@@ -107,6 +107,11 @@ def test_role_validation():
         sample_wigner(8, gaussian_off(), gaussian_off(), SeedSpec(0))
     with pytest.raises(DomainError):
         sample_wigner(0, gaussian_off(), gaussian_diag(), SeedSpec(0))
+    for n in (True, 4.0):
+        with pytest.raises(ConfigurationError, match="matrix dimension must be an integer"):
+            sample_wigner(n, gaussian_off(), gaussian_diag(), SeedSpec(1))
+    with pytest.raises(ConfigurationError, match="matrix dimension must be an integer"):
+        sample_gue(3.0, SeedSpec(1))
 
 
 def test_non_gaussian_ensembles_sample():
@@ -152,6 +157,10 @@ def test_hermitian_matrix_shape_validation():
         HermitianMatrix(n=3, array=np.zeros(9))
     with pytest.raises(DomainError):
         HermitianMatrix(n=0, array=np.zeros((0, 0)))
+    # the size follows the package's number rule: no float, no bool
+    for n, array in ((2.0, np.eye(2)), (True, np.eye(1))):
+        with pytest.raises(ConfigurationError, match="matrix dimension must be an integer"):
+            HermitianMatrix(n=n, array=array)
     # the dense form holds both triangles, so a stack must be exactly Hermitian
     with pytest.raises(DomainError, match="not exactly Hermitian"):
         HermitianMatrix(n=2, array=np.array([np.eye(2), [[0.0, 1.0], [0.5, 0.0]]]))

@@ -756,47 +756,53 @@ CHUNK_SPECS = {
 
 @pytest.mark.parametrize("kind", sorted(CHUNK_SPECS))
 def test_csv_bytes_do_not_depend_on_chunk_depth(kind, monkeypatch):
-    # 37 samples at N = 16 and 72: the default chunks hold 32 and 12 matrices,
-    # so chunk boundaries fall mid-cell; at N = 130 LAPACK runs in place on
-    # stacks of 3 (3 minors of 129 rows for delta_moments); a one-byte budget
-    # with no GIL-free floor gives one matrix per chunk
+    # 37 samples at N = 16 and 72: serial chunks hold 32 and 12 matrices (32
+    # and 13 minors for delta_moments), so chunk boundaries fall mid-cell; at
+    # N = 130 LAPACK runs in place on stacks of 3 (3 minors of 129 rows for
+    # delta_moments); a one-byte budget with no GIL-free floor gives one
+    # matrix per chunk, serial or pooled
     spec = ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[16, 72, 130],
                                          samples=37, seed=23))
-    assert [experiments._chunk_depth(n) for n in spec.n] == [32, 12, 3]
-    assert experiments._chunk_depth(130, 129) == 3
+    assert [experiments._chunk_depth(n, 1) for n in spec.n] == [32, 12, 3]
+    assert [experiments._chunk_depth(n - 1, 1) for n in spec.n] == [32, 13, 3]
     default = run_experiment(spec).to_csv()
     monkeypatch.setattr(experiments, "_STACK_BYTES", 1)
     monkeypatch.setattr(experiments, "_GIL_FREE_SIZE", 0)
-    assert [experiments._chunk_depth(n) for n in spec.n] == [1, 1, 1]
+    assert [experiments._chunk_depth(n, w) for n in spec.n for w in (1, 2)] == [1] * 6
     assert run_experiment(spec).to_csv() == default
 
 
 def test_chunk_depth_releases_the_gil_up_to_n_128():
-    # the 1 MiB budget alone gives B = 4 at N = 115-125, B * N <= 500
     depth = experiments._chunk_depth
-    assert [depth(n) for n in (16, 64, 114, 115, 120, 125, 126, 127, 128)] == [
-        32, 16, 5, 5, 5, 5, 4, 4, 4]
-    assert [depth(n) for n in (129, 160, 256, 512)] == [3, 2, 1, 1]
-    assert [depth(n, n - 1) for n in (116, 126, 127, 128)] == [5, 5, 4, 4]
-    for n in range(16, experiments._ONE_BLAS_THREAD_MAX_N + 1):
-        for in_flight in (1, 2, 8):
-            assert depth(n, n, in_flight) * n > experiments._GIL_FREE_SIZE
-            assert depth(n + 1, n, in_flight) * n > experiments._GIL_FREE_SIZE
-    # below N = 16 the floor would pass _MAX_CHUNK, and those sizes stay serial
-    assert depth(8) == depth(8, 7) == experiments._MAX_CHUNK
+    # a serial chunk keeps to the 1 MiB budget wherever one matrix fits it:
+    # B = 4 at N = 115-128, B * N <= 500, since no other thread waits on it
+    assert [depth(n, 1) for n in (16, 64, 114, 115, 120, 125, 126, 127, 128)] == [
+        32, 16, 5, 4, 4, 4, 4, 4, 4]
+    assert [depth(n, 1) for n in (129, 160, 256, 512)] == [3, 2, 1, 1]
+    for size in range(1, 513):
+        if 16 * size * size <= experiments._STACK_BYTES:
+            assert 16 * size * size * depth(size, 1) <= experiments._STACK_BYTES
+    # a pooled chunk keeps the GIL-free floor, B * size > 500, past its
+    # share of the budget: 5 at 115-125 rows
+    assert [depth(n, 2) for n in (114, 115, 120, 125, 126, 127, 128)] == [5, 5, 5, 5, 4, 4, 4]
+    for size in range(16, experiments._ONE_BLAS_THREAD_MAX_N + 1):
+        for in_flight in (2, 8):
+            assert depth(size, in_flight) * size > experiments._GIL_FREE_SIZE
+    # below 16 rows the floor would pass _MAX_CHUNK, and those sizes stay serial
+    assert depth(8, 1) == depth(7, 1) == experiments._MAX_CHUNK
     # the chunks in flight split one budget, then the floor applies: 11
     # matrices at N = 48, 8 at N = 64 and 7 at N = 72
-    assert [depth(48, 48, w) for w in (1, 2, 4, 8)] == [28, 14, 11, 11]
-    assert [depth(64, 64, w) for w in (1, 2, 4, 8)] == [16, 8, 8, 8]
-    assert [depth(72, 72, w) for w in (1, 2, 4, 8)] == [12, 7, 7, 7]
-    assert [depth(128, 127, w) for w in (1, 2, 8)] == [4, 4, 4]
-    assert [depth(512, 512, w) for w in (1, 2, 8)] == [1, 1, 1]
+    assert [depth(48, w) for w in (1, 2, 4, 8)] == [28, 14, 11, 11]
+    assert [depth(64, w) for w in (1, 2, 4, 8)] == [16, 8, 8, 8]
+    assert [depth(72, w) for w in (1, 2, 4, 8)] == [12, 7, 7, 7]
+    assert [depth(127, w) for w in (1, 2, 8)] == [4, 4, 4]
+    assert depth(512, 1) == 1
 
 
 def _chunk_spec(kind):
-    # 37 samples at N = 16 and 72: serial chunks of 32 and 12 matrices (also
-    # for the delta_moments minors), B * N above the size at which the pool
-    # is used; pooled, the N = 72 chunks hold 7 matrices (8 minors)
+    # 37 samples at N = 16 and 72: serial chunks of 32 and 12 matrices (32
+    # and 13 minors for delta_moments), B * N above the size at which the
+    # pool is used; pooled, the N = 72 chunks hold 7 matrices (8 minors)
     return ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[16, 72], samples=37,
                                          seed=29))
 
@@ -929,7 +935,7 @@ def test_failed_chunk_cancels_queued_chunks(monkeypatch, blas_threads):
     # 28 chunks of 7 matrices at N = 72, all pooled, 2 in flight
     spec = ExperimentSpec.from_json(dict(CHUNK_SPECS["dos"], kind="dos", n=[72], samples=192,
                                          seed=31))
-    chunks = -(-spec.samples // experiments._chunk_depth(72, 72, 2))
+    chunks = -(-spec.samples // experiments._chunk_depth(72, 2))
     assert chunks >= 8
     calls: list = []
     monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(calls, fail_at=3))

@@ -97,6 +97,24 @@ def test_only_run_experiment_numbers_and_samples_cells():
     assert takers == {"_chunk_stats", "run_experiment"}
 
 
+def test_only_the_chunk_plan_reads_its_limits():
+    # _chunk_stats decides whether a cell is pooled and _chunk_depth sizes
+    # its chunks; a third reader of these limits would be a second plan
+    path = Path(__file__).resolve().parents[1] / "src" / "wignerlab" / "experiments.py"
+    limits = {"_ONE_BLAS_THREAD_MAX_N", "_STACK_BYTES", "_MAX_CHUNK", "_GIL_FREE_SIZE"}
+    readers = {name: set() for name in limits}
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in limits:
+                readers[node.id].add(getattr(top, "name", "experiments"))
+    assert readers == {
+        "_ONE_BLAS_THREAD_MAX_N": {"_chunk_stats"},
+        "_STACK_BYTES": {"_chunk_depth"},
+        "_MAX_CHUNK": {"_chunk_depth", "_chunk_stats"},
+        "_GIL_FREE_SIZE": {"_chunk_depth", "_chunk_stats"},
+    }
+
+
 def test_only_the_element_writer_builds_svg_markup():
     # svgplot._tag owns the attribute, number and escaping rules of every
     # element; render_plot writes only the root <svg ...> and its close.
@@ -178,3 +196,30 @@ def test_every_exported_name_is_used():
             # a name used only inside its own definition is not used
             loaded |= names - {getattr(top, "name", None)}
     assert sorted(set(wignerlab.__all__) - loaded - UNCALLED_EXPORTS.keys()) == []
+
+
+def code_lines(text: str) -> int:
+    """Code lines of a module's source: non-blank lines that are neither
+    comments nor docstrings.  ``PYTHONPATH=src python tests/test_package.py``
+    prints them for each module of the package, and their total."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(1 for number, line in enumerate(text.splitlines(), 1)
+               if line.strip() and not line.strip().startswith("#") and number not in docstrings)
+
+
+def test_code_lines_count_neither_blanks_comments_nor_docstrings():
+    text = ('"""Module\ndocstring."""\n\n# a comment\nx = 1  # counted\n\n\ndef f():\n'
+            '    """Docstring."""\n    s = """not a\n    docstring"""\n    return s\n')
+    assert code_lines(text) == 5
+
+
+if __name__ == "__main__":
+    root = Path(__file__).resolve().parents[1] / "src" / "wignerlab"
+    counts = {path.name: code_lines(path.read_text()) for path in sorted(root.glob("*.py"))}
+    for name, lines in counts.items():
+        print(f"{name:20} {lines:5}")
+    print(f"{'total':20} {sum(counts.values()):5}")
