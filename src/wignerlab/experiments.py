@@ -127,10 +127,14 @@ _MAX_CHUNK = 32
 # ran 0.8-0.9x as fast as one at N = 64, B = 7 and 1.5-2.1x at B = 8.  So a
 # pooled chunk holds at least the smallest B with B * size > 500, even past
 # its share of the stack budget.  The floor sets the depth at every size
-# from 65 rows at two workers (B = 7 at N = 72, 5 at N = 120), from 33 at
-# four and from 17 at eight.  Raising B from 4 to 5 at N = 120 took dos
-# from 302 to 632 matrices/s on two cores.  A serial chunk has no other
-# thread to release the GIL for and keeps to the budget.  Below 16 rows the
+# from 61 rows at two workers but 63 and 64, where both rules give B = 8
+# (B = 7 at N = 72, 5 at N = 120), from 33 at four and from 17 at eight.
+# Raising B from 4 to 5 at N = 120 took pooled dos from 302 to 632
+# matrices/s on two cores.  A serial chunk has no other thread to release
+# the GIL for and keeps to the budget; serially on two Xeon cores, dos at
+# N = 120 ran 523 matrices/s at B = 4 and 538 at B = 5, delta_moments at
+# N = 72 707 at 12 minors and 699 at 13 (medians of 20 alternating runs,
+# each inside the other's quartile spread of 9-15%).  Below 16 rows the
 # floor would pass ``_MAX_CHUNK``: pooled chunks of 34-501 matrices ran dos
 # at N = 2 and 8 at 0.5-0.7x the serial speed, so those sizes run serially
 # (see :func:`_chunk_stats`).

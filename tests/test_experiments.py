@@ -796,7 +796,7 @@ def test_chunk_depth_releases_the_gil_up_to_n_128():
     assert [depth(64, w) for w in (1, 2, 4, 8)] == [16, 8, 8, 8]
     assert [depth(72, w) for w in (1, 2, 4, 8)] == [12, 7, 7, 7]
     assert [depth(127, w) for w in (1, 2, 8)] == [4, 4, 4]
-    assert depth(512, 1) == 1
+    assert [depth(512, w) for w in (1, 2, 8)] == [1, 1, 1]
 
 
 def _chunk_spec(kind):
