@@ -14,11 +14,21 @@ Both take a :class:`~wignerlab.ensembles.HermitianMatrix`, which may be a
 stack with batch axes; row ``b`` of a stacked result equals the
 single-matrix result for matrix ``b``.
 
-For matrices of more than ``_ONE_BLAS_THREAD_MAX_N`` rows :func:`eigvalsh`
-calls the ``zheevd`` of numpy's bundled OpenBLAS in place on its own
-LAPACK input, where numpy would first copy that ``16 n^2``-byte input;
-the eigenvalue bytes are numpy's.  Smaller matrices, and builds without
-that OpenBLAS, go through :func:`numpy.linalg.eigvalsh`.
+The LAPACK input of :func:`eigvalsh` is ``matrix.dense(lapack=True)``:
+``dense()`` with its C lower triangle possibly unwritten, so that only its
+diagonal and C upper triangle hold the matrix.  LAPACK reads an array in
+column order, and read so, the C upper triangle is the lower triangle of
+the conjugate matrix, which has the same eigenvalues.  Conjugation only
+flips signs, and IEEE round-to-nearest is symmetric under sign flips, so
+``zheevd('N', 'L')`` on that lower triangle returns the bytes of
+``numpy.linalg.eigvalsh(matrix.dense())``.  For matrices of more than
+``_ONE_BLAS_THREAD_MAX_N`` rows :func:`eigvalsh` calls the ``zheevd`` of
+numpy's bundled OpenBLAS in place on the input, where numpy would first
+copy those ``16 n^2`` bytes.  Smaller matrices, and builds without that
+OpenBLAS, go through :func:`numpy.linalg.eigvalsh` on the input's
+transpose view, whose C lower triangle is that same column-order read.
+Numpy's ``UPLO="U"`` on the input itself would run ``zheevd('U')``, which
+reduces in another order and so gives other bytes.
 :func:`one_blas_thread` runs a block with that OpenBLAS on one thread, so
 that callers can diagonalise several small stacks at once without each
 LAPACK call also spreading over every core.  Both read one cached
@@ -82,52 +92,51 @@ def eigvalsh(matrix: HermitianMatrix) -> np.ndarray:
     runs.  The stacks of :mod:`~wignerlab.experiments` store no matrix:
     their ``dense`` draws the streams straight into the LAPACK input, so
     LAPACK runs with nothing of the chunk alive but that input.  The
-    LAPACK input, ``matrix.dense(lapack=True)``, never leaves this function
-    (see :func:`_lapack_eigvalsh`).
+    LAPACK input, ``matrix.dense(lapack=True)`` (see the module docstring),
+    never leaves this function.
     """
-    n, lower = matrix.n, matrix.dense(lapack=True)
+    n, a = matrix.n, matrix.dense(lapack=True)
     del matrix
     try:
-        return _lapack_eigvalsh(lower)
+        return _lapack_eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue computation failed for n={n}: {exc}") from exc
 
 
-def _lapack_eigvalsh(lower: np.ndarray) -> np.ndarray:
-    """Eigenvalues, as a new array, of the C-ordered stack ``lower`` that
-    holds each matrix's lower triangle in LAPACK's column order.
+def _lapack_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues, as a new array, of the C-ordered LAPACK input ``a``,
+    read as the module docstring says.
 
     Above ``_ONE_BLAS_THREAD_MAX_N`` rows each matrix goes to ``zheevd('N',
-    'L')`` in place, overwriting ``lower``, with numpy's workspace sizes;
+    'L')`` in place, overwriting ``a``, with numpy's workspace sizes;
     otherwise, or without the bundled ``zheevd``, numpy copies the
-    transpose for LAPACK.  Both give numpy's bytes.
+    transpose view for LAPACK.  Both give numpy's bytes.
     """
-    n = lower.shape[-1]
+    n = a.shape[-1]
     found = _bundled() if n > _ONE_BLAS_THREAD_MAX_N else None
     if found is None:
-        # the transpose's lower triangle is the matrix's; numpy reads only it
-        return np.linalg.eigvalsh(lower.mT)
+        return np.linalg.eigvalsh(a.mT)
     # zheevd writes through raw pointers: only a C-ordered complex128 stack
     # of square matrices may reach it
-    if lower.dtype != np.complex128 or not lower.flags.c_contiguous or lower.shape[-2] != n:
+    if a.dtype != np.complex128 or not a.flags.c_contiguous or a.shape[-2] != n:
         raise TypeError(f"in-place zheevd needs a C-ordered complex128 (..., {n}, {n}) stack, "
-                        f"got {lower.dtype} {lower.shape}")
+                        f"got {a.dtype} {a.shape}")
     from ctypes import c_int64
 
     zheevd = found[2]
-    stack = lower.reshape(-1, n, n)
+    stack = a.reshape(-1, n, n)
     values = np.empty((len(stack), n))
     lwork, lrwork, liwork = _zheevd_workspace(n)
     work, rwork, iwork = np.empty(lwork, np.complex128), np.empty(lrwork), np.empty(liwork, np.int64)
     size, info = c_int64(n), c_int64()
     lwork, lrwork, liwork = c_int64(lwork), c_int64(lrwork), c_int64(liwork)
-    for a, w in zip(stack, values):
-        zheevd(b"N", b"L", size, a.ctypes.data, size, w.ctypes.data, work.ctypes.data, lwork,
+    for one, w in zip(stack, values):
+        zheevd(b"N", b"L", size, one.ctypes.data, size, w.ctypes.data, work.ctypes.data, lwork,
                rwork.ctypes.data, lrwork, iwork.ctypes.data, liwork, info)
         if info.value:
             # numpy's error for a failed zheevd
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return values.reshape(lower.shape[:-1])
+    return values.reshape(a.shape[:-1])
 
 
 @lru_cache(maxsize=16)

@@ -17,7 +17,8 @@ The stream order lives in ``_StreamStack._write``, the one function that
 plans, draws, scales and writes a stack piece by piece, one generator call
 per stream each (in a thread pool, one GIL hand-off).  A ``_StreamStack``,
 which experiments diagonalise, writes the pieces straight into LAPACK's
-input; :func:`sample_wigner` has one write them into the matrix it returns.
+input, ``dense()`` without its lower triangle; :func:`sample_wigner` has
+one write them into the matrix it returns.
 Each experiment chunk is its own ``_StreamStack``.  ``_write`` plans the
 pieces after :meth:`HermitianMatrix.dense` has allocated the target, so a
 size too large to allocate fails before anything is planned or drawn.
@@ -57,8 +58,8 @@ class HermitianMatrix:
     leading axes, ``batch_shape``, index the matrices of a stack and are
     ``()`` for a single matrix.  Entries are stored already scaled, i.e.
     including the ``1/sqrt(n)`` ensemble factor.  The constructor stores a
-    copy of ``array``, so a later edit of the caller's array cannot break
-    the symmetry it checked.
+    read-only copy of ``array``, so no later edit, of the caller's array or
+    of ``array`` itself, can break the symmetry it checked.
     """
 
     n: int
@@ -72,6 +73,7 @@ class HermitianMatrix:
             raise DomainError(f"array must have shape (..., {self.n}, {self.n}), got {self.array.shape}")
         if not np.array_equal(self.array, self.array.conj().mT):
             raise DomainError("matrix is not exactly Hermitian")
+        self.array.flags.writeable = False
 
     @property
     def batch_shape(self) -> tuple:
@@ -81,20 +83,22 @@ class HermitianMatrix:
     def dense(self, *, lapack: bool = False) -> np.ndarray:
         """The full complex matrix, ``(..., n, n)`` for a stack, as a new array.
 
-        With ``lapack`` it returns LAPACK's input instead, which only
-        :func:`~wignerlab.eigensolver.eigvalsh` asks for.  That array, read
-        in column order, holds the matrix's lower triangle: each C-order row
-        carries the real diagonal entry and, to its right, the conjugated
-        upper triangle.  Its C lower triangle is never read.
+        With ``lapack`` its lower triangle may be left unwritten: that is
+        LAPACK's input, which only :func:`~wignerlab.eigensolver.eigvalsh`
+        asks for.  A shape numpy cannot allocate raises ``MemoryError``.
         """
-        h = np.empty(self.batch_shape + (self.n, self.n), np.complex128)
+        shape = self.batch_shape + (self.n, self.n)
+        try:
+            h = np.empty(shape, np.complex128)
+        except ValueError as exc:  # numpy's "array is too big" and the like
+            raise MemoryError(f"cannot allocate a {shape} complex array: {exc}") from None
         self._write(h, lapack)
         return h
 
     def _write(self, h: np.ndarray, lapack: bool) -> None:
-        # the transpose of an exactly Hermitian matrix is its conjugate,
-        # with the diagonal's zero imaginary parts kept as they are
-        h[...] = self.array.mT if lapack else self.array
+        # ``dense()`` for both values of ``lapack``, which only lets a
+        # writer leave the lower triangle unwritten
+        h[...] = self.array
 
 
 class _StreamStack(HermitianMatrix):
@@ -118,8 +122,8 @@ class _StreamStack(HermitianMatrix):
 
     def _write(self, stack: np.ndarray, lapack: bool) -> None:
         """Draw the streams into the ``(B, n, n)`` stack: its diagonal and C
-        upper triangle, the latter conjugated with ``lapack``, else mirrored
-        into the lower one.
+        upper triangle, mirrored into the lower one unless ``lapack`` asks
+        for ``dense()`` without its lower triangle.
 
         Each stream is drawn in one order: the upper triangle's real parts in
         row-major order, its imaginary parts, then the diagonal.  A part of a
@@ -129,8 +133,8 @@ class _StreamStack(HermitianMatrix):
         law's part is one ``sample`` call, since ``sample`` draws all its
         uniforms before its normals.  The plan, :func:`_pieces`, is made here,
         after :meth:`dense` has allocated the stack.  Each value is scaled by
-        its law's factor and then by ``1/sqrt(n)``, negated for an imaginary
-        part with ``lapack``, stack-wide, and written row by row."""
+        its law's factor and then by ``1/sqrt(n)``, stack-wide, and written
+        row by row."""
         n, laws, seeds, d = self._streams
         rngs = [s.generator() for s in seeds]
         sds = [law.normal_scale for law in laws]
@@ -153,7 +157,7 @@ class _StreamStack(HermitianMatrix):
                 values = buf[:, at : at + width]
                 if sds[part] is not None:
                     values *= sds[part]
-                values *= -scale if part == 1 and lapack else scale
+                values *= scale
                 if part == 2:
                     parts[2][...] = values[:, d:]
                     continue

@@ -511,11 +511,16 @@ def test_memory_error_exits_two_with_one_line(argv, name, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["dos", "--n", "134217728", "--samples", "1", "--eta", "0.1"],
     ["diagnostics", "--n", "134217728"],
+    ["dos", "--n", "2147483648", "--samples", "1", "--eta", "0.1"],
+    ["spacing", "--n", "2147483648", "--samples", "1"],
+    ["diagnostics", "--n", "2147483648"],
+    ["spacing", "--n", "1180591620717411303424", "--samples", "1"],
 ])
 def test_an_impossible_size_fails_before_its_pieces_are_planned(argv, capsys, monkeypatch):
-    # the LAPACK input and the sampled matrix (2^58 bytes each) exceed any
-    # 64-bit user address space (at most 2^56 bytes), so their allocation
-    # fails before anything is planned or drawn
+    # the LAPACK input and the sampled matrix (2^58 bytes each at N = 2^27)
+    # exceed any 64-bit user address space (at most 2^56 bytes), so their
+    # allocation fails before anything is planned or drawn; from N = 2^31
+    # numpy refuses the shape itself, with a ValueError
     monkeypatch.setattr(ensembles_module, "_pieces", lambda *a: pytest.fail("planned"))
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -165,6 +165,17 @@ def test_in_place_eigenvalues_are_numpys(n, depth, blas_threads, monkeypatch):
     assert got == expected
 
 
+@pytest.mark.parametrize("n", [8, 64, 127, 128])
+def test_numpys_reading_of_the_lapack_input_gives_numpys_bytes(n, blas_threads, monkeypatch):
+    # up to 128 rows numpy reads the input's C upper triangle in column
+    # order, i.e. the conjugate matrix, and gives the bytes of the matrix
+    stack = sample_wigner(n, gaussian_off(), gaussian_diag(), [SeedSpec(67, k) for k in range(3)])
+    expected = np.linalg.eigvalsh(stack.dense()).tobytes()
+    calls = _numpy_calls(monkeypatch)
+    assert eigvalsh(stack).tobytes() == expected
+    assert calls == [(3, n, n)]
+
+
 def test_in_place_refuses_what_zheevd_cannot_read():
     if eigensolver._bundled() is None:
         pytest.skip("numpy's bundled zheevd was not found")
@@ -196,7 +207,9 @@ def test_non_finite_input_fails_as_numpys_path_does(bad, where, monkeypatch):
     if eigensolver._bundled() is None:
         pytest.skip("numpy's bundled zheevd was not found")
     m = sample_gue(200, SeedSpec(71))
-    # the diagonal entry (3, 3), or the pair (0, 4) and (4, 0)
+    # a stored matrix is read-only; this test breaks it on purpose, at the
+    # diagonal entry (3, 3), or at the pair (0, 4) and (4, 0)
+    m.array.flags.writeable = True
     for r, c in {"diagonal": [(3, 3)], "upper": [(0, 4), (4, 0)]}[where]:
         m.array[r, c] = bad
     outcomes = []

@@ -374,6 +374,21 @@ def test_matrices_compare_by_identity():
     assert _StreamStack(5, off, diag, [SeedSpec(1)]) != _StreamStack(5, off, diag, [SeedSpec(2)])
 
 
+def test_a_stored_matrix_cannot_be_edited():
+    # an edit of the stored array would break the symmetry the constructor
+    # checked; dense() is a new array the caller may edit
+    one = np.array([[1.0, 2j], [-2j, 0.5]])
+    off, diag = LAW_PAIRS["mixture"]
+    sampled = sample_wigner(5, off, diag, [SeedSpec(3, k) for k in range(2)])
+    for matrix in (HermitianMatrix(n=2, array=one), HermitianMatrix(n=2, array=np.stack([one, one])),
+                   sampled, minor(sampled, 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.array[..., 0, 1] = 5.0
+        full = matrix.dense()
+        assert full.flags.writeable and not np.shares_memory(full, matrix.array)
+        full[..., 0, 1] = 5.0
+
+
 @pytest.mark.parametrize("piece", [50, 200])
 @pytest.mark.parametrize("law", ["gaussian", "gaussian_off_mixture_diag"])
 def test_stream_stack_bytes_do_not_depend_on_the_pieces(law, piece, monkeypatch):
@@ -433,27 +448,25 @@ def _recording_lapack(monkeypatch):
     return inputs
 
 
-def _lower(a: np.ndarray) -> np.ndarray:
-    """The lower triangle of ``a``, diagonal included, row by row."""
-    rows, cols = np.tril_indices(a.shape[-1])
-    return a[..., rows, cols]
+# the sizes of the dense layout test below
+TRIU_SIZES = (1, 2, 3, 17, 130)
 
 
+@pytest.mark.parametrize("n", TRIU_SIZES)
 @pytest.mark.parametrize("law", ["gaussian", "mixture"])
-def test_lapack_input_is_the_lower_triangle_in_column_order(law):
+def test_lapack_input_is_dense_without_its_lower_triangle(law, n):
     off, diag = LAW_PAIRS[law]
-    for stack in (sample_wigner(7, off, diag, [SeedSpec(19, k) for k in range(3)]),
-                  sample_wigner(7, off, diag, SeedSpec(19, 0))):
+    seeds = [SeedSpec(19, k) for k in range(3)]
+    stacks = [sample_wigner(n, off, diag, seeds), sample_wigner(n, off, diag, seeds[0])]
+    for drop_row in (False, True) if n > 1 else (False,):
+        stacks += [_StreamStack(n, off, diag, seeds, drop_row)]
+        if drop_row:
+            stacks += [minor(stacks[0], 0)]
+    for stack in stacks:
         full = stack.dense()
         lower = stack.dense(lapack=True)
         assert lower.shape == full.shape and lower.dtype == np.complex128
-        # read in column order, as LAPACK reads it, it is the matrix
-        assert _lower(lower.mT).tobytes() == _lower(full).tobytes()
-        # the diagonal is real, and the C upper triangle is the
-        # conjugated upper triangle
-        assert not np.any(np.diagonal(lower, axis1=-2, axis2=-1).imag)
-        rows, cols = np.triu_indices(7, 1)
-        assert lower[..., rows, cols].tobytes() == full[..., rows, cols].conj().tobytes()
+        assert np.triu(lower).tobytes() == np.triu(full).tobytes()
 
 
 @pytest.mark.parametrize("law", ["gaussian", "mixture"])
@@ -493,17 +506,17 @@ def _triu_reference(n: int, batch: tuple, rng) -> tuple[np.ndarray, np.ndarray, 
 
 
 @pytest.mark.parametrize("batch", [(), (3,), (2, 2), (0,)])
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 130])
+@pytest.mark.parametrize("n", TRIU_SIZES)
 def test_dense_layout_matches_triu_indices(n, batch):
     rng = np.random.default_rng([n, len(batch)])
     diagonal, upper, dense = _triu_reference(n, batch, rng)
     matrix = HermitianMatrix(n=n, array=dense.copy())
     rows, cols = np.triu_indices(n, 1)
     assert matrix.dense().tobytes() == dense.tobytes()
-    # LAPACK's input: the conjugated upper triangle right of a real diagonal
-    lower = matrix.dense(lapack=True)
-    assert lower[..., rows, cols].tobytes() == upper.conj().tobytes()
-    assert lower[..., range(n), range(n)].tobytes() == diagonal.astype(np.complex128).tobytes()
+    assert matrix.dense()[..., rows, cols].tobytes() == upper.tobytes()
+    assert matrix.dense()[..., range(n), range(n)].real.tobytes() == diagonal.tobytes()
+    # LAPACK's input: dense() without its lower triangle
+    assert np.triu(matrix.dense(lapack=True)).tobytes() == np.triu(dense).tobytes()
     for j in range(n if n > 1 else 0):
         sub = np.delete(np.delete(dense, j, axis=-1), j, axis=-2)
         assert minor(matrix, j).dense().tobytes() == sub.tobytes()

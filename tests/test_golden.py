@@ -17,7 +17,11 @@ kernel and its thread count, so the digests are keyed by
 
 To pin a new build, print the digests of this one with
 ``PYTHONPATH=src python tests/test_golden.py`` and add them to ``GOLDEN``,
-``JSON`` and ``COMMANDS``.
+``JSON`` and ``COMMANDS``.  The same command then prints, for each
+benchmark workload, its seed-42 CSV digest, computed as
+``perfbench/child.py`` computes it, and whether it matches
+``perfbench/digests.json`` for this build: the benchmark counts a mismatch
+there as a failed run, and no test here checks it.
 """
 
 from __future__ import annotations
@@ -94,6 +98,13 @@ EDGES = {
         kind="delta_moments", n=[16, 24], samples=5, energy=[0.0, 0.4],
         extra={"moment_orders": [], "deltas": [0.5, 0.1]},
     ),
+    # above 128 rows LAPACK runs in place: two serial chunks of N = 160, and
+    # N = 129 minors of a mixture law
+    "spacing n=160": dict(kind="spacing", n=[160], samples=3),
+    "delta_moments n=130": dict(
+        kind="delta_moments", n=[130], samples=4, energy=[0.0],
+        dist={"off": dict(MIXTURE, role="off_diagonal"), "diag": dict(MIXTURE, role="diagonal")},
+    ),
 }
 
 JSON = {
@@ -101,6 +112,7 @@ JSON = {
     "NO_AFFINITY SkylakeX MAX_THREADS=64 | threads 2": {
         "delta_moments": "e73c842cf2bd93a1e3663467a9d10f7115f9c50d17473bde71677cafd4b50dfa",
         "delta_moments deltas only": "9c678a68caca31c15f623bc87b11ca8da2f3bdd7a1708b7ced5d55624126969d",
+        "delta_moments n=130": "ddcc8be42cff457a71e164029f2443d1a4c09d970eb72ab8fc0509ed9f96d502",
         "derivative": "e4bf5193f41784be94f247748d5ccf4b482cbaae9620b6ec33a6af9950e743f8",
         "dos": "80f7bb4360423ed4b2ac86b305711d717ed456940dcc519a4ef7c9feacdf7b6e",
         "dos one sample": "294586d9764e6f1525889a2d645a40be28a96d1e28335b3920724af92cbee85a",
@@ -109,6 +121,7 @@ JSON = {
         "scale_sweep": "dbcb47d0bb1e2fb01489f0fbc139d4237db469d67c15ce0007971231815cb6df",
         "spacing": "a7c99e85004e9e7d5b0c1fca7708876925d6fe526e103302acde2b8f0bfe275c",
         "spacing n=1,3": "7808a006971487dcd38be6f09333aafcadfc149c17c1ef5334894a5dfefbedfa",
+        "spacing n=160": "16d5bbb34e23fe09b77400e06ece3991476064f7c41064007699fa2b82ea2f3f",
         "wegner": "0b89bcfe07645fecd52a29a343119c9adc680e88eeadfb728c75ac992b8a8bf0",
     },
 }
@@ -185,3 +198,9 @@ if __name__ == "__main__":
     names = sorted(SPECS) + sorted(EDGES)
     print(json.dumps({key: {name: json_digest(result(name)) for name in names}}, indent=1))
     print(json.dumps({key: {name: stdout_digest(name) for name in sorted(ARGV)}}, indent=1))
+    import child
+    import workloads
+
+    for name, workload in workloads.WORKLOADS.items():
+        digest = child.csv_digest(workload.run(workloads.PINNED_SEED))
+        print(f"{name}: {digest} {child.digest_check(name, digest)}")

@@ -160,6 +160,20 @@ def test_only_eigensolver_binds_the_bundled_openblas():
     assert users == []
 
 
+def test_only_eigvalsh_asks_for_the_lapack_input():
+    # eigensolver says how LAPACK reads dense(lapack=True); a second caller
+    # would read it without that
+    root = Path(__file__).resolve().parents[1] / "src" / "wignerlab"
+    callers = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                callers += [f"{path.stem}.{node.name}" for call in ast.walk(node)
+                            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                            and call.func.attr == "dense" and call.keywords]
+    assert callers == ["eigensolver.eigvalsh"]
+
+
 def test_the_front_end_computes_no_residual_itself():
     # the check suite calls the residual functions of checks.py; these names
     # are what a residual is computed from
