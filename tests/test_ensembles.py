@@ -448,7 +448,7 @@ def _recording_lapack(monkeypatch):
     return inputs
 
 
-# the sizes of the dense layout test below
+# the sizes of the LAPACK input and dense layout tests below
 TRIU_SIZES = (1, 2, 3, 17, 130)
 
 
@@ -457,16 +457,14 @@ TRIU_SIZES = (1, 2, 3, 17, 130)
 def test_lapack_input_is_dense_without_its_lower_triangle(law, n):
     off, diag = LAW_PAIRS[law]
     seeds = [SeedSpec(19, k) for k in range(3)]
-    stacks = [sample_wigner(n, off, diag, seeds), sample_wigner(n, off, diag, seeds[0])]
-    for drop_row in (False, True) if n > 1 else (False,):
-        stacks += [_StreamStack(n, off, diag, seeds, drop_row)]
-        if drop_row:
-            stacks += [minor(stacks[0], 0)]
+    stored = sample_wigner(n, off, diag, seeds)
+    stacks = [stored, sample_wigner(n, off, diag, seeds[0]), _StreamStack(n, off, diag, seeds)]
+    if n > 1:
+        stacks += [minor(stored, 0), _StreamStack(n, off, diag, seeds, drop_row=True)]
     for stack in stacks:
-        full = stack.dense()
-        lower = stack.dense(lapack=True)
-        assert lower.shape == full.shape and lower.dtype == np.complex128
-        assert np.triu(lower).tobytes() == np.triu(full).tobytes()
+        full, a = stack.dense(), stack.dense(lapack=True)
+        assert a.shape == full.shape and a.dtype == np.complex128
+        assert np.triu(a).tobytes() == np.triu(full).tobytes()
 
 
 @pytest.mark.parametrize("law", ["gaussian", "mixture"])

@@ -162,7 +162,8 @@ def test_only_eigensolver_binds_the_bundled_openblas():
 
 def test_only_eigvalsh_asks_for_the_lapack_input():
     # eigensolver says how LAPACK reads dense(lapack=True); a second caller
-    # would read it without that
+    # would read it without that.  Any dense call with a keyword counts:
+    # ``lapack`` is dense's only one
     root = Path(__file__).resolve().parents[1] / "src" / "wignerlab"
     callers = []
     for path in sorted(root.glob("*.py")):
