@@ -60,6 +60,8 @@ class HermitianMatrix:
     including the ``1/sqrt(n)`` ensemble factor.  The constructor stores a
     read-only copy of ``array``, so no later edit, of the caller's array or
     of ``array`` itself, can break the symmetry it checked.
+    :func:`sample_wigner` and :func:`minor` skip the copy and the check:
+    they keep, read-only, the new array they built Hermitian.
     """
 
     n: int
@@ -185,7 +187,17 @@ def minor(matrix: HermitianMatrix, j: int) -> HermitianMatrix:
     if n == 1:
         raise DomainError("a 1 x 1 matrix has no proper minor")
     keep = np.delete(np.arange(n), j)
-    return HermitianMatrix(n=n - 1, array=matrix.dense()[..., keep[:, None], keep])
+    # a stream stack stores no array: its dense() draws one
+    array = matrix.dense() if matrix.array is None else matrix.array
+    return _owned(array[..., keep[:, None], keep])
+
+
+def _owned(array: np.ndarray) -> HermitianMatrix:
+    """The matrix of ``array``, new and Hermitian by construction: it takes
+    the array itself read-only, without the constructor's copy and check."""
+    matrix = object.__new__(HermitianMatrix)
+    matrix.n, matrix.array, array.flags.writeable = array.shape[-1], array, False
+    return matrix
 
 
 def _pieces(n: int, laws: tuple) -> list:
@@ -250,7 +262,7 @@ def sample_wigner(
     if not all(isinstance(s, SeedSpec) for s in seeds):
         raise ConfigurationError("seed must be a SeedSpec or a sequence of SeedSpecs")
     array = _StreamStack(n, off_dist, diag_dist, seeds).dense()
-    return HermitianMatrix(n=n, array=array[0] if single else array)
+    return _owned(array[0] if single else array)
 
 
 def sample_gue(n: int, seed: SeedSpec) -> HermitianMatrix:

@@ -23,15 +23,16 @@ stack is diagonalised with one call, giving a ``(B, N)`` array of
 eigenvalues.  The observables are evaluated on the whole chunk as ``(B, P,
 N)`` array expressions, which keeps their temporaries small.
 
-The chunk plan is :func:`_chunk_stats`, which pools a cell's chunks or runs
-them serially, and :func:`_chunk_depth`, which sets ``B`` from the chunks in
-flight by two rules: the stack budget (``_STACK_BYTES``) and, for pooled
-chunks only, the GIL-free floor (``_GIL_FREE_SIZE``).  Each chunk is one
-task, drawn, diagonalised and reduced to its observables in one go, so a
-pool thread carries a chunk from draw to statistic.  The comment at
-``eigensolver._ONE_BLAS_THREAD_MAX_N`` gives the measurements behind the
-pool's upper size limit.  The bytes depend neither on ``B`` nor on the
-worker count.
+The chunk plan is :func:`_chunk_stats`, which pools a cell's chunks from
+the pool floor (``_POOL_MIN_ROWS``) or runs them serially, and
+:func:`_chunk_depth`, which sets ``B`` from the chunks in flight by two
+rules: the stack budget (``_STACK_BYTES``) and, for pooled chunks only, the
+GIL-free floor (``_GIL_FREE_SIZE``).  Each chunk is one task, drawn,
+diagonalised and reduced to its observables in one go, so a pool thread
+carries a chunk from draw to statistic.  The comments at
+``_POOL_MIN_ROWS`` and ``eigensolver._ONE_BLAS_THREAD_MAX_N`` give the
+measurements behind the pool's lower and upper size limits.  The bytes
+depend neither on ``B`` nor on the worker count.
 
 Serial and pooled chunks handle memory alike: each allocates its own
 arrays and frees them when it is done, and with one budget for the
@@ -128,17 +129,38 @@ _MAX_CHUNK = 32
 # pooled chunk holds at least the smallest B with B * size > 500, even past
 # its share of the stack budget.  The floor sets the depth at every size
 # from 61 rows at two workers but 63 and 64, where both rules give B = 8
-# (B = 7 at N = 72, 5 at N = 120), from 33 at four and from 17 at eight.
-# Raising B from 4 to 5 at N = 120 took pooled dos from 302 to 632
-# matrices/s on two cores.  A serial chunk has no other thread to release
-# the GIL for and keeps to the budget; serially on two Xeon cores, dos at
-# N = 120 ran 523 matrices/s at B = 4 and 538 at B = 5, delta_moments at
-# N = 72 707 at 12 minors and 699 at 13 (medians of 20 alternating runs,
-# each inside the other's quartile spread of 9-15%).  Below 16 rows the
-# floor would pass ``_MAX_CHUNK``: pooled chunks of 34-501 matrices ran dos
-# at N = 2 and 8 at 0.5-0.7x the serial speed, so those sizes run serially
-# (see :func:`_chunk_stats`).
+# (B = 7 at N = 72, 5 at N = 120), from 33 at four and at every pooled
+# size at eight.  Raising B from 4 to 5 at N = 120 took pooled dos from
+# 302 to 632 matrices/s on two cores.  A serial chunk has no other thread
+# to release the GIL for and keeps to the budget; serially on two Xeon
+# cores, dos at N = 120 ran 523 matrices/s at B = 4 and 538 at B = 5,
+# delta_moments at N = 72 707 at 12 minors and 699 at 13 (medians of 20
+# alternating runs, each inside the other's quartile spread of 9-15%).
 _GIL_FREE_SIZE = 500
+
+# The pool floor: a cell is pooled only from this many diagonalised rows
+# (see :func:`_chunk_stats`); below it two threads lose to one.  Pooled
+# chunks of 34-501 matrices ran dos at N = 2 and 8 at 0.5-0.7x the serial
+# speed.  From 16 rows up, dos at E = 0, eta = 2/N, seed 42, one worker
+# against two on two Xeon cores, median wall microseconds per matrix over
+# 20 (16-18 rows) or 30 (19-23 rows) pairs of 4000-sample runs that
+# alternate which runs first:
+#
+#       N   serial   pooled   pooled won
+#      16     43.8     52.6         7/20
+#      18     57.5     63.7         7/20
+#      19     52.5     55.5        11/30
+#      20     53.9     56.5        14/30
+#      21     60.1     56.7        21/30
+#      22     64.9     65.1        18/30
+#      23     78.3     72.9        25/30
+#
+# The floor is the smallest size from which the pool was not slower (the
+# two read equal at 22 rows).  ``PYTHONPATH=src python
+# tests/test_experiments.py`` reruns 10 pairs of 8000 samples; single runs
+# move by 10-20% with the host's load, and the crossover moves with the
+# host (it once read between 24 and 32 rows).
+_POOL_MIN_ROWS = 21
 
 SUBMICRO_THRESHOLD = 0.05
 
@@ -456,14 +478,14 @@ def _chunk_stats(
 
     The pool rule: up to ``_ONE_BLAS_THREAD_MAX_N`` rows (``n - 1`` for
     minors) the tasks run on one BLAS thread each, and where that thread
-    count could be set and a chunk of ``_MAX_CHUNK`` clears the GIL-free
-    floor (``_GIL_FREE_SIZE``), that is from 16 rows, ``workers`` of them
-    run at once on a pool.  The calling thread then only gathers the
-    results in chunk order, so ``stat`` must not write shared state.  Every
-    other cell runs one chunk at a time, above ``_ONE_BLAS_THREAD_MAX_N``
-    rows on OpenBLAS's own threads.  :func:`_chunk_depth` sizes the chunks
-    for the number in flight.  Only the calling thread sets the BLAS thread
-    count, and the pool is shut down before it is restored.
+    count could be set, from the pool floor of ``_POOL_MIN_ROWS`` rows,
+    ``workers`` of them run at once on a pool.  The calling thread then
+    only gathers the results in chunk order, so ``stat`` must not write
+    shared state.  Every other cell runs one chunk at a time, above
+    ``_ONE_BLAS_THREAD_MAX_N`` rows on OpenBLAS's own threads.
+    :func:`_chunk_depth` sizes the chunks for the number in flight.  Only
+    the calling thread sets the BLAS thread count, and the pool is shut
+    down before it is restored.
     """
     m = spec.samples
     size = n - 1 if drop_row else n
@@ -474,7 +496,7 @@ def _chunk_stats(
         return stat(eigvalsh(_StreamStack(n, *spec.dist, seeds, drop_row)))
 
     with one_blas_thread() if size <= _ONE_BLAS_THREAD_MAX_N else nullcontext(False) as pinned:
-        in_flight = workers if pinned and _MAX_CHUNK * size > _GIL_FREE_SIZE else 1
+        in_flight = workers if pinned and size >= _POOL_MIN_ROWS else 1
         depth = _chunk_depth(size, in_flight)
         chunks = [range(first + lo, first + min(lo + depth, m)) for lo in range(0, m, depth)]
         if in_flight == 1:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -389,6 +390,28 @@ def test_a_stored_matrix_cannot_be_edited():
         full[..., 0, 1] = 5.0
 
 
+@pytest.mark.parametrize("law", sorted(LAW_PAIRS))
+@pytest.mark.parametrize("n", [1, 2, 17, 130])
+def test_sampled_matrices_and_minors_own_a_hermitian_array(n, law):
+    # sample_wigner and minor keep the array they built, without the
+    # constructor's copy and check, so it must be read-only, exactly
+    # Hermitian and shared with no other matrix, the one a minor came from
+    # included
+    off, diag = LAW_PAIRS[law]
+    seeds = [SeedSpec(61, k) for k in range(3)]
+    matrices = [sample_wigner(n, off, diag, seeds[0]), sample_wigner(n, off, diag, seeds)]
+    if n > 1:
+        matrices += [minor(m, j) for m in matrices for j in (0, n // 2, n - 1)]
+        matrices.append(minor(_StreamStack(n, off, diag, seeds), 0))
+    for matrix in matrices:
+        a = matrix.array
+        assert not a.flags.writeable
+        assert np.array_equal(a, a.conj().mT)
+        assert a.shape[-2:] == (matrix.n, matrix.n)
+    for one, other in combinations(matrices, 2):
+        assert not np.shares_memory(one.array, other.array)
+
+
 @pytest.mark.parametrize("piece", [50, 200])
 @pytest.mark.parametrize("law", ["gaussian", "gaussian_off_mixture_diag"])
 def test_stream_stack_bytes_do_not_depend_on_the_pieces(law, piece, monkeypatch):
@@ -430,6 +453,9 @@ def test_stream_stack_peaks_at_the_lapack_input_plus_one_piece():
             tracemalloc.stop()
 
     seeds = [SeedSpec(5, 0)]
+    # the first generator of a process allocates about 1 MB once, which is
+    # no part of a chunk's draw
+    seeds[0].generator()
     assert peak(lambda: _StreamStack(n, gaussian_off(), gaussian_diag(), seeds).dense(lapack=True)) <= bound
     stored = peak(lambda: sample_wigner(n, gaussian_off(), gaussian_diag(), seeds).dense(lapack=True))
     assert stored > bound

@@ -800,10 +800,11 @@ def test_chunk_depth_releases_the_gil_up_to_n_128():
 
 
 def _chunk_spec(kind):
-    # 37 samples at N = 16 and 72: serial chunks of 32 and 12 matrices (32
-    # and 13 minors for delta_moments), B * N above the size at which the
-    # pool is used; pooled, the N = 72 chunks hold 7 matrices (8 minors)
-    return ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[16, 72], samples=37,
+    # 37 samples at N = 32 and 72, both above the pool floor (31 and 71 rows
+    # for the minors of delta_moments too): chunks of 32 at N = 32 serial or
+    # pooled; at N = 72 serial chunks of 12 matrices (13 minors) and pooled
+    # ones of 7 (8 minors)
+    return ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[32, 72], samples=37,
                                          seed=29))
 
 
@@ -894,12 +895,15 @@ def test_pool_runs_n_120_chunks_off_the_calling_thread(kind, n, monkeypatch, bla
     assert threading.get_ident() not in {c[1] for c in calls}
 
 
+FLOOR = experiments._POOL_MIN_ROWS
+
+
 @pytest.mark.parametrize("kind, n, pooled", [
-    ("dos", 15, False), ("dos", 16, True),
+    ("dos", FLOOR - 1, False), ("dos", FLOOR, True),
     # delta_moments diagonalises minors of n - 1 rows
-    ("delta_moments", 16, False), ("delta_moments", 17, True),
+    ("delta_moments", FLOOR, False), ("delta_moments", FLOOR + 1, True),
 ])
-def test_pool_starts_at_16_rows(kind, n, pooled, monkeypatch, blas_threads):
+def test_pool_starts_at_its_floor(kind, n, pooled, monkeypatch, blas_threads):
     calls: list = []
     monkeypatch.setattr(experiments, "eigvalsh", _recording_eigvalsh(calls))
     spec = ExperimentSpec.from_json(dict(CHUNK_SPECS[kind], kind=kind, n=[n], samples=64, seed=5,
@@ -999,9 +1003,9 @@ def test_pool_runs_whole_chunks_off_the_calling_thread(monkeypatch, blas_threads
     monkeypatch.setattr(experiments, "_density", recording_density)
     assert run_experiment(spec, workers=2).to_csv() == serial
     main = threading.get_ident()
-    # both sizes are pooled: N = 16 in 2 chunks of up to 32, N = 72 in 6 of 7
-    assert sorted(c[0] for c in calls) == [16] * 2 + [72] * 6
-    assert sorted(n for n, _ in stat_threads) == [16] * 2 + [72] * 6
+    # both sizes are pooled: N = 32 in 2 chunks of up to 32, N = 72 in 6 of 7
+    assert sorted(c[0] for c in calls) == [32] * 2 + [72] * 6
+    assert sorted(n for n, _ in stat_threads) == [32] * 2 + [72] * 6
     assert main not in {c[1] for c in calls}
     assert main not in {t for _, t in stat_threads}
 
@@ -1176,3 +1180,27 @@ def test_result_json_shape():
     first = obj["rows"][0]
     for key in ("n", "energy", "eta", "mean", "stderr", "samples", "reference", "ratio"):
         assert key in first
+
+
+if __name__ == "__main__":
+    # The table at ``experiments._POOL_MIN_ROWS``: dos at E = 0, eta = 2/N,
+    # 8000 samples, seed 42, one worker against two with the pool floor
+    # lifted, in 10 pairs that alternate which runs first; the median wall
+    # microseconds per matrix of each and the pairs the pool won.  About
+    # 70 s on two cores.
+    import time
+
+    experiments._POOL_MIN_ROWS = 1
+    print(f"{'N':>4} {'serial':>8} {'pooled':>8}  pooled won")
+    for n in (16, 19, 20, 21, 22, 24, 32):
+        spec = ExperimentSpec(kind="dos", n=[n], samples=8000, energy=[0.0], eta=[{"over_n": 2.0}],
+                              seed=42)
+        run_experiment(spec, workers=2)  # warm-up
+        times: dict = {1: [], 2: []}
+        for pair in range(10):
+            for workers in ((1, 2) if pair % 2 == 0 else (2, 1)):
+                start = time.perf_counter()
+                run_experiment(spec, workers=workers)
+                times[workers].append((time.perf_counter() - start) / spec.samples * 1e6)
+        won = sum(p < s for s, p in zip(times[1], times[2]))
+        print(f"{n:4} {np.median(times[1]):8.1f} {np.median(times[2]):8.1f}  {won:5}/10")

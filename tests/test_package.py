@@ -99,9 +99,11 @@ def test_only_run_experiment_numbers_and_samples_cells():
 
 def test_only_the_chunk_plan_reads_its_limits():
     # _chunk_stats decides whether a cell is pooled and _chunk_depth sizes
-    # its chunks; a third reader of these limits would be a second plan
+    # its chunks; each limit has one reader, and a second would be a second
+    # plan
     path = Path(__file__).resolve().parents[1] / "src" / "wignerlab" / "experiments.py"
-    limits = {"_ONE_BLAS_THREAD_MAX_N", "_STACK_BYTES", "_MAX_CHUNK", "_GIL_FREE_SIZE"}
+    limits = {"_ONE_BLAS_THREAD_MAX_N", "_POOL_MIN_ROWS", "_STACK_BYTES", "_MAX_CHUNK",
+              "_GIL_FREE_SIZE"}
     readers = {name: set() for name in limits}
     for top in ast.parse(path.read_text()).body:
         for node in ast.walk(top):
@@ -109,9 +111,10 @@ def test_only_the_chunk_plan_reads_its_limits():
                 readers[node.id].add(getattr(top, "name", "experiments"))
     assert readers == {
         "_ONE_BLAS_THREAD_MAX_N": {"_chunk_stats"},
+        "_POOL_MIN_ROWS": {"_chunk_stats"},
         "_STACK_BYTES": {"_chunk_depth"},
-        "_MAX_CHUNK": {"_chunk_depth", "_chunk_stats"},
-        "_GIL_FREE_SIZE": {"_chunk_depth", "_chunk_stats"},
+        "_MAX_CHUNK": {"_chunk_depth"},
+        "_GIL_FREE_SIZE": {"_chunk_depth"},
     }
 
 
