@@ -278,7 +278,7 @@ def _write(text: str, out) -> None:
 
 def _run_experiment_command(args) -> int:
     # the SVG goes next to --out, so it must not be --out itself
-    if args.plot and (not args.out or os.path.splitext(args.out)[1] == ".svg"):
+    if args.plot and (not args.out or os.path.splitext(args.out)[1].lower() == ".svg"):
         raise ConfigurationError("--plot needs --out, with an extension other than .svg, to derive the SVG path")
     _check_out(args.out)
     spec = _build_spec(args)

@@ -58,20 +58,13 @@ def _require_single(matrix: HermitianMatrix) -> None:
         raise DomainError(f"expected one matrix, got a stack of shape {matrix.batch_shape}")
 
 
-def _removed_column(matrix: HermitianMatrix, j: int) -> np.ndarray:
-    """Entries ``H[k, j]`` for ``k != j``: the vector coupling index ``j``
-    to the minor (the conjugate of row ``j`` without its diagonal entry)."""
-    column = matrix.dense()[:, j]
-    return np.delete(column, j)
-
-
 def overlaps(matrix: HermitianMatrix, j: int) -> OverlapData:
     """Eigenvalues of ``minor(H, j)`` and overlaps with the removed column."""
     _require_single(matrix)
     if matrix.n < 2:
         raise DomainError("overlaps need matrix dimension at least 2")
     lam, vectors = eigh(minor(matrix, j))
-    proj = vectors.conj().T @ _removed_column(matrix, j)
+    proj = vectors.conj().T @ np.delete(matrix.array[:, j], j)
     return OverlapData(lam=lam, xi=matrix.n * np.abs(proj) ** 2)
 
 
@@ -88,16 +81,15 @@ def schur_resolvent_residual(matrix: HermitianMatrix, j: int, z: complex) -> flo
     _require_single(matrix)
     if not 0 <= _integer(j, "row index") < matrix.n:
         raise DomainError(f"row index must lie in [0, {matrix.n}), got {j}")
-    dense = matrix.dense()
-    n = matrix.n
+    h, n = matrix.array, matrix.n
     rhs = np.zeros(n, dtype=np.complex128)
     rhs[j] = 1.0
     try:
-        direct = np.linalg.solve(dense - z * np.eye(n), rhs)[j]
+        direct = np.linalg.solve(h - z * np.eye(n), rhs)[j]
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"resolvent solve failed at z = {z}: {exc}") from exc
     lam, xi = overlaps(matrix, j)
-    schur = 1.0 / (dense[j, j] - z - np.sum(xi / (lam - z)) / n)
+    schur = 1.0 / (h[j, j] - z - np.sum(xi / (lam - z)) / n)
     return float(abs(direct - schur))
 
 

@@ -76,9 +76,10 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 def eigh(matrix: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition: ascending eigenvalues and phase-fixed
-    eigenvectors, as columns."""
+    eigenvectors, as columns.  It reads the stored ``array`` (numpy copies
+    it for LAPACK), so it takes no stream stack, which stores none."""
     try:
-        vals, vecs = np.linalg.eigh(matrix.dense())
+        vals, vecs = np.linalg.eigh(matrix.array)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed for n={matrix.n}: {exc}") from exc
     return vals, _fix_phases(vecs)

@@ -61,7 +61,10 @@ class HermitianMatrix:
     read-only copy of ``array``, so no later edit, of the caller's array or
     of ``array`` itself, can break the symmetry it checked.
     :func:`sample_wigner` and :func:`minor` skip the copy and the check:
-    they keep, read-only, the new array they built Hermitian.
+    they keep, read-only, the new array they built Hermitian.  Code that
+    only reads a stored matrix reads ``array``; :meth:`dense` makes a new,
+    writable array, for LAPACK's input, :func:`sample_wigner`'s draw and
+    the minor of a stream stack, which stores no array.
     """
 
     n: int

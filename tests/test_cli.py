@@ -402,10 +402,11 @@ def test_usage_errors_exit_two(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli_module, "run_experiment", lambda *a, **k: pytest.fail("sampled"))
     for out in ([str(tmp_path / "missing" / "x.csv")], [str(tmp_path)],
                 # the SVG path of --plot would be --out itself
-                [str(tmp_path / "r.svg"), "--plot"]):
+                [str(tmp_path / "r.svg"), "--plot"], [str(tmp_path / "r.SVG"), "--plot"],
+                [str(tmp_path / "r.Svg"), "--plot"]):
         assert main(["dos", "--n", "8", "--samples", "2", "--eta", "0.5", "--out", *out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "r.svg").exists()
+    assert not any((tmp_path / name).exists() for name in ("r.svg", "r.SVG", "r.Svg"))
     with pytest.raises(SystemExit) as exc:
         main(["dos", "--n", "not_a_number"])
     assert exc.value.code == 2

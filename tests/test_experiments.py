@@ -1186,21 +1186,24 @@ if __name__ == "__main__":
     # The table at ``experiments._POOL_MIN_ROWS``: dos at E = 0, eta = 2/N,
     # 8000 samples, seed 42, one worker against two with the pool floor
     # lifted, in 10 pairs that alternate which runs first; the median wall
-    # microseconds per matrix of each and the pairs the pool won.  About
-    # 70 s on two cores.
+    # and process CPU microseconds per matrix of each, and the pairs the
+    # pool won in wall time.  About 70 s on two cores.
     import time
 
     experiments._POOL_MIN_ROWS = 1
-    print(f"{'N':>4} {'serial':>8} {'pooled':>8}  pooled won")
+    print(f"{'N':>4} {'serial':>8} {'pooled':>8} {'cpu ser':>8} {'cpu pool':>8}  pooled won")
     for n in (16, 19, 20, 21, 22, 24, 32):
         spec = ExperimentSpec(kind="dos", n=[n], samples=8000, energy=[0.0], eta=[{"over_n": 2.0}],
                               seed=42)
         run_experiment(spec, workers=2)  # warm-up
         times: dict = {1: [], 2: []}
+        cpu: dict = {1: [], 2: []}
         for pair in range(10):
             for workers in ((1, 2) if pair % 2 == 0 else (2, 1)):
-                start = time.perf_counter()
+                start, start_cpu = time.perf_counter(), time.process_time()
                 run_experiment(spec, workers=workers)
                 times[workers].append((time.perf_counter() - start) / spec.samples * 1e6)
+                cpu[workers].append((time.process_time() - start_cpu) / spec.samples * 1e6)
         won = sum(p < s for s, p in zip(times[1], times[2]))
-        print(f"{n:4} {np.median(times[1]):8.1f} {np.median(times[2]):8.1f}  {won:5}/10")
+        print(f"{n:4} {np.median(times[1]):8.1f} {np.median(times[2]):8.1f} "
+              f"{np.median(cpu[1]):8.1f} {np.median(cpu[2]):8.1f}  {won:5}/10")

@@ -166,16 +166,20 @@ def test_only_eigensolver_binds_the_bundled_openblas():
 def test_only_eigvalsh_asks_for_the_lapack_input():
     # eigensolver says how LAPACK reads dense(lapack=True); a second caller
     # would read it without that.  Any dense call with a keyword counts:
-    # ``lapack`` is dense's only one
+    # ``lapack`` is dense's only one.  A plain dense() makes a new array, so
+    # only code that needs one calls it: a stored matrix is read from its
+    # ``array``, and a stream stack, which stores none, is drawn
     root = Path(__file__).resolve().parents[1] / "src" / "wignerlab"
-    callers = []
+    callers = {True: [], False: []}
     for path in sorted(root.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef):
-                callers += [f"{path.stem}.{node.name}" for call in ast.walk(node)
-                            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                            and call.func.attr == "dense" and call.keywords]
-    assert callers == ["eigensolver.eigvalsh"]
+                for call in ast.walk(node):
+                    if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                            and call.func.attr == "dense"):
+                        callers[bool(call.keywords)].append(f"{path.stem}.{node.name}")
+    assert callers[True] == ["eigensolver.eigvalsh"]
+    assert callers[False] == ["ensembles.minor", "ensembles.sample_wigner"]
 
 
 def test_the_front_end_computes_no_residual_itself():
