@@ -76,8 +76,8 @@ def schur_resolvent_residual(matrix: HermitianMatrix, j: int, z: complex) -> flo
     agree analytically, so the return value measures numerical error only.
     """
     z = complex(z)
-    if not z.imag > 0.0:
-        raise DomainError(f"resolvent comparison needs Im z > 0, got z = {z}")
+    if not (z.imag > 0.0 and np.isfinite(z)):
+        raise DomainError(f"resolvent comparison needs a finite z with Im z > 0, got z = {z}")
     _require_single(matrix)
     if not 0 <= _integer(j, "row index") < matrix.n:
         raise DomainError(f"row index must lie in [0, {matrix.n}), got {j}")
@@ -102,9 +102,14 @@ class Coefficients(NamedTuple):
     d_prime: np.ndarray
 
 
-def _check_eps(eps: float) -> None:
+def _scaled(lam, E: float, eps: float, N: int) -> np.ndarray:
+    """The signed rescaled distances ``N (lambda - E)``, once ``eps`` lies in
+    (0, 1] and ``N`` is a positive integer."""
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
+    if _integer(N, "N") < 1:
+        raise DomainError(f"N must be positive, got {N}")
+    return N * (np.asarray(lam, dtype=float) - E)
 
 
 def coefficients(lam: Sequence[float], E: float, eps: float, N: int) -> Coefficients:
@@ -118,11 +123,7 @@ def coefficients(lam: Sequence[float], E: float, eps: float, N: int) -> Coeffici
 
     ``N`` is the dimension of the full matrix, one more than the minor.
     """
-    _check_eps(eps)
-    if N < 1:
-        raise DomainError(f"N must be positive, got {N}")
-    lam = np.asarray(lam, dtype=float)
-    t = N * (lam - E)
+    t = _scaled(lam, E, eps, N)
     u = t * t + eps * eps
     c = eps / u
     d = t / u
@@ -138,9 +139,7 @@ def good_event(lam, E: float, eps: float, N: int):
     window, i.e. as eligible.  A ``(B, n)`` stack of spectra gives ``B``
     answers, one per row.
     """
-    _check_eps(eps)
-    lam = np.asarray(lam, dtype=float)
-    out = np.count_nonzero(N * np.abs(lam - E) >= eps, axis=-1) >= GOOD_EVENT_COUNT
+    out = np.count_nonzero(np.abs(_scaled(lam, E, eps, N)) >= eps, axis=-1) >= GOOD_EVENT_COUNT
     return out if out.ndim else bool(out)
 
 
@@ -161,9 +160,7 @@ def select_indices(lam, E: float, eps: float, N: int) -> Selection:
     good event.  A ``(B, n)`` stack of spectra, every row with the good
     event, gives ``(B, 9)`` indices and ``B`` spans.
     """
-    _check_eps(eps)
-    lam = np.asarray(lam, dtype=float)
-    dist = N * np.abs(lam - E)
+    dist = np.abs(_scaled(lam, E, eps, N))
     # the good event of :func:`good_event`, on the same distances
     eligible = np.count_nonzero(dist >= eps, axis=-1)
     if np.any(eligible < GOOD_EVENT_COUNT):

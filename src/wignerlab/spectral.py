@@ -49,16 +49,16 @@ def m_sc(z: complex) -> complex:
     """Stieltjes transform of the semicircle law on the upper half-plane.
 
     The root of ``m^2 + z m + 1 = 0`` with positive imaginary part
-    (equivalently the branch with ``m_sc(z) -> 0`` as ``|z| -> inf``).
+    (equivalently the branch with ``m_sc(z) -> 0`` as ``|z| -> inf``), for a
+    finite ``z``.  It is the reciprocal of the other root, computed as
+    ``-2 / (z + sqrt(z - 2) sqrt(z + 2))`` with principal square roots: then
+    ``Im(z + sqrt(z - 2) sqrt(z + 2)) > 0`` whenever ``Im z > 0``, and no
+    difference of nearly equal terms is formed far from the spectrum.
     """
     z = complex(z)
-    if not z.imag > 0.0:
-        raise DomainError(f"m_sc needs Im z > 0, got z = {z}")
-    root = np.sqrt(np.complex128(z * z / 4.0 - 1.0))
-    m = -z / 2.0 + root
-    if m.imag <= 0.0:
-        m = -z / 2.0 - root
-    return complex(m)
+    if not (z.imag > 0.0 and np.isfinite(z)):
+        raise DomainError(f"m_sc needs a finite z with Im z > 0, got z = {z}")
+    return complex(-2.0 / (z + np.sqrt(z - 2.0) * np.sqrt(z + 2.0)))
 
 
 def F_sc(E):

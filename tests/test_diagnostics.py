@@ -180,14 +180,18 @@ def test_coefficients_poisson_decomposition():
     np.testing.assert_allclose(co.d, direct.real, atol=1e-14)
 
 
-def test_coefficients_eps_validation():
-    lam = np.array([0.5])
-    with pytest.raises(DomainError):
-        coefficients(lam, 0.0, 0.0, 4)
-    with pytest.raises(DomainError):
-        coefficients(lam, 0.0, 1.5, 4)
-    with pytest.raises(DomainError):
-        coefficients(lam, 0.0, -0.2, 4)
+@pytest.mark.parametrize("func", [coefficients, good_event, select_indices])
+@pytest.mark.parametrize("eps, N, error", [
+    (0.0, 16, DomainError), (1.5, 16, DomainError), (-0.2, 16, DomainError), (math.nan, 16, DomainError),
+    (0.5, 0, DomainError), (0.5, -3, DomainError),
+    (0.5, 2.5, ConfigurationError), (0.5, True, ConfigurationError),
+])
+def test_eps_and_N_are_refused(func, eps, N, error):
+    # the spectrum has the good event at eps = 0.5, N = 16, so the refusal
+    # names eps or N, not the good event
+    lam = np.linspace(-1.0, 1.0, 15)
+    with pytest.raises(error, match=r"^(eps|N) must"):
+        func(lam, 0.0, eps, N)
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -215,6 +219,9 @@ def test_schur_residual_requires_upper_half_plane():
     m = sample_gue(6, SeedSpec(44))
     with pytest.raises(DomainError):
         schur_resolvent_residual(m, 0, complex(0.1, -0.2))
+    for z in (complex(math.inf, 1.0), complex(0.0, math.inf), complex(math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            schur_resolvent_residual(m, 0, z)
 
 
 def test_overlaps_minimum_dimension():

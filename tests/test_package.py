@@ -195,6 +195,19 @@ def test_the_front_end_computes_no_residual_itself():
     assert names & {"coefficients", "select_indices", "m_sc", "rho_sc", "_integrate"} == set()
 
 
+def test_the_diagnostics_form_lam_minus_E_once():
+    # diagnostics._scaled checks eps and N and returns N (lam - E); a second
+    # difference with E would be a distance derived without those checks
+    path = Path(__file__).resolve().parents[1] / "src" / "wignerlab" / "diagnostics.py"
+    sites = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                    and getattr(node.right, "id", None) == "E"):
+                sites.append(top.name)
+    assert sites == ["_scaled"]
+
+
 # exported names that nothing in the package or the benchmark calls, each
 # with the reason it stays
 UNCALLED_EXPORTS = {

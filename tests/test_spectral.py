@@ -57,8 +57,10 @@ def test_rho_sc_integrates_to_one():
 
 
 def test_m_sc_solves_fixed_point_equation():
-    for z in (0.3 + 0.5j, -1.2 + 0.01j, 1.9 + 1e-6j, 3.5 + 1e-3j, -4.0 + 1e-4j, 2.7j):
+    for z in (0.3 + 0.5j, -1.2 + 0.01j, 1.9 + 1e-6j, 3.5 + 1e-3j, -4.0 + 1e-4j, 2.7j, 1e8 + 1j,
+              1e12 + 1e-3j):
         m = m_sc(z)
+        # far from the spectrum z m is about -1, so this bound is a relative one
         assert abs(m * m + z * m + 1.0) < 1e-12
         assert m.imag > 0.0
 
@@ -74,6 +76,9 @@ def test_m_sc_requires_upper_half_plane():
         m_sc(1.0 - 0.5j)
     with pytest.raises(DomainError):
         m_sc(1.0)
+    for z in (complex(math.nan, 1.0), complex(math.inf, 1.0), complex(0.0, math.inf)):
+        with pytest.raises(DomainError):
+            m_sc(z)
 
 
 def test_semicircle_boundary_identity():
